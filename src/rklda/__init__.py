@@ -47,13 +47,7 @@ from .evaluation import (
     split,
 )
 from .labels import IndicatorMatrix, LabelVector, encode_labels, index_labels
-from .matrix import (
-    CenteredMatrixView,
-    build_centered_view,
-    centered_row,
-    row_norm_profile,
-    to_dense_centered,
-)
-from .rk import SolveResult, SolverConfig, rk_step, solve_rk
+from .matrix import CenteredMatrixView, build_centered_view, to_dense_centered
+from .rk import SolveResult, SolverConfig, solve_rk
 from .sampling import SamplingDistribution, build_sampler, sample_row, sample_rows
 from .scatter import ScatterSet, scatter_matrices, scatter_traces

@@ -6,6 +6,8 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Every file-producing run also writes ``<out>.manifest.json`` recording the
 subcommand, resolved flags, 64-bit input/output content digests, seed, tool
 version, and timestamps, so an artifact can be reproduced from its manifest.
+``solve --method rk`` adds ``iterations_run`` and ``excluded_rows`` (rows
+with zero centered norm, never sampled).
 Output files are written to a temp file and renamed into place; a failing
 run leaves no partial outputs.
 
@@ -88,6 +90,7 @@ class _Run:
         }
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
+        self.results: dict[str, int] = {}  # what the run did, e.g. solver counts
         self.started = _utc_now()
 
     def track_input(self, path) -> None:
@@ -111,6 +114,7 @@ class _Run:
             "format_version": FORMAT_VERSION,
             "started_utc": self.started,
             "finished_utc": _utc_now(),
+            **self.results,
         }
         atomic_write_text(str(primary_out) + ".manifest.json", _json_text(manifest))
 
@@ -207,6 +211,8 @@ def _cmd_solve(args) -> int:
         result = solve_rk(view, Y, config)
         W = result.W
         trace = result.trace
+        run.results.update(iterations_run=result.iterations_run,
+                           excluded_rows=result.excluded_rows)
     elif args.method == "lsqr":
         W = solve_lsqr(view, Y, tol=args.tol, max_iters=args.max_iters).matrix
     elif args.method == "pinv":

@@ -1,16 +1,23 @@
 """Data matrix storage with implicit column centering.
 
-The centered matrix Xc = X - 1 mu^T is never materialized for sparse bases;
-row access, matrix products, and norm profiles all apply the -mu offset on
-the fly.  Per-row centered norms are computed once at construction via
+The centered matrix Xc = X - 1 mu^T is never materialized: matrix products
+apply the -mu offset on the fly.  Per-row centered norms are computed once
+at construction.  Dense bases center NORM_CHUNK_ELEMENTS // d rows at a
+time and sum the squares of the centered entries, so the norms stay exact
+at any column offset and the extra memory is one chunk.  Sparse bases use
 
     ||x_i - mu||^2 = ||x_i||^2 - 2 <x_i, mu> + ||mu||^2
 
-which is a single pass over the stored entries.
+a single pass over the stored entries, since any explicit form would
+densify the row.  The expansion cancels when the offset dominates the
+spread: its relative error is about eps * n ||mu||^2 / ||Xc||_F^2 (the
+view's ``centering_ratio``), and a RuntimeWarning is raised when that ratio
+exceeds CENTERING_RATIO_WARN.
 """
 
+import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,21 +26,13 @@ from .errors import InvalidData, TooLarge
 
 # Dense small-scale guard shared by the SVD-based oracles.
 DENSE_GUARD_ELEMENTS = 10**7
+# Centered entries held at once while computing dense row norms.
+NORM_CHUNK_ELEMENTS = 1 << 16
+# Sparse centering ratio past which the norm expansion and the lazily
+# centered RK step lose more than about eps * 1e6 ~ 2e-10 relative accuracy.
+CENTERING_RATIO_WARN = 1e6
 
 RawMatrix = Union[np.ndarray, sp.csr_matrix, sp.csr_array]
-
-
-class SparsePlusOffset(NamedTuple):
-    """A centered sparse row: stored entries plus a dense -mu offset."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    offset: np.ndarray  # the full-length dense offset (-mu)
-
-    def to_dense(self) -> np.ndarray:
-        out = self.offset.copy()
-        out[self.indices] += self.values
-        return out
 
 
 def validate_raw(base) -> RawMatrix:
@@ -82,12 +81,13 @@ class CenteredMatrixView:
     def shape(self) -> tuple[int, int]:
         return self.base.shape
 
-    def centered_row_dense(self, i: int) -> np.ndarray:
-        """Dense centered row x_i - mu (always a fresh or read-only vector)."""
-        row = centered_row(self, i)
-        if isinstance(row, SparsePlusOffset):
-            return row.to_dense()
-        return row
+    @property
+    def centering_ratio(self) -> float:
+        """n ||mu||^2 / ||Xc||_F^2: how far the offset dominates the spread."""
+        offset_sq = self.n * float(self.column_means @ self.column_means)
+        if offset_sq == 0.0:
+            return 0.0
+        return offset_sq / self.frob_norm_sq if self.frob_norm_sq > 0.0 else float("inf")
 
     def matmul(self, v: np.ndarray) -> np.ndarray:
         """(X - 1 mu^T) @ v without densifying the base."""
@@ -123,47 +123,42 @@ def build_centered_view(base, assume_centered: bool = False) -> CenteredMatrixVi
 
     if sparse:
         raw_sq = np.asarray(mat.multiply(mat).sum(axis=1)).reshape(-1)
+        cross = np.asarray(mat @ mu).reshape(-1)
+        norms_sq = raw_sq - 2.0 * cross + float(mu @ mu)
+        # cancellation can leave tiny negatives for rows that equal the mean
+        np.maximum(norms_sq, 0.0, out=norms_sq)
     else:
-        raw_sq = np.einsum("ij,ij->i", mat, mat)
-    cross = mat @ mu
-    norms_sq = raw_sq - 2.0 * np.asarray(cross).reshape(-1) + float(mu @ mu)
-    # cancellation can leave tiny negatives for rows that equal the mean
-    np.maximum(norms_sq, 0.0, out=norms_sq)
-    return CenteredMatrixView(
+        norms_sq = _centered_norms_sq(mat, mu)
+    view = CenteredMatrixView(
         base=mat,
         column_means=mu,
         centered_row_norms_sq=norms_sq,
         frob_norm_sq=float(norms_sq.sum()),
         is_sparse=sparse,
     )
-
-
-def centered_row(view: CenteredMatrixView, i: int):
-    """Centered row x_i - mu.
-
-    Dense bases return a vector; sparse bases return a
-    :class:`SparsePlusOffset` so callers pay O(nnz(row) + d) only when they
-    actually need the dense expansion.
-    """
-    n = view.n
-    if not 0 <= i < n:
-        raise IndexError(f"row index {i} out of range [0, {n})")
-    if view.is_sparse:
-        base = view.base
-        start, stop = base.indptr[i], base.indptr[i + 1]
-        return SparsePlusOffset(
-            indices=base.indices[start:stop],
-            values=base.data[start:stop],
-            offset=-view.column_means,
+    ratio = view.centering_ratio
+    if sparse and ratio > CENTERING_RATIO_WARN:
+        warnings.warn(
+            f"sparse centering ratio n*||mu||^2/||Xc||_F^2 = {ratio:.3g} exceeds "
+            f"{CENTERING_RATIO_WARN:g}: centered row norms and solver steps carry "
+            f"rounding of order eps * ratio = {ratio * np.finfo(float).eps:.1g} relative",
+            RuntimeWarning,
+            stacklevel=2,
         )
-    if not view.column_means.any():
-        return view.base[i]
-    return view.base[i] - view.column_means
+    return view
 
 
-def row_norm_profile(view: CenteredMatrixView) -> tuple[np.ndarray, float]:
-    """The precomputed (||x_i - mu||^2 per row, total squared Frobenius norm)."""
-    return view.centered_row_norms_sq, view.frob_norm_sq
+def _centered_norms_sq(mat: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """||x_i - mu||^2 per row from explicitly centered rows, a chunk at a time."""
+    n, d = mat.shape
+    rows = max(1, NORM_CHUNK_ELEMENTS // d)
+    buf = np.empty((min(rows, n), d))
+    norms_sq = np.empty(n)
+    for lo in range(0, n, rows):
+        chunk = buf[: min(rows, n - lo)]
+        np.subtract(mat[lo : lo + rows], mu, out=chunk)
+        norms_sq[lo : lo + rows] = np.einsum("ij,ij->i", chunk, chunk)
+    return norms_sq
 
 
 def to_dense_centered(

@@ -37,6 +37,20 @@ def test_solve_rk_happy_path(dataset, tmp_path):
     assert str(data) in manifest["inputs"]
     assert len(manifest["inputs"][str(data)]) == 16
     assert str(out) in manifest["outputs"]
+    assert manifest["iterations_run"] == 500
+    assert manifest["excluded_rows"] == 0
+
+
+def test_solve_manifest_counts_excluded_rows(tmp_path):
+    X = np.array([[0.0, 1.0], [2.0, 1.0], [1.0, 1.0], [1.0, 3.0], [1.0, -1.0]])
+    data, labels, out = tmp_path / "X.rkm1", tmp_path / "y.txt", tmp_path / "W.rkm1"
+    write_rkm1(data, X)  # row 2 equals the column means
+    labels.write_text("a\na\nb\nb\nb\n")
+    assert dispatch(["solve", "--method", "rk", "--data", str(data), "--labels", str(labels),
+                     "--iters", "40", "--seed", "1", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "W.rkm1.manifest.json").read_text())
+    assert manifest["iterations_run"] == 40
+    assert manifest["excluded_rows"] == 1
 
 
 def test_solve_missing_labels_usage_error(dataset, tmp_path, capsys):

@@ -1,46 +1,110 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rklda.errors import InvalidData, NumericalDivergence, ZeroRowError
+from rklda.labels import as_matrix
 from rklda.matrix import build_centered_view, to_dense_centered
-from rklda.rk import SolverConfig, make_rng, rk_step, solve_rk
+from rklda.rk import SAMPLE_BLOCK, SolverConfig, make_rng, solve_rk
 from rklda.sampling import build_sampler, sample_row
 from rklda.synthetic import planted_consistent
+
+EPS = np.finfo(float).eps
 
 
 def precentered(X):
     return build_centered_view(np.asarray(X, dtype=np.float64), assume_centered=True)
 
 
+def reference_solve(view, Y, config, dist=None):
+    """The solver loop without block draws or lazy centering: one sample_row
+    call and one explicitly centered row per step."""
+    Ym = as_matrix(Y)
+    dist = build_sampler(view) if dist is None else dist
+    rng = make_rng(config.seed)
+    Xc = to_dense_centered(view)
+    if config.w0 is None:
+        W = np.zeros((view.d, Ym.shape[1]))
+    else:
+        W = np.array(config.w0, dtype=np.float64)
+    K = config.max_iters
+    burn = math.floor(config.tail_average * K) if config.tail_average is not None else None
+    tail = np.zeros_like(W)
+    count = 0
+    for k in range(K):
+        i = sample_row(dist, rng, config.sampler_method)
+        x = Xc[i]
+        r = Ym[i] - x @ W
+        W += np.outer(x, r / view.centered_row_norms_sq[i])
+        if burn is not None and k >= burn:
+            tail += W
+            count += 1
+    return tail / count if count else W
+
+
+def first_draw_seeds(view):
+    """A seed per active row whose first draw is that row."""
+    dist = build_sampler(view)
+    seeds = {}
+    for seed in range(100_000):
+        seeds.setdefault(sample_row(dist, make_rng(seed)), seed)
+        if len(seeds) == len(dist.active_rows):
+            return seeds
+    raise AssertionError("some row is never drawn first")
+
+
+def step_on_row(view, Y, W, i, seeds):
+    """One solver step from W, on row i."""
+    return solve_rk(view, Y, SolverConfig(max_iters=1, seed=seeds[i], w0=W)).W
+
+
+def both_storages(X, **kwargs):
+    X = np.asarray(X, dtype=np.float64)
+    return [build_centered_view(X, **kwargs), build_centered_view(sp.csr_array(X), **kwargs)]
+
+
 def test_step_from_zero():
-    view = precentered([[2.0, 0.0], [0.0, 1.0]])
-    W = np.zeros((2, 2))
     Y = np.array([[1.0, -1.0], [0.0, 0.0]])
-    W1 = rk_step(W, view, Y, 0)
-    assert np.allclose(W1, [[0.5, -0.5], [0.0, 0.0]])
+    for view in both_storages([[2.0, 0.0], [0.0, 1.0]], assume_centered=True):
+        W1 = step_on_row(view, Y, np.zeros((2, 2)), 0, first_draw_seeds(view))
+        assert np.allclose(W1, [[0.5, -0.5], [0.0, 0.0]])
 
 
 def test_step_satisfies_sampled_equation():
-    view = precentered([[1.0, 1.0]])
-    W1 = rk_step(np.zeros((2, 1)), view, np.array([[4.0]]), 0)
-    assert np.allclose(W1, [[2.0], [2.0]])
-    assert view.centered_row_dense(0) @ W1 == pytest.approx(4.0)
+    for view in both_storages([[1.0, 1.0]], assume_centered=True):
+        W1 = solve_rk(view, np.array([[4.0]]), SolverConfig(max_iters=1, seed=0)).W
+        assert np.allclose(W1, [[2.0], [2.0]])
+        assert to_dense_centered(view)[0] @ W1 == pytest.approx(4.0)
 
 
 def test_step_fixed_point():
     rng = np.random.default_rng(0)
-    X = rng.standard_normal((4, 6))
-    view = precentered(X)
-    W = rng.standard_normal((6, 2))
-    Y = X @ W  # every equation already satisfied
-    for i in range(4):
-        assert np.allclose(rk_step(W, view, Y, i), W, atol=1e-12)
+    X = rng.standard_normal((4, 6)) + 3.0
+    for view in both_storages(X):
+        W = rng.standard_normal((6, 2))
+        Y = to_dense_centered(view) @ W  # every equation already satisfied
+        seeds = first_draw_seeds(view)
+        for i in range(4):
+            assert np.allclose(step_on_row(view, Y, W, i, seeds), W, atol=1e-12)
 
 
 def test_step_zero_row_error():
     view = build_centered_view(np.ones((2, 2)))  # centers to all-zero rows
+    other = build_sampler(build_centered_view(np.eye(2)))
     with pytest.raises(ZeroRowError):
-        rk_step(np.zeros((2, 1)), view, np.array([[1.0], [2.0]]), 0)
+        solve_rk(view, np.array([[1.0], [2.0]]), SolverConfig(max_iters=1, seed=0), dist=other)
+
+
+def test_sampler_for_other_rows_rejected():
+    view = build_centered_view(np.eye(3))
+    other = build_sampler(build_centered_view(np.eye(4)))
+    with pytest.raises(InvalidData):
+        solve_rk(view, np.ones((3, 1)), SolverConfig(max_iters=1, seed=0), dist=other)
 
 
 def test_orthogonal_rows_exact_after_coverage():
@@ -57,12 +121,33 @@ def test_k1_is_single_step():
     Y = rng.standard_normal((5, 2))
     cfg = SolverConfig(max_iters=1, seed=123)
     result = solve_rk(view, Y, cfg)
-    # replay: one sampled index, one projection
-    dist = build_sampler(view)
-    i = sample_row(dist, make_rng(123))
-    expected = rk_step(np.zeros((4, 2)), view, Y, i)
-    assert np.array_equal(result.W, expected)
+    assert np.array_equal(result.W, reference_solve(view, Y, cfg))
     assert result.iterations_run == 1
+
+
+@pytest.mark.parametrize("method", ["alias", "cumulative"])
+@pytest.mark.parametrize("tail_average", [None, 0.3])
+@pytest.mark.parametrize("with_w0", [False, True])
+def test_dense_matches_reference_loop(method, tail_average, with_w0):
+    rng = np.random.default_rng(40)
+    X = rng.standard_normal((12, 8)) * 2.0 + 50.0
+    Y = rng.standard_normal((12, 3))
+    view = build_centered_view(X)
+    w0 = to_dense_centered(view).T @ rng.standard_normal((12, 3)) if with_w0 else None
+    cfg = SolverConfig(max_iters=400, seed=9, tail_average=tail_average,
+                       sampler_method=method, w0=w0)
+    assert np.array_equal(solve_rk(view, Y, cfg).W, reference_solve(view, Y, cfg))
+
+
+@pytest.mark.parametrize("method", ["alias", "cumulative"])
+def test_dense_matches_reference_across_block_boundary(method):
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((9, 5))
+    Y = rng.standard_normal((9, 2))
+    view = build_centered_view(X)
+    cfg = SolverConfig(max_iters=SAMPLE_BLOCK + 37, seed=2, tail_average=0.5,
+                       sampler_method=method)
+    assert np.array_equal(solve_rk(view, Y, cfg).W, reference_solve(view, Y, cfg))
 
 
 def test_k0_forbidden():
@@ -82,13 +167,13 @@ def test_determinism_bit_identical():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((10, 30))
     Y = rng.standard_normal((10, 3))
-    view = build_centered_view(X)
-    cfg = SolverConfig(max_iters=500, seed=77, checkpoint_every=100)
-    a = solve_rk(view, Y, cfg)
-    b = solve_rk(view, Y, cfg)
-    assert a.W.tobytes() == b.W.tobytes()
-    assert a.rng_seed == b.rng_seed == 77
-    assert [t.w_frob for t in a.trace] == [t.w_frob for t in b.trace]
+    for view in both_storages(X):
+        cfg = SolverConfig(max_iters=500, seed=77, checkpoint_every=100)
+        a = solve_rk(view, Y, cfg)
+        b = solve_rk(view, Y, cfg)
+        assert a.W.tobytes() == b.W.tobytes()
+        assert a.rng_seed == b.rng_seed == 77
+        assert [t.w_frob for t in a.trace] == [t.w_frob for t in b.trace]
 
 
 def test_seed_changes_trajectory():
@@ -104,16 +189,13 @@ def test_seed_changes_trajectory():
 def test_monotone_non_expansiveness():
     rng = np.random.default_rng(9)
     view, Y, w_star = planted_consistent(8, 30, 2, rng)
-    dist = build_sampler(view)
-    gen = make_rng(0)
-    W = np.zeros_like(w_star)
-    prev = np.linalg.norm(W - w_star)
-    for _ in range(200):
-        i = sample_row(dist, gen)
-        W = rk_step(W, view, Y, i)
-        now = np.linalg.norm(W - w_star)
-        assert now <= prev + 1e-12 * max(prev, 1.0)
-        prev = now
+    cfg = SolverConfig(max_iters=200, seed=0, checkpoint_every=1, trace_matrices=True)
+    for v in (view, build_centered_view(sp.csr_array(view.base))):
+        prev = np.linalg.norm(w_star)
+        for entry in solve_rk(v, Y, cfg).trace[1:]:
+            now = np.linalg.norm(entry.w - w_star)
+            assert now <= prev + 1e-12 * max(prev, 1.0)
+            prev = now
 
 
 def test_expected_one_step_contraction():
@@ -121,13 +203,14 @@ def test_expected_one_step_contraction():
     view, Y, w_star = planted_consistent(10, 40, 2, rng)
     Xc = to_dense_centered(view)
     s = np.linalg.svd(Xc, compute_uv=False)
-    nonzero = s[s > max(Xc.shape) * np.finfo(float).eps * s[0]]
+    nonzero = s[s > max(Xc.shape) * EPS * s[0]]
     kappa = view.frob_norm_sq / nonzero[-1] ** 2
     W = rng.standard_normal(w_star.shape) * 0.1
     err = np.linalg.norm(W - w_star) ** 2
+    seeds = first_draw_seeds(view)
     # exact expectation over the sampling distribution
     expected = sum(
-        p * np.linalg.norm(rk_step(W, view, Y, i) - w_star) ** 2
+        p * np.linalg.norm(step_on_row(view, Y, W, i, seeds) - w_star) ** 2
         for i, p in enumerate(build_sampler(view).probs)
     )
     assert expected <= (1.0 - 1.0 / kappa) * err + 1e-10 * err
@@ -140,7 +223,7 @@ def test_row_space_confinement():
     view = build_centered_view(X)
     Xc = to_dense_centered(view)
     _, s, Vt = np.linalg.svd(Xc, full_matrices=False)
-    V = Vt[s > max(Xc.shape) * np.finfo(float).eps * s[0]].T
+    V = Vt[s > max(Xc.shape) * EPS * s[0]].T
     cfg = SolverConfig(max_iters=300, seed=8, checkpoint_every=50, trace_matrices=True)
     result = solve_rk(view, Y, cfg)
     for entry in result.trace:
@@ -153,24 +236,11 @@ def test_tail_average_matches_manual_replay():
     rng = np.random.default_rng(14)
     X = rng.standard_normal((6, 10))
     Y = rng.standard_normal((6, 2))
-    view = build_centered_view(X)
     K, frac = 40, 0.5
-    res = solve_rk(view, Y, SolverConfig(max_iters=K, seed=5, tail_average=frac))
-    # replay the trajectory with the same stream and average the tail
-    dist = build_sampler(view)
-    gen = make_rng(5)
-    W = np.zeros((10, 2))
-    tail = np.zeros_like(W)
-    burn = int(frac * K)
-    count = 0
-    for k in range(K):
-        i = sample_row(dist, gen)
-        W = rk_step(W, view, Y, i)
-        if k >= burn:
-            tail += W
-            count += 1
-    assert np.allclose(res.W, tail / count, atol=1e-12)
-    assert count == K - burn
+    cfg = SolverConfig(max_iters=K, seed=5, tail_average=frac)
+    for view in both_storages(X):
+        res = solve_rk(view, Y, cfg)
+        assert np.allclose(res.W, reference_solve(view, Y, cfg), atol=1e-12)
 
 
 def test_zero_norm_rows_skipped_in_solve():
@@ -189,13 +259,13 @@ def test_zero_norm_rows_skipped_in_solve():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_reports_iteration():
     # an overflowing right-hand side poisons the per-step residual
-    view = precentered(np.eye(2))
     Y = np.array([[1e308], [1e308]])
     big_w0 = np.full((2, 1), -1e308)
-    with pytest.raises(NumericalDivergence) as err:
-        solve_rk(view, Y, SolverConfig(max_iters=10, seed=0, w0=big_w0))
-    assert err.value.iteration is not None
-    assert 1 <= err.value.iteration <= 10
+    for view in both_storages(np.eye(2), assume_centered=True):
+        with pytest.raises(NumericalDivergence) as err:
+            solve_rk(view, Y, SolverConfig(max_iters=10, seed=0, w0=big_w0))
+        assert err.value.iteration is not None
+        assert 1 <= err.value.iteration <= 10
 
 
 def test_trace_cadence_and_final_checkpoint():
@@ -219,3 +289,87 @@ def test_scale_equivariance_of_sampling_through_solve():
     Y = rng.standard_normal((8, 2))
     va, vb = build_centered_view(X), build_centered_view(3.0 * X)
     assert np.allclose(build_sampler(va).probs, build_sampler(vb).probs)
+
+
+# ---- sparse storage against dense storage ---------------------------------
+
+
+def sparse_with_offsets(seed):
+    """A sparse matrix whose columns carry offsets up to 1e8: some columns
+    are fully stored around their offset, some mostly zero, some empty."""
+    rng = np.random.default_rng(seed)
+    n, d = 15, 12
+    X = rng.standard_normal((n, d)) + 10.0 ** rng.uniform(0, 8, size=d)
+    X[rng.random((n, d)) < np.linspace(0.0, 0.9, d)] = 0.0
+    X[:, -2:] = 0.0
+    return X
+
+
+@pytest.mark.filterwarnings("ignore:sparse centering ratio")
+@pytest.mark.parametrize("tail_average", [None, 0.5])
+def test_sparse_unused_columns_stay_zero(tail_average):
+    X = sparse_with_offsets(3)
+    view = build_centered_view(sp.csr_array(X))
+    Y = np.random.default_rng(3).standard_normal((X.shape[0], 3))
+    cfg = SolverConfig(max_iters=300, seed=1, tail_average=tail_average)
+    W = solve_rk(view, Y, cfg).W
+    assert np.all(W[-2:] == 0.0)
+
+
+def agreement_tolerance(view, K):
+    """Bound on the relative sparse/dense gap: the lazy step's rounding grows
+    with the centering ratio and at most linearly in the step count, since
+    each step is non-expansive."""
+    return 100.0 * K * EPS * (1.0 + view.centering_ratio)
+
+
+@pytest.mark.filterwarnings("ignore:sparse centering ratio")
+@settings(max_examples=60, deadline=None)
+@given(
+    X=hnp.arrays(np.float64, st.tuples(st.integers(2, 10), st.integers(1, 8)),
+                 elements=st.floats(-10, 10, allow_nan=False)),
+    density=st.floats(0.0, 1.0),
+    offset_exp=st.floats(0.0, 8.0),
+    tail_average=st.sampled_from([None, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+def test_sparse_agrees_with_dense(X, density, offset_exp, tail_average, seed):
+    rng = np.random.default_rng(seed)
+    n, d = X.shape
+    X = X + rng.choice([-1.0, 1.0], size=d) * 10.0 ** offset_exp * rng.random(d)
+    X[rng.random((n, d)) >= density] = 0.0
+    dense = build_centered_view(X)
+    sparse = build_centered_view(sp.csr_array(X))
+    assume(dense.frob_norm_sq > 0.0)
+    dist = build_sampler(dense)
+    assume(np.all(sparse.centered_row_norms_sq[dist.active_rows] > 0.0))
+    Y = rng.standard_normal((n, 2))
+    K = 60
+    cfg = SolverConfig(max_iters=K, seed=seed, tail_average=tail_average)
+    Wd = solve_rk(dense, Y, cfg, dist=dist).W
+    Ws = solve_rk(sparse, Y, cfg, dist=dist).W
+    gap = np.linalg.norm(Ws - Wd)
+    assert gap <= agreement_tolerance(sparse, K) * max(np.linalg.norm(Wd), 1e-300)
+
+
+@pytest.mark.filterwarnings("ignore:sparse centering ratio")
+def test_checkpoints_see_the_same_iterate_on_both_storages():
+    X = sparse_with_offsets(5)
+    Y = np.random.default_rng(5).standard_normal((X.shape[0], 2))
+    dense, sparse = both_storages(X)
+    dist = build_sampler(dense)
+    cfg = SolverConfig(max_iters=90, seed=4, checkpoint_every=20, trace_matrices=True,
+                       tail_average=0.5)
+    seen = {"dense": [], "sparse": []}
+    runs = {}
+    for name, view in (("dense", dense), ("sparse", sparse)):
+        runs[name] = solve_rk(view, Y, cfg, dist=dist,
+                              on_checkpoint=lambda k, W, calls=seen[name]: calls.append((k, W.copy())))
+    tol = agreement_tolerance(sparse, cfg.max_iters)
+    assert [k for k, _ in seen["dense"]] == [k for k, _ in seen["sparse"]] == [0, 20, 40, 60, 80, 90]
+    for (_, Wd), (_, Ws), td, ts in zip(seen["dense"], seen["sparse"],
+                                        runs["dense"].trace, runs["sparse"].trace):
+        scale = max(np.linalg.norm(Wd), 1e-300)
+        assert np.linalg.norm(Ws - Wd) <= tol * scale
+        assert np.array_equal(td.w, Wd) and np.array_equal(ts.w, Ws)
+        assert ts.w_frob == pytest.approx(td.w_frob, rel=tol, abs=tol)
