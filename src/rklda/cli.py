@@ -11,14 +11,12 @@ with zero centered norm, never sampled).
 Output files are written to a temp file and renamed into place; a failing
 run leaves no partial outputs.
 
-The only environment overrides are RKLDA_THREADS (worker count when
---threads is not given) and the platform temp directory.
+The only environment override is the platform temp directory.
 """
 
 import argparse
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,7 +39,7 @@ from .io import (
     write_rkm1,
 )
 from .labels import encode_labels, index_labels
-from .matrix import build_centered_view, to_dense_centered
+from .matrix import build_centered_view, densify, to_dense_centered
 from .rk import SolverConfig, default_iterations, solve_rk
 from .scatter import scatter_matrices, scatter_traces
 
@@ -139,18 +137,6 @@ def _load_tokens(run: _Run, args, csv_labels):
     raise _UsageError("labels required: pass --labels FILE or --label-column COL")
 
 
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("RKLDA_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise InvalidData(f"RKLDA_THREADS must be an integer, got {env!r}") from exc
-    return os.cpu_count() or 1
-
-
 def _add_data_flags(p: _Parser, with_labels: bool = True):
     p.add_argument("--data", required=True, help="matrix file (.rkm1/.mtx/.csv)")
     p.add_argument("--format", default="auto", choices=["auto", "rkm1", "mtx", "csv"])
@@ -218,8 +204,7 @@ def _cmd_solve(args) -> int:
     elif args.method == "pinv":
         W = pinv_oracle(to_dense_centered(view), Y, rank_tol=args.rank_tol).matrix
     else:  # ulda
-        raw = view.base.toarray() if view.is_sparse else view.base
-        W = ulda_oracle(raw, lv, rank_tol=args.rank_tol).matrix
+        W = ulda_oracle(densify(view.base), lv, rank_tol=args.rank_tol).matrix
 
     write_rkm1(args.out, W)
     run.track_output(args.out)
@@ -267,7 +252,7 @@ def _cmd_scatter(args) -> int:
     if len(tokens) != data.shape[0]:
         raise InvalidData(f"{data.shape[0]} data rows vs {len(tokens)} labels")
     lv = index_labels(tokens)
-    dense = data.toarray() if hasattr(data, "toarray") else data
+    dense = densify(data)
     trace_w, trace_b = scatter_traces(dense, lv)
     payload = {
         "n": int(data.shape[0]),
@@ -305,9 +290,7 @@ def _cmd_diagnose(args) -> int:
     view = build_centered_view(data, assume_centered=args.pre_centered)
     cadence = args.checkpoint_every or max(1, args.iters // 20)
     config = SolverConfig(max_iters=args.iters, seed=args.seed, checkpoint_every=cadence)
-    report = run_convergence_study(
-        view, Y, trials=args.trials, config=config, threads=_resolve_threads(args)
-    )
+    report = run_convergence_study(view, Y, trials=args.trials, config=config)
     payload = {
         "trials": report.trials,
         "kappa": report.kappa,
@@ -353,7 +336,6 @@ def _cmd_experiment(args) -> int:
         rk_tail_average=args.rk_tail_average,
         lsqr_tol=args.lsqr_tol,
         timing=args.timing,
-        threads=_resolve_threads(args),
     )
     report = run_experiment(data, tokens, config)
     payload = {
@@ -435,7 +417,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--pre-centered", action="store_true")
-    p.add_argument("--threads", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out")
     p.set_defaults(func=_cmd_diagnose)
@@ -453,7 +434,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lsqr-tol", type=float, default=1e-12)
     p.add_argument("--timing", default="wall", choices=["wall", "none"],
                    help="'none' writes zero seconds for byte-reproducible reports")
-    p.add_argument("--threads", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out")
     p.set_defaults(func=_cmd_experiment)

@@ -19,7 +19,6 @@ direction error while staying in the row space of Xc.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,7 +160,6 @@ def run_convergence_study(
     Y,
     trials: int,
     config: SolverConfig,
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Mean squared iterate error across independent solver restarts, paired
     with the theoretical bound at every checkpoint."""
@@ -201,12 +199,7 @@ def run_convergence_study(
         solve_rk(view, Ym, trial_cfg, dist=dist, on_checkpoint=record)
         return errs
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(one_trial, seeds))
-    else:
-        per_trial = [one_trial(s) for s in seeds]
-    errors = np.vstack(per_trial)  # trials x checkpoints
+    errors = np.vstack([one_trial(s) for s in seeds])  # trials x checkpoints
 
     means = errors.mean(axis=0)
     if trials > 1:

@@ -1,25 +1,32 @@
 """Downstream-classification evaluation: repeated random splits, subspace
 fits on training data, projection of held-out data, kNN accuracy, timing.
 
-Timing covers subspace fit + projection + classification per (method, k):
-the fit and projection cost is shared across the k values of one replicate,
-each classifier adds its own classification time on top.
+kNN runs in two parts.  The neighbour search finds each test row's
+max(knn_ks) nearest training rows once per (replicate, method), ordered by
+(squared distance, training index); the vote then classifies from the
+first k of them for every k.  A row's ``seconds`` is the shared fit +
+projection + neighbour search, plus that k's vote.  Each method's summary
+also carries the medians over replicates of the three phases
+(``fit_seconds_median``, ``project_seconds_median``, ``knn_seconds_median``,
+the last being the search plus every k's vote).  Under ``timing="none"``
+every timing is 0.0, so reports are byte-reproducible.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .baselines import Subspace, pinv_oracle, solve_lsqr, ulda_oracle
 from .errors import ClassCoverageError, InvalidData, RkldaError
 from .labels import LabelVector, encode_labels, index_labels
-from .matrix import DENSE_GUARD_ELEMENTS, build_centered_view, to_dense_centered
+from .matrix import DENSE_GUARD_ELEMENTS, build_centered_view, densify, to_dense_centered
 from .rk import SolverConfig, default_iterations, solve_rk
 
 KNOWN_METHODS = ("full", "rk", "lsqr", "pinv", "ulda")
+# Entries held at once by the kNN: test rows x training rows of squared
+# distances in the search, test rows x classes of counts in the vote.
+KNN_CHUNK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -36,7 +43,6 @@ class ExperimentConfig:
     lsqr_max_iters: int | None = None
     timing: str = "wall"               # "wall" | "none" (report zeros)
     max_dense_elements: int = DENSE_GUARD_ELEMENTS
-    threads: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -54,7 +60,8 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    methods: dict            # method -> {completed, failures, failed, per_k}
+    methods: dict            # method -> {completed, failures, failed, per_k,
+                             #            fit/project/knn_seconds_median}
     rows: tuple              # (method, replicate, k, accuracy, seconds)
     config: dict = field(default_factory=dict)
 
@@ -84,17 +91,90 @@ def split(n: int, train_fraction: float, rng: np.random.Generator,
     )
 
 
-def project(data, B, train_column_means: np.ndarray) -> np.ndarray:
+def project(data, B, train_column_means: np.ndarray,
+            max_dense_elements: int = DENSE_GUARD_ELEMENTS) -> np.ndarray:
     """Center rows with the *training* column means, then apply B.
 
-    ``B=None`` keeps the full centered rows (no dimension reduction).
+    ``B=None`` keeps the full centered rows (no dimension reduction); sparse
+    data is then densified, which raises InvalidData past
+    ``max_dense_elements``.
     """
     mu = np.asarray(train_column_means, dtype=np.float64)
     if B is None:
-        dense = data.toarray() if sp.issparse(data) else np.asarray(data, dtype=np.float64)
-        return dense - mu
+        return densify(data, max_dense_elements) - mu
     M = B.matrix if isinstance(B, Subspace) else np.asarray(B, dtype=np.float64)
     return np.asarray(data @ M) - mu @ M
+
+
+def knn_search(train_Z: np.ndarray, test_Z: np.ndarray, k: int):
+    """The k nearest training rows of every test row.
+
+    Returns ``(index, dist2)``, both n_test x k: training indices ordered by
+    (squared distance, training index), and their squared distances
+    ``max(||a||^2 - 2 a.b + ||b||^2, 0)``.  Test rows are searched
+    KNN_CHUNK_ELEMENTS // n_train at a time.
+    """
+    train_Z = np.atleast_2d(np.asarray(train_Z, dtype=np.float64))
+    test_Z = np.atleast_2d(np.asarray(test_Z, dtype=np.float64))
+    n_train = train_Z.shape[0]
+    if n_train == 0:
+        raise InvalidData("empty training set")
+    if not 1 <= k <= n_train:
+        raise InvalidData(f"k must be in [1, {n_train}], got {k}")
+
+    n_test = test_Z.shape[0]
+    train_sq = np.einsum("ij,ij->i", train_Z, train_Z)
+    test_sq = np.einsum("ij,ij->i", test_Z, test_Z)
+    index = np.empty((n_test, k), dtype=np.intp)
+    dist2 = np.empty((n_test, k))
+    rows = max(1, KNN_CHUNK_ELEMENTS // n_train)
+    for lo in range(0, n_test, rows):
+        hi = min(lo + rows, n_test)
+        d2 = test_sq[lo:hi, None] - 2.0 * test_Z[lo:hi] @ train_Z.T + train_sq[None, :]
+        np.maximum(d2, 0.0, out=d2)
+        index[lo:hi] = _k_nearest(d2, k)
+        dist2[lo:hi] = np.take_along_axis(d2, index[lo:hi], axis=1)
+    return index, dist2
+
+
+def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest entries, by (value, index)."""
+    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    part_d2 = np.take_along_axis(d2, part, axis=1)
+    index = np.take_along_axis(part, np.lexsort((part, part_d2), axis=1), axis=1)
+    # A tie at the k-th distance that continues past the cut: the partition
+    # kept an arbitrary subset of the tied indices, not the smallest ones.
+    kth = np.take_along_axis(d2, index[:, -1:], axis=1)
+    for t in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k):
+        index[t] = np.argsort(d2[t], kind="stable")[:k]
+    return index
+
+
+def knn_vote(index: np.ndarray, dist2: np.ndarray, train_labels, k: int) -> np.ndarray:
+    """Majority class among the first k neighbours of ``knn_search``.
+
+    A vote tie goes to the tied class whose nearest member is closest, then
+    to the smaller class index.
+    """
+    if not 1 <= k <= index.shape[1]:
+        raise InvalidData(f"k must be in [1, {index.shape[1]}], got {k}")
+    classes, codes = np.unique(np.asarray(train_labels), return_inverse=True)
+    g = len(classes)
+    n_test = index.shape[0]
+    winner = np.empty(n_test, dtype=np.intp)
+    rows = max(1, KNN_CHUNK_ELEMENTS // g)
+    for lo in range(0, n_test, rows):
+        hi = min(lo + rows, n_test)
+        # flat (row, class) cell of every neighbour
+        cells = codes[index[lo:hi, :k]] + g * np.arange(hi - lo)[:, None]
+        votes = np.bincount(cells.ravel(), minlength=(hi - lo) * g).reshape(-1, g)
+        nearest = np.full((hi - lo) * g, np.inf)
+        np.minimum.at(nearest, cells.ravel(), dist2[lo:hi, :k].ravel())
+        nearest = np.where(votes == votes.max(axis=1, keepdims=True),
+                           nearest.reshape(-1, g), np.inf)
+        # first (smallest) class among the tied ones at the smallest distance
+        winner[lo:hi] = np.argmax(nearest == nearest.min(axis=1, keepdims=True), axis=1)
+    return classes[winner]
 
 
 def knn_classify(train_Z: np.ndarray, train_labels, test_Z: np.ndarray, k: int) -> np.ndarray:
@@ -104,43 +184,8 @@ def knn_classify(train_Z: np.ndarray, train_labels, test_Z: np.ndarray, k: int) 
     class whose nearest member (within the k-neighborhood) is closest, then
     by smaller class index.
     """
-    train_Z = np.atleast_2d(np.asarray(train_Z, dtype=np.float64))
-    test_Z = np.atleast_2d(np.asarray(test_Z, dtype=np.float64))
-    y = np.asarray(train_labels)
-    n_train = train_Z.shape[0]
-    if n_train == 0:
-        raise InvalidData("empty training set")
-    if not 1 <= k <= n_train:
-        raise InvalidData(f"k must be in [1, {n_train}], got {k}")
-
-    d2 = (
-        np.einsum("ij,ij->i", test_Z, test_Z)[:, None]
-        - 2.0 * test_Z @ train_Z.T
-        + np.einsum("ij,ij->i", train_Z, train_Z)[None, :]
-    )
-    np.maximum(d2, 0.0, out=d2)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-
-    preds = np.empty(test_Z.shape[0], dtype=y.dtype)
-    for t in range(test_Z.shape[0]):
-        neigh = order[t]
-        votes: dict = {}
-        nearest_rank: dict = {}
-        for rank, idx in enumerate(neigh):
-            cls = y[idx]
-            votes[cls] = votes.get(cls, 0) + 1
-            nearest_rank.setdefault(cls, rank)
-        best = max(votes.values())
-        tied = [c for c, v in votes.items() if v == best]
-        if len(tied) == 1:
-            preds[t] = tied[0]
-        else:
-            # nearest member first (rank already encodes distance-then-index),
-            # by exact distance for the comparison, then smaller class index
-            preds[t] = min(
-                tied, key=lambda c: (d2[t, neigh[nearest_rank[c]]], c)
-            )
-    return preds
+    index, dist2 = knn_search(train_Z, test_Z, k)
+    return knn_vote(index, dist2, train_labels, k)
 
 
 def accuracy(predicted, truth) -> float:
@@ -174,10 +219,8 @@ def _fit_subspace(method: str, view, Y, labels_tr: LabelVector,
             max_elements=config.max_dense_elements,
         )
     if method == "ulda":
-        raw = view.base.toarray() if view.is_sparse else view.base
-        if raw.size > config.max_dense_elements:
-            raise InvalidData(f"raw matrix too large for ulda ({raw.size} elements)")
-        return ulda_oracle(raw, labels_tr, max_elements=config.max_dense_elements)
+        return ulda_oracle(densify(view.base, config.max_dense_elements), labels_tr,
+                           max_elements=config.max_dense_elements)
     raise InvalidData(f"unknown method {method!r}")
 
 
@@ -185,7 +228,8 @@ def _replicate(data, tokens, config: ExperimentConfig, replicate: int,
                seed_seq: np.random.SeedSequence):
     """One replicate: split, fit every method, classify for every k.
 
-    Returns (rows, failures) where failures maps method -> error message.
+    Returns (rows, phases, failures): phases maps method -> (fit, project,
+    knn) seconds, failures maps method -> error message.
     """
     n = data.shape[0]
     children = seed_seq.spawn(1 + len(config.methods))
@@ -200,28 +244,34 @@ def _replicate(data, tokens, config: ExperimentConfig, replicate: int,
     Y = encode_labels(labels_tr)
     truth = np.array([labels_tr.class_index[tokens[i]] for i in test])
     view = build_centered_view(X_train)
+    clock = time.perf_counter if config.timing == "wall" else (lambda: 0.0)
 
     rows = []
+    phases = {}
     failures = {}
     for m_pos, method in enumerate(config.methods):
         m_seed = int(children[1 + m_pos].generate_state(1, dtype=np.uint64)[0])
         try:
-            t0 = time.perf_counter()
+            t0 = clock()
             B = _fit_subspace(method, view, Y, labels_tr, config, m_seed)
-            Z_train = project(X_train, B, view.column_means)
-            Z_test = project(X_test, B, view.column_means)
-            shared = time.perf_counter() - t0
-            for k in config.knn_ks:
-                t1 = time.perf_counter()
-                preds = knn_classify(Z_train, labels_tr.indices, Z_test, k)
-                seconds = shared + (time.perf_counter() - t1)
-                acc = accuracy(preds, truth)
-                if config.timing == "none":
-                    seconds = 0.0
-                rows.append((method, replicate, k, acc, seconds))
+            t1 = clock()
+            Z_train = project(X_train, B, view.column_means, config.max_dense_elements)
+            Z_test = project(X_test, B, view.column_means, config.max_dense_elements)
+            t2 = clock()
+            index, dist2 = knn_search(Z_train, Z_test, max(config.knn_ks))
+            t3 = clock()
         except RkldaError as exc:
             failures[method] = f"{type(exc).__name__}: {exc}"
-    return rows, failures
+            continue
+        vote_total = 0.0
+        for k in config.knn_ks:
+            t4 = clock()
+            preds = knn_vote(index, dist2, labels_tr.indices, k)
+            vote = clock() - t4
+            vote_total += vote
+            rows.append((method, replicate, k, accuracy(preds, truth), (t3 - t0) + vote))
+        phases[method] = (t1 - t0, t2 - t1, (t3 - t2) + vote_total)
+    return rows, phases, failures
 
 
 def run_experiment(data, tokens, config: ExperimentConfig) -> ExperimentReport:
@@ -231,19 +281,14 @@ def run_experiment(data, tokens, config: ExperimentConfig) -> ExperimentReport:
         raise InvalidData(f"{data.shape[0]} rows vs {len(tokens)} labels")
     rep_seqs = np.random.SeedSequence(config.seed).spawn(config.replicates)
 
-    def job(r):
-        return _replicate(data, tokens, config, r, rep_seqs[r])
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(job, range(config.replicates)))
-    else:
-        results = [job(r) for r in range(config.replicates)]
-
     rows = []
+    phases = {m: [] for m in config.methods}
     fail_counts = {m: 0 for m in config.methods}
-    for rep_rows, failures in results:
+    for r in range(config.replicates):
+        rep_rows, rep_phases, failures = _replicate(data, tokens, config, r, rep_seqs[r])
         rows.extend(rep_rows)
+        for m, times in rep_phases.items():
+            phases[m].append(times)
         for m in failures:
             fail_counts[m] += 1
 
@@ -261,11 +306,15 @@ def run_experiment(data, tokens, config: ExperimentConfig) -> ExperimentReport:
                     "seconds_std": float(np.std(secs, ddof=1)) if len(secs) > 1 else 0.0,
                 }
         completed = config.replicates - fail_counts[method]
+        medians = np.median(phases[method], axis=0) if phases[method] else np.zeros(3)
         methods_summary[method] = {
             "completed": completed,
             "failures": fail_counts[method],
             "failed": completed == 0,
             "per_k": per_k,
+            "fit_seconds_median": float(medians[0]),
+            "project_seconds_median": float(medians[1]),
+            "knn_seconds_median": float(medians[2]),
         }
 
     config_dict = {

@@ -173,3 +173,16 @@ def to_dense_centered(
         )
     dense = view.base.toarray() if view.is_sparse else np.array(view.base)
     return dense - view.column_means
+
+
+def densify(data, max_elements: int = DENSE_GUARD_ELEMENTS) -> np.ndarray:
+    """``data`` as a dense float64 array; sparse input only within the guard."""
+    if not sp.issparse(data):
+        return np.asarray(data, dtype=np.float64)
+    n, d = data.shape
+    if n * d > max_elements:
+        raise InvalidData(
+            f"densifying the {n}x{d} sparse matrix would hold {n * d} elements "
+            f"(guard: {max_elements})"
+        )
+    return data.toarray()

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 from rklda.cli import dispatch
 from rklda.io import read_rkm1, write_rkm1
@@ -160,12 +162,27 @@ def test_scatter_subcommand(dataset, tmp_path):
     assert tr["trace_t"] == pytest.approx(tr["trace_w"] + tr["trace_b"])
 
 
+def test_scatter_sparse_dense_guard(tmp_path, capsys):
+    # 10 x 2,000,000 holds 20,000,000 elements once dense, past the guard
+    data = tmp_path / "X.mtx"
+    labels = tmp_path / "y.txt"
+    scipy.io.mmwrite(str(data), sp.csr_array(
+        (np.ones(10), (np.arange(10), np.arange(10) * 1000)), shape=(10, 2_000_000)))
+    labels.write_text("a\nb\n" * 5)
+    for extra in ([], ["--traces-only"]):
+        code = dispatch(["scatter", "--data", str(data), "--labels", str(labels),
+                         "--out", str(tmp_path / "s.json"), *extra])
+        assert code == 2
+        assert "20000000 elements" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_diagnose_subcommand(dataset, tmp_path):
     data, labels, _, _ = dataset
     out = tmp_path / "report.json"
     assert dispatch(["diagnose", "--data", str(data), "--labels", str(labels),
                      "--trials", "5", "--iters", "200", "--seed", "3",
-                     "--checkpoint-every", "100", "--threads", "1",
+                     "--checkpoint-every", "100",
                      "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert [c["iteration"] for c in payload["checkpoints"]] == [0, 100, 200]
@@ -184,7 +201,7 @@ def test_experiment_subcommand_and_determinism(dataset, tmp_path):
             "experiment", "--data", str(data), "--labels", str(labels),
             "--methods", "full,rk", "--replicates", "2", "--train-frac", "0.7",
             "--knn", "1,5", "--seed", "11", "--rk-iters", "150",
-            "--timing", "none", "--threads", "1",
+            "--timing", "none",
             "--out", str(out), "--csv-out", str(csv_out),
         ]) == 0
         pairs.append((out.read_bytes(), csv_out.read_bytes()))

@@ -226,10 +226,10 @@ def test_study_with_labels_pipeline():
     assert report.trials == 10
 
 
-def test_study_thread_count_invariant():
+def test_study_deterministic():
     rng = np.random.default_rng(31)
     view, Y, _ = planted_consistent(10, 30, 2, rng)
     cfg = SolverConfig(max_iters=120, seed=2, checkpoint_every=40)
-    a = run_convergence_study(view, Y, trials=8, config=cfg, threads=1)
-    b = run_convergence_study(view, Y, trials=8, config=cfg, threads=4)
+    a = run_convergence_study(view, Y, trials=8, config=cfg)
+    b = run_convergence_study(view, Y, trials=8, config=cfg)
     assert [c.empirical_mse for c in a.checkpoints] == [c.empirical_mse for c in b.checkpoints]

@@ -1,6 +1,14 @@
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from rklda import evaluation
 from rklda.baselines import pinv_oracle
 from rklda.diagnostics import residual_at
 from rklda.errors import ClassCoverageError, InvalidData
@@ -8,6 +16,8 @@ from rklda.evaluation import (
     ExperimentConfig,
     accuracy,
     knn_classify,
+    knn_search,
+    knn_vote,
     project,
     run_experiment,
     split,
@@ -130,6 +140,112 @@ def test_knn_invalid_k():
         knn_classify(train, np.zeros(3, dtype=int), np.zeros((1, 2)), k=4)
 
 
+def _reference_knn(train, labels, test, k):
+    """Brute force: order by (distance, index), then the documented vote rule."""
+    dist = ((test[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
+    index = np.arange(train.shape[0])
+    preds = []
+    for t in range(test.shape[0]):
+        neigh = np.lexsort((index, dist[t]))[:k]
+        votes = Counter(labels[neigh].tolist())
+        best = max(votes.values())
+        tied = [c for c, v in votes.items() if v == best]
+        nearest = {c: min(dist[t, j] for j in neigh if labels[j] == c) for c in tied}
+        preds.append(min(tied, key=lambda c: (nearest[c], c)))
+    return np.array(preds)
+
+
+@st.composite
+def tie_grids(draw):
+    """Points on a small integer grid: many equal distances and split votes."""
+    n_train = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    coords = st.integers(-2, 2).map(float)
+    train = draw(hnp.arrays(np.float64, (n_train, d), elements=coords))
+    test = draw(hnp.arrays(np.float64, (draw(st.integers(1, 8)), d), elements=coords))
+    labels = draw(hnp.arrays(np.int64, n_train, elements=st.integers(0, 3)))
+    return train, labels, test
+
+
+@pytest.mark.parametrize("chunk", [evaluation.KNN_CHUNK_ELEMENTS, 7])
+@settings(max_examples=150, deadline=None)
+@given(grid=tie_grids())
+def test_knn_matches_brute_force_on_tie_grids(chunk, grid):
+    train, labels, test = grid
+    with mock.patch.object(evaluation, "KNN_CHUNK_ELEMENTS", chunk):
+        for k in range(1, train.shape[0] + 1):
+            got = knn_classify(train, labels, test, k)
+            assert np.array_equal(got, _reference_knn(train, labels, test, k)), k
+
+
+def test_knn_matches_brute_force_on_large_tie_grid():
+    # past NumPy's small-array sorts; most rows tie across the cut at k=151
+    rng = np.random.default_rng(12)
+    train = rng.integers(-3, 4, (300, 2)).astype(float)
+    test = rng.integers(-3, 4, (40, 2)).astype(float)
+    labels = rng.integers(0, 5, 300)
+    dist = ((test[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
+    index, dist2 = knn_search(train, test, 151)
+    for t in range(test.shape[0]):
+        assert np.array_equal(index[t], np.lexsort((np.arange(300), dist[t]))[:151])
+    for k in (1, 7, 50, 151):
+        got = knn_vote(index, dist2, labels, k)
+        assert np.array_equal(got, _reference_knn(train, labels, test, k)), k
+    got = knn_classify(train, labels, test, 300)
+    assert np.array_equal(got, _reference_knn(train, labels, test, 300))
+
+
+def test_knn_search_orders_by_distance_then_index():
+    # five training points tie at distance 1 from the query; the partition
+    # cut at k=3 falls inside the tie
+    train = np.array([[1.0], [-1.0], [0.0], [1.0], [-1.0], [1.0], [3.0]])
+    index, dist2 = knn_search(train, np.array([[0.0]]), 3)
+    assert index.tolist() == [[2, 0, 1]]
+    assert dist2.tolist() == [[0.0, 1.0, 1.0]]
+    index, _ = knn_search(train, np.array([[0.0]]), 7)
+    assert index.tolist() == [[2, 0, 1, 3, 4, 5, 6]]
+    # large ties inside the k nearest, none across the cut at k=120
+    x = np.random.default_rng(13).permutation(np.repeat([1.0, -2.0, 3.0], [60, 60, 180]))
+    index, _ = knn_search(x[:, None], np.array([[0.0]]), 120)
+    assert np.array_equal(index[0], np.lexsort((np.arange(300), x**2))[:120])
+
+
+def test_knn_vote_rejects_k_past_search():
+    index, dist2 = knn_search(np.zeros((4, 2)), np.zeros((2, 2)), 2)
+    with pytest.raises(InvalidData):
+        knn_vote(index, dist2, np.zeros(4, dtype=int), 3)
+
+
+def test_replicate_shared_search_matches_knn_classify(monkeypatch):
+    X, y = two_gaussians(n=70, d=3, separation=1.0, rng=np.random.default_rng(8))
+    X = np.round(X)  # duplicate points, so distance and vote ties occur
+    tokens = [str(t) for t in y]
+    config = _tiny_config(methods=("full", "rk", "lsqr"), replicates=1,
+                          knn_ks=(1, 2, 5, 9), rk_iters=300)
+    searched, voted = [], []
+    search, vote = evaluation.knn_search, evaluation.knn_vote
+
+    def spy_search(train_Z, test_Z, k):
+        searched.append((train_Z, test_Z))
+        return search(train_Z, test_Z, k)
+
+    def spy_vote(index, dist2, labels, k):
+        preds = vote(index, dist2, labels, k)
+        voted.append((labels, k, preds))
+        return preds
+
+    monkeypatch.setattr(evaluation, "knn_search", spy_search)
+    monkeypatch.setattr(evaluation, "knn_vote", spy_vote)
+    rows, _, failures = evaluation._replicate(
+        X, tokens, config, 0, np.random.SeedSequence(config.seed))
+    monkeypatch.undo()
+    assert not failures and len(rows) == 3 * 4
+    assert len(searched) == 3 and len(voted) == 3 * 4
+    for m, (train_Z, test_Z) in enumerate(searched):
+        for labels, k, preds in voted[4 * m: 4 * m + 4]:
+            assert np.array_equal(preds, knn_classify(train_Z, labels, test_Z, k))
+
+
 def test_accuracy_examples():
     assert accuracy(["A", "B", "B"], ["A", "B", "A"]) == pytest.approx(2 / 3)
     assert accuracy([1, 2, 3], [1, 2, 3]) == 1.0
@@ -146,7 +262,6 @@ def _tiny_config(**kw):
         seed=7,
         rk_iters=800,
         timing="none",
-        threads=1,
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
@@ -183,14 +298,6 @@ def test_run_experiment_deterministic():
     assert a.methods == b.methods
 
 
-def test_run_experiment_thread_count_invariant():
-    X, y = two_gaussians(n=60, d=10, rng=np.random.default_rng(3))
-    tokens = [str(t) for t in y]
-    a = run_experiment(X, tokens, _tiny_config(replicates=4, rk_iters=200, threads=1))
-    b = run_experiment(X, tokens, _tiny_config(replicates=4, rk_iters=200, threads=4))
-    assert a.rows == b.rows
-
-
 def test_run_experiment_method_failure_recorded():
     X, y = two_gaussians(n=50, d=8, rng=np.random.default_rng(4))
     cfg = ExperimentConfig(
@@ -206,6 +313,43 @@ def test_run_experiment_method_failure_recorded():
     assert report.methods["pinv"]["failures"] == 2
     assert not report.methods["full"]["failed"]
     assert all(r[0] != "pinv" for r in report.rows)
+
+
+def test_run_experiment_phase_timings():
+    X, y = two_gaussians(n=60, d=10, rng=np.random.default_rng(9))
+    tokens = [str(t) for t in y]
+    phases = ("fit_seconds_median", "project_seconds_median", "knn_seconds_median")
+    quiet = run_experiment(X, tokens, _tiny_config(replicates=2, rk_iters=200))
+    for stats in quiet.methods.values():
+        assert all(stats[p] == 0.0 for p in phases)
+    assert all(r[4] == 0.0 for r in quiet.rows)
+    timed = run_experiment(X, tokens, _tiny_config(replicates=2, rk_iters=200, timing="wall"))
+    assert [r[:4] for r in timed.rows] == [r[:4] for r in quiet.rows]
+    for method, stats in timed.methods.items():
+        assert stats["knn_seconds_median"] > 0.0
+        assert all(stats[p] >= 0.0 for p in phases)
+        # a row's seconds hold the fit, projection and search, plus one vote
+        shared = stats["fit_seconds_median"] + stats["project_seconds_median"]
+        secs = [r[4] for r in timed.rows if r[0] == method]
+        assert min(secs) > 0.0 and np.median(secs) >= 0.5 * shared
+
+
+def test_project_full_sparse_guard():
+    X = sp.random(6, 50, density=0.1, format="csr", random_state=0)
+    mu = np.zeros(50)
+    assert np.allclose(project(X, None, mu), X.toarray())
+    with pytest.raises(InvalidData, match="300 elements"):
+        project(X, None, mu, max_dense_elements=299)
+
+
+def test_run_experiment_full_sparse_uses_dense_guard():
+    X, y = two_gaussians(n=40, d=6, rng=np.random.default_rng(10))
+    report = run_experiment(
+        sp.csr_array(X), [str(t) for t in y],
+        _tiny_config(methods=("full", "lsqr"), replicates=2, knn_ks=(1,), max_dense_elements=50),
+    )
+    assert report.methods["full"]["failures"] == 2
+    assert report.methods["lsqr"]["failures"] == 0
 
 
 def test_rk_and_lsqr_accuracies_close_when_consistent():
