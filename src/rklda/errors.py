@@ -34,7 +34,7 @@ class ClassCoverageError(DataError):
 
 
 class TooLarge(DataError):
-    """Instance exceeds a dense small-scale guard (SVD / scatter oracles)."""
+    """Instance exceeds a dense size guard (SVD / scatter oracles, densification)."""
 
 
 class NumericalError(RkldaError):

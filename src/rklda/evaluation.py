@@ -96,7 +96,7 @@ def project(data, B, train_column_means: np.ndarray,
     """Center rows with the *training* column means, then apply B.
 
     ``B=None`` keeps the full centered rows (no dimension reduction); sparse
-    data is then densified, which raises InvalidData past
+    data is then densified, which raises TooLarge past
     ``max_dense_elements``.
     """
     mu = np.asarray(train_column_means, dtype=np.float64)

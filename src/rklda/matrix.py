@@ -17,6 +17,7 @@ exceeds CENTERING_RATIO_WARN.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -60,7 +61,8 @@ def validate_raw(base) -> RawMatrix:
 class CenteredMatrixView:
     """Immutable view of a data matrix with implicit column centering.
 
-    Safe to share across threads after construction.
+    Safe to share across threads after construction.  The transpose used by
+    ``rmatmul`` is built once, on first use; a race builds it twice.
     """
 
     base: RawMatrix
@@ -95,13 +97,19 @@ class CenteredMatrixView:
         shift = self.column_means @ v
         return self.base @ v - (shift if v.ndim == 1 else shift[None, :])
 
+    @cached_property
+    def _base_t(self) -> RawMatrix:
+        """X^T, built on first use: a CSR copy for sparse bases, since
+        ``base.T`` builds a new CSC wrapper on every call."""
+        return self.base.T.tocsr() if self.is_sparse else self.base.T
+
     def rmatmul(self, u: np.ndarray) -> np.ndarray:
         """(X - 1 mu^T)^T @ u without densifying the base."""
         u = np.asarray(u, dtype=np.float64)
         col_sums = u.sum(axis=0)
         if u.ndim == 1:
-            return self.base.T @ u - self.column_means * col_sums
-        return self.base.T @ u - np.outer(self.column_means, col_sums)
+            return self._base_t @ u - self.column_means * col_sums
+        return self._base_t @ u - np.outer(self.column_means, col_sums)
 
 
 def build_centered_view(base, assume_centered: bool = False) -> CenteredMatrixView:
@@ -181,7 +189,7 @@ def densify(data, max_elements: int = DENSE_GUARD_ELEMENTS) -> np.ndarray:
         return np.asarray(data, dtype=np.float64)
     n, d = data.shape
     if n * d > max_elements:
-        raise InvalidData(
+        raise TooLarge(
             f"densifying the {n}x{d} sparse matrix would hold {n * d} elements "
             f"(guard: {max_elements})"
         )

@@ -17,7 +17,12 @@ is computed once per solve.  Then
     y_i - W^T x_i = y_i - V[cols]^T vals + (cross_i - ||mu||^2) a + p
 
 and the step is V[cols] += vals c^T, a += c, p += cross_i c, so a step costs
-O(nnz(s_i) g).  Tail averaging uses the lazy-sum identity: with W_b the
+O(nnz(s_i) g).  a and p are stored as rows d and d + 1 of V, and each CSR
+row is extended once per solve by the columns d, d + 1 with weights 1 and
+cross_i, so a step is one gather, one update and one scatter.  The
+residual is still summed in the order above: folding the shift into the
+same dot product loses the sparse/dense agreement near a degenerate
+centering.  Tail averaging uses the lazy-sum identity: with W_b the
 iterate before step b (the burn-in), the mean of the iterates after steps
 b..K-1 is
 
@@ -26,6 +31,14 @@ b..K-1 is
 where each term of U lands on the sampled row's columns only.  The lazy
 form adds rounding of relative size about eps * n ||mu||^2 / ||Xc||_F^2
 (``CenteredMatrixView.centering_ratio``) to each step.
+
+The step loop runs inside the iterate, over stretches of a drawn block:
+``solve_rk`` cuts each block at checkpoints and at the burn-in point, the
+iterate writes each step's residual into a row of a block-sized buffer, and
+the stretch's residuals are checked for finiteness once, after it ends and
+before its checkpoint.  ``NumericalDivergence`` names the first step whose
+residual is not finite, as a per-step check would; the steps after it in
+the stretch only compute on the non-finite values.
 
 RNG contract: the generator is NumPy's PCG64 seeded through SeedSequence;
 replicate substreams come from SeedSequence.spawn.  Uniforms are consumed
@@ -117,15 +130,19 @@ class _DenseIterate:
         self.burn = burn
         self.tail_sum = np.zeros_like(W) if burn is not None else None
 
-    def step(self, k: int, i: int) -> np.ndarray:
-        x = self.x
-        np.subtract(self.base[i], self.mu, out=x)
-        r = self.Y[i] - x @ self.W
-        _check_finite(r, k)
-        self.W += self.x_col * (r / self.norms_sq[i])
-        if self.tail_sum is not None and k >= self.burn:
-            self.tail_sum += self.W
-        return r
+    def run(self, k0: int, rows: list[int], R: np.ndarray) -> None:
+        """Steps k0, k0 + 1, ... on the sampled ``rows``; step j's residual
+        goes to R[j].  A stretch lies wholly before or after the burn-in."""
+        base, mu, Y, W = self.base, self.mu, self.Y, self.W
+        x, x_col, norms_sq = self.x, self.x_col, self.norms_sq
+        tail_sum = self.tail_sum if self.burn is not None and k0 >= self.burn else None
+        for i, r in zip(rows, R):
+            np.subtract(base[i], mu, out=x)
+            np.dot(x, W, out=r)
+            np.subtract(Y[i], r, out=r)
+            W += x_col * (r / norms_sq[i])
+            if tail_sum is not None:
+                tail_sum += W
 
     def current(self) -> np.ndarray:
         return self.W
@@ -137,66 +154,95 @@ class _DenseIterate:
 
 
 class _SparseIterate:
-    """W = V - mu a^T with p = mu^T V; a step touches the row's columns only."""
+    """W = V[:d] - mu a^T with a = V[d] and p = mu^T V[:d] = V[d + 1]; a step
+    touches the row's columns and those two rows only."""
 
     def __init__(self, view: CenteredMatrixView, Y: np.ndarray, W: np.ndarray,
                  K: int, burn: int | None):
         base = view.base
-        self.indptr, self.indices, self.data = base.indptr, base.indices, base.data
-        self.data_col = self.data[:, None]
-        self.mu = view.column_means
+        (n, d), g = base.shape, W.shape[1]
+        self.mu = mu = view.column_means
+        cross = np.asarray(base @ mu).reshape(-1)
+        # augmented CSR: row i's stored entries, then column d (a) with
+        # weight 1 and column d + 1 (p) with weight cross_i
+        indptr = base.indptr + 2 * np.arange(n + 1)
+        a_pos, p_pos = indptr[1:] - 2, indptr[1:] - 1
+        stored = np.ones(indptr[-1], dtype=bool)
+        stored[a_pos] = stored[p_pos] = False
+        self.cols = np.empty(indptr[-1], dtype=np.intp)
+        self.cols[stored], self.cols[a_pos], self.cols[p_pos] = base.indices, d, d + 1
+        self.weights = np.empty(indptr[-1])
+        self.weights[stored], self.weights[a_pos], self.weights[p_pos] = base.data, 1.0, cross
+        self.weights_col = self.weights[:, None]
+        self.indptr = indptr
+        self.shift = cross - float(mu @ mu)
         self.norms_sq = view.centered_row_norms_sq
-        self.cross = np.asarray(base @ self.mu).reshape(-1)
-        self.shift = self.cross - float(self.mu @ self.mu)
         self.Y = Y
-        self.V = W
-        self.a = np.zeros(W.shape[1])
-        self.p = self.mu @ W
+        self.d = d
+        self.V = np.zeros((d + 2, g))
+        self.V[:d] = W
+        self.V[d + 1] = mu @ W
         self.K = K
         self.burn = burn
         self.W_b = None
-        self.U = np.zeros_like(W) if burn is not None else None
-        self.A = np.zeros(W.shape[1])
+        # rows :d hold U, row d holds A; U gets no p row
+        self.U = np.zeros((d + 1, g)) if burn is not None else None
 
-    def step(self, k: int, i: int) -> np.ndarray:
-        if k == self.burn:
+    def run(self, k0: int, rows: list[int], R: np.ndarray) -> None:
+        """Steps k0, k0 + 1, ... on the sampled ``rows``; step j's residual
+        goes to R[j].  A stretch lies wholly before or after the burn-in."""
+        if k0 == self.burn:
             self.W_b = self.current()
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        cols, vals_col = self.indices[lo:hi], self.data_col[lo:hi]
-        V_cols = self.V[cols]
-        r = self.Y[i] - self.data[lo:hi] @ V_cols + self.shift[i] * self.a + self.p
-        _check_finite(r, k)
-        c = r / self.norms_sq[i]
-        # CSR column indices within a row are unique, so assignment is safe
-        self.V[cols] = V_cols + vals_col * c
-        self.a += c
-        self.p += self.cross[i] * c
-        if self.W_b is not None:
-            weighted = (self.K - k) * c
-            self.U[cols] += vals_col * weighted
-            self.A += weighted
-        return r
+        V, Y, U, K = self.V, self.Y, self.U, self.K
+        cols_all, weights, weights_col = self.cols, self.weights, self.weights_col
+        indptr, shift, norms_sq = self.indptr, self.shift, self.norms_sq
+        tail = self.W_b is not None
+        for k, i, r in zip(range(k0, k0 + len(rows)), rows, R):
+            lo, hi = indptr[i], indptr[i + 1]
+            cols = cols_all[lo:hi]
+            G = V.take(cols, axis=0)
+            m = hi - lo - 2
+            # y_i - vals . V[cols] + shift_i a + p, summed in this order
+            np.dot(weights[lo:hi - 2], G[:m], out=r)
+            np.subtract(Y[i], r, out=r)
+            r += shift[i] * G[m]
+            r += G[m + 1]
+            c = r / norms_sq[i]
+            w = weights_col[lo:hi]
+            # CSR column indices within a row are unique, so assignment is safe
+            G += w * c
+            V[cols] = G
+            if tail:
+                weighted = (K - k) * c
+                U[cols[:-1]] += w[:-1] * weighted
 
     def current(self) -> np.ndarray:
-        return self.V - np.outer(self.mu, self.a)
+        d = self.d
+        return self.V[:d] - np.outer(self.mu, self.V[d])
 
     def result(self) -> np.ndarray:
         if self.U is None:
             return self.current()
-        return self.W_b + (self.U - np.outer(self.mu, self.A)) / (self.K - self.burn)
+        d = self.d
+        return self.W_b + (self.U[:d] - np.outer(self.mu, self.U[d])) / (self.K - self.burn)
 
 
-def _check_finite(r: np.ndarray, k: int) -> None:
-    if not np.isfinite(r).all():
-        raise NumericalDivergence(
-            f"non-finite residual at iteration {k + 1}", iteration=k + 1
-        )
+def _check_finite(R: np.ndarray, k0: int) -> None:
+    """Raise at the first non-finite residual row; row j is step k0 + j."""
+    if not np.isfinite(R).all():
+        k = k0 + int(np.argmin(np.isfinite(R).all(axis=1))) + 1
+        raise NumericalDivergence(f"non-finite residual at iteration {k}", iteration=k)
 
 
-def _draws(dist: SamplingDistribution, rng: np.random.Generator, K: int, method: str):
-    """K row indices, drawn SAMPLE_BLOCK at a time."""
-    for start in range(0, K, SAMPLE_BLOCK):
-        yield from sample_rows(dist, rng, min(SAMPLE_BLOCK, K - start), method).tolist()
+def _stretch_end(k: int, stop: int, cadence: int, burn: int | None) -> int:
+    """The end of the stretch from step k: the next checkpoint, the burn-in
+    point or the end of the drawn block, whichever comes first."""
+    end = stop
+    if cadence > 0:
+        end = min(end, (k // cadence + 1) * cadence)
+    if burn is not None and k < burn:
+        end = min(end, burn)
+    return end
 
 
 def solve_rk(
@@ -255,11 +301,20 @@ def solve_rk(
             on_checkpoint(k, W)
 
     checkpoint(0, float("nan"))
-    for k, i in enumerate(_draws(dist, rng, K, config.sampler_method)):
-        r = iterate.step(k, i)
-        done = k + 1
-        if done == K or (cadence > 0 and done % cadence == 0):
-            checkpoint(done, float(np.linalg.norm(r)))
+    R = np.empty((min(SAMPLE_BLOCK, K), g))
+    for start in range(0, K, SAMPLE_BLOCK):
+        rows = sample_rows(dist, rng, min(SAMPLE_BLOCK, K - start), config.sampler_method).tolist()
+        k, stop = start, start + len(rows)
+        while k < stop:
+            end = _stretch_end(k, stop, cadence, burn)
+            lo, hi = k - start, end - start
+            # non-finite values surface through the check below, not as warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                iterate.run(k, rows[lo:hi], R[lo:hi])
+            _check_finite(R[lo:hi], k)
+            if end == K or (cadence > 0 and end % cadence == 0):
+                checkpoint(end, float(np.linalg.norm(R[hi - 1])))
+            k = end
 
     return SolveResult(
         W=iterate.result(),

@@ -32,12 +32,14 @@ class SamplingDistribution:
 
 
 def _build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Python floats and lists: the same IEEE arithmetic as float64 scalars,
+    # without the per-element cost of indexing arrays in the loop
     m = len(probs)
-    scaled = probs * m
-    accept = np.ones(m)
-    alias = np.arange(m)
-    small = [i for i in range(m) if scaled[i] < 1.0]
-    large = [i for i in range(m) if scaled[i] >= 1.0]
+    scaled = (probs * m).tolist()
+    accept = [1.0] * m
+    alias = list(range(m))
+    small = [i for i, s in enumerate(scaled) if s < 1.0]
+    large = [i for i, s in enumerate(scaled) if s >= 1.0]
     while small and large:
         s = small.pop()
         l = large.pop()
@@ -46,7 +48,7 @@ def _build_alias(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scaled[l] -= 1.0 - scaled[s]
         (small if scaled[l] < 1.0 else large).append(l)
     # leftovers are pure rounding noise; they accept with probability 1
-    return accept, alias
+    return np.array(accept), np.array(alias, dtype=np.intp)
 
 
 def build_sampler(view: CenteredMatrixView) -> SamplingDistribution:

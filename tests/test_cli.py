@@ -173,7 +173,8 @@ def test_scatter_sparse_dense_guard(tmp_path, capsys):
         code = dispatch(["scatter", "--data", str(data), "--labels", str(labels),
                          "--out", str(tmp_path / "s.json"), *extra])
         assert code == 2
-        assert "20000000 elements" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "TooLarge" in err and "20000000 elements" in err
     assert not (tmp_path / "s.json").exists()
 
 

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from rklda import evaluation
 from rklda.baselines import pinv_oracle
 from rklda.diagnostics import residual_at
-from rklda.errors import ClassCoverageError, InvalidData
+from rklda.errors import ClassCoverageError, InvalidData, TooLarge
 from rklda.evaluation import (
     ExperimentConfig,
     accuracy,
@@ -338,7 +338,7 @@ def test_project_full_sparse_guard():
     X = sp.random(6, 50, density=0.1, format="csr", random_state=0)
     mu = np.zeros(50)
     assert np.allclose(project(X, None, mu), X.toarray())
-    with pytest.raises(InvalidData, match="300 elements"):
+    with pytest.raises(TooLarge, match="300 elements"):
         project(X, None, mu, max_dense_elements=299)
 
 

@@ -11,7 +11,7 @@ from rklda.errors import InvalidData, NumericalDivergence, ZeroRowError
 from rklda.labels import as_matrix
 from rklda.matrix import build_centered_view, to_dense_centered
 from rklda.rk import SAMPLE_BLOCK, SolverConfig, make_rng, solve_rk
-from rklda.sampling import build_sampler, sample_row
+from rklda.sampling import build_sampler, sample_row, sample_rows
 from rklda.synthetic import planted_consistent
 
 EPS = np.finfo(float).eps
@@ -21,7 +21,7 @@ def precentered(X):
     return build_centered_view(np.asarray(X, dtype=np.float64), assume_centered=True)
 
 
-def reference_solve(view, Y, config, dist=None):
+def reference_solve(view, Y, config, dist=None, on_checkpoint=None):
     """The solver loop without block draws or lazy centering: one sample_row
     call and one explicitly centered row per step."""
     Ym = as_matrix(Y)
@@ -34,8 +34,11 @@ def reference_solve(view, Y, config, dist=None):
         W = np.array(config.w0, dtype=np.float64)
     K = config.max_iters
     burn = math.floor(config.tail_average * K) if config.tail_average is not None else None
+    cadence = config.checkpoint_every
     tail = np.zeros_like(W)
     count = 0
+    if on_checkpoint is not None:
+        on_checkpoint(0, W)
     for k in range(K):
         i = sample_row(dist, rng, config.sampler_method)
         x = Xc[i]
@@ -44,7 +47,63 @@ def reference_solve(view, Y, config, dist=None):
         if burn is not None and k >= burn:
             tail += W
             count += 1
+        done = k + 1
+        if on_checkpoint is not None and (done == K or (cadence and done % cadence == 0)):
+            on_checkpoint(done, W)
     return tail / count if count else W
+
+
+def lazy_sparse_solve(view, Y, config, dist=None, on_checkpoint=None):
+    """The lazily centered sparse loop step by step, with a and p = mu^T V
+    kept as separate vectors and the tail sums U, A apart."""
+    Ym = as_matrix(Y)
+    dist = build_sampler(view) if dist is None else dist
+    base, mu = view.base, view.column_means
+    indptr, indices, data = base.indptr, base.indices, base.data
+    cross = np.asarray(base @ mu).reshape(-1)
+    shift = cross - float(mu @ mu)
+    V = np.zeros((view.d, Ym.shape[1])) if config.w0 is None else np.array(config.w0)
+    a, p = np.zeros(V.shape[1]), mu @ V
+    K = config.max_iters
+    burn = math.floor(config.tail_average * K) if config.tail_average is not None else None
+    cadence = config.checkpoint_every
+    W_b, U, A = None, np.zeros_like(V), np.zeros(V.shape[1])
+    rows = sample_rows(dist, make_rng(config.seed), K, config.sampler_method).tolist()
+    if on_checkpoint is not None:
+        on_checkpoint(0, V - np.outer(mu, a))
+    for k, i in enumerate(rows):
+        if k == burn:
+            W_b = V - np.outer(mu, a)
+        lo, hi = indptr[i], indptr[i + 1]
+        cols, vals_col = indices[lo:hi], data[lo:hi, None]
+        V_cols = V[cols]
+        r = Ym[i] - data[lo:hi] @ V_cols + shift[i] * a + p
+        c = r / view.centered_row_norms_sq[i]
+        V[cols] = V_cols + vals_col * c
+        a += c
+        p += cross[i] * c
+        if W_b is not None:
+            weighted = (K - k) * c
+            U[cols] += vals_col * weighted
+            A += weighted
+        done = k + 1
+        if on_checkpoint is not None and (done == K or (cadence and done % cadence == 0)):
+            on_checkpoint(done, V - np.outer(mu, a))
+    if burn is None:
+        return V - np.outer(mu, a)
+    return W_b + (U - np.outer(mu, A)) / (K - burn)
+
+
+def recorder():
+    """An on_checkpoint callback that keeps copies, and the list it fills."""
+    seen = []
+    return seen, lambda k, W: seen.append((k, W.copy()))
+
+
+def assert_same_checkpoints(a, b):
+    assert [k for k, _ in a] == [k for k, _ in b]
+    for (_, Wa), (_, Wb) in zip(a, b):
+        assert np.array_equal(Wa, Wb)
 
 
 def first_draw_seeds(view):
@@ -148,6 +207,21 @@ def test_dense_matches_reference_across_block_boundary(method):
     cfg = SolverConfig(max_iters=SAMPLE_BLOCK + 37, seed=2, tail_average=0.5,
                        sampler_method=method)
     assert np.array_equal(solve_rk(view, Y, cfg).W, reference_solve(view, Y, cfg))
+
+
+@pytest.mark.parametrize("method", ["alias", "cumulative"])
+def test_dense_matches_reference_with_checkpoints_and_tail(method):
+    rng = np.random.default_rng(42)
+    X = rng.standard_normal((9, 5)) + 1e3
+    Y = rng.standard_normal((9, 2))
+    view = build_centered_view(X)
+    cfg = SolverConfig(max_iters=SAMPLE_BLOCK + 37, seed=3, tail_average=0.3,
+                       checkpoint_every=1000, sampler_method=method)
+    (got, record_got), (want, record_want) = recorder(), recorder()
+    W = solve_rk(view, Y, cfg, on_checkpoint=record_got).W
+    assert np.array_equal(W, reference_solve(view, Y, cfg, on_checkpoint=record_want))
+    assert [k for k, _ in got] == [0, 1000, 2000, 3000, 4000, SAMPLE_BLOCK + 37]
+    assert_same_checkpoints(got, want)
 
 
 def test_k0_forbidden():
@@ -268,6 +342,40 @@ def test_divergence_reports_iteration():
         assert 1 <= err.value.iteration <= 10
 
 
+def row_first_drawn_at(dist, seed, k):
+    """The row drawn at step k when no earlier step drew it, else None."""
+    rows = sample_rows(dist, make_rng(seed), k + 1).tolist()
+    return rows[k] if rows[k] not in rows[:k] else None
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("step, cadence, tail_average", [
+    (SAMPLE_BLOCK + 1500, 0, None),  # mid-block, in the second block
+    (1999, 1000, None),              # the last step before a checkpoint
+    (2000, 1000, None),              # the first step after a checkpoint
+    (2457, 0, 0.3),                  # the first step of the tail (burn-in = 2457)
+    (3333, 1000, 0.3),               # after the burn-in, mid-stretch
+])
+def test_divergence_names_the_first_non_finite_step(storage, step, cadence, tail_average):
+    # a NaN target on one row poisons the residual the first time it is drawn
+    rng = np.random.default_rng(step)
+    X = rng.standard_normal((4000, 3))
+    dense = build_centered_view(X)
+    view = dense if storage == "dense" else build_centered_view(sp.csr_array(X))
+    dist = build_sampler(dense)
+    seed = next(s for s in range(1000) if row_first_drawn_at(dist, s, step) is not None)
+    Y = rng.standard_normal((4000, 2))
+    Y[row_first_drawn_at(dist, seed, step), 1] = np.nan
+    cfg = SolverConfig(max_iters=2 * SAMPLE_BLOCK, seed=seed, checkpoint_every=cadence,
+                       tail_average=tail_average)
+    seen = []
+    with pytest.raises(NumericalDivergence) as err:
+        solve_rk(view, Y, cfg, dist=dist,
+                 on_checkpoint=lambda k, W: seen.append((k, bool(np.isfinite(W).all()))))
+    assert err.value.iteration == step + 1
+    assert seen == [(k, True) for k in range(0, step + 1, cadence or step + 1)]
+
+
 def test_trace_cadence_and_final_checkpoint():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((5, 8))
@@ -314,6 +422,23 @@ def test_sparse_unused_columns_stay_zero(tail_average):
     cfg = SolverConfig(max_iters=300, seed=1, tail_average=tail_average)
     W = solve_rk(view, Y, cfg).W
     assert np.all(W[-2:] == 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:sparse centering ratio")
+@pytest.mark.parametrize("seed", [3, 5, 8])
+@pytest.mark.parametrize("tail_average, cadence", [(None, 0), (0.3, 1000), (0.0, 0)])
+def test_sparse_matches_lazy_step_loop(seed, tail_average, cadence):
+    X = sparse_with_offsets(seed)
+    X[seed % X.shape[0]] = 0.0  # an empty stored row, drawn for its -mu
+    view = build_centered_view(sp.csr_array(X))
+    Y = np.random.default_rng(seed).standard_normal((X.shape[0], 3))
+    w0 = to_dense_centered(view).T @ Y if seed == 8 else None
+    cfg = SolverConfig(max_iters=SAMPLE_BLOCK + 37, seed=seed, tail_average=tail_average,
+                       checkpoint_every=cadence, w0=w0)
+    (got, record_got), (want, record_want) = recorder(), recorder()
+    W = solve_rk(view, Y, cfg, on_checkpoint=record_got).W
+    assert np.array_equal(W, lazy_sparse_solve(view, Y, cfg, on_checkpoint=record_want))
+    assert_same_checkpoints(got, want)
 
 
 def agreement_tolerance(view, K):

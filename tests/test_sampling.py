@@ -7,13 +7,44 @@ from hypothesis.extra import numpy as hnp
 from rklda.errors import DegenerateMatrix
 from rklda.matrix import build_centered_view
 from rklda.rk import make_rng
-from rklda.sampling import build_sampler, sample_row, sample_rows
+from rklda.sampling import _build_alias, build_sampler, sample_row, sample_rows
 
 
 def view_with_norms(norms_sq):
     """Diagonal pre-centered matrix whose squared row norms are as given."""
     X = np.diag(np.sqrt(np.asarray(norms_sq, dtype=np.float64)))
     return build_centered_view(X, assume_centered=True)
+
+
+def array_alias(probs):
+    """The alias-table loop run on NumPy arrays, element by element."""
+    m = len(probs)
+    scaled = probs * m
+    accept = np.ones(m)
+    alias = np.arange(m)
+    small = [i for i in range(m) if scaled[i] < 1.0]
+    large = [i for i in range(m) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        l = large.pop()
+        accept[s] = scaled[s]
+        alias[s] = l
+        scaled[l] -= 1.0 - scaled[s]
+        (small if scaled[l] < 1.0 else large).append(l)
+    return accept, alias
+
+
+@pytest.mark.parametrize("m", [1, 2, 200, 20_000])
+@pytest.mark.parametrize("skew", [0.0, 1.0, 3.0])
+def test_alias_table_matches_array_loop(m, skew):
+    rng = np.random.default_rng(m)
+    probs = rng.random(m) ** skew
+    probs[rng.random(m) < 0.1] = 1.0  # repeated values give ties at scaled == 1
+    probs /= probs.sum()
+    accept, alias = _build_alias(probs)
+    want_accept, want_alias = array_alias(probs)
+    assert np.array_equal(accept, want_accept)
+    assert np.array_equal(alias, want_alias)
 
 
 def test_probs_normalize():
