@@ -41,6 +41,7 @@ from .evaluation import (
     ExperimentConfig,
     ExperimentReport,
     accuracy,
+    fit_subspace,
     knn_classify,
     project,
     run_experiment,

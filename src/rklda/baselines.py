@@ -26,7 +26,10 @@ class Subspace:
     matrix: np.ndarray           # d x c coefficient matrix
     origin: str                  # RK | LSQR | PINV | ULDA
     rank_tol: float | None = None
-    converged: bool = True
+    converged: bool | None = None       # LSQR's stopping test; None where none applies
+    iterations_run: int | None = None   # RK only, as are the two fields below
+    excluded_rows: int | None = None    # zero-norm centered rows, never sampled
+    trace: tuple | None = None          # rk.TraceEntry per checkpoint
 
     def __post_init__(self):
         if self.matrix.ndim != 2 or self.matrix.shape[1] < 1:
@@ -102,6 +105,8 @@ def pinv_oracle(
     if X.size > max_elements:
         raise TooLarge(f"{X.size} elements exceeds the dense guard {max_elements}")
     Ym = as_matrix(Y)
+    if Ym.shape[0] != X.shape[0]:
+        raise InvalidData(f"Y has {Ym.shape[0]} rows, data has {X.shape[0]}")
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
     if rank_tol is None:
         rank_tol = default_rank_tol(X, s[0] if len(s) else 0.0)

@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Every file-producing run also writes ``<out>.manifest.json`` recording the
 subcommand, resolved flags, 64-bit input/output content digests, seed, tool
 version, and timestamps, so an artifact can be reproduced from its manifest.
-``solve --method rk`` adds ``iterations_run`` and ``excluded_rows`` (rows
-with zero centered norm, never sampled).
+``solve`` adds the fitted subspace's status: ``iterations_run`` and
+``excluded_rows`` (rows with zero centered norm, never sampled) for ``rk``,
+``converged`` (every column met LSQR's stopping test) for ``lsqr``.
 Output files are written to a temp file and renamed into place; a failing
 run leaves no partial outputs.
 
@@ -24,10 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import pinv_oracle, solve_lsqr, ulda_oracle
 from .diagnostics import iterations_for_tolerance, run_convergence_study
 from .errors import DataError, InvalidData, NumericalError, RkldaError
-from .evaluation import ExperimentConfig, project, run_experiment
+from .evaluation import KNOWN_METHODS, ExperimentConfig, fit_subspace, project, run_experiment
 from .io import (
     FORMAT_VERSION,
     atomic_write_text,
@@ -39,14 +39,16 @@ from .io import (
     write_rkm1,
 )
 from .labels import encode_labels, index_labels
-from .matrix import build_centered_view, densify, to_dense_centered
-from .rk import SolverConfig, default_iterations, solve_rk
+from .matrix import build_centered_view, densify
+from .rk import SolverConfig
 from .scatter import scatter_matrices, scatter_traces
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+# Subspace fields that ``solve`` records in its manifest when they are set.
+STATUS_FIELDS = ("iterations_run", "excluded_rows", "converged")
 
 
 class _UsageError(Exception):
@@ -88,7 +90,7 @@ class _Run:
         }
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
-        self.results: dict[str, int] = {}  # what the run did, e.g. solver counts
+        self.results: dict = {}  # what the run did, e.g. the solver's status
         self.started = _utc_now()
 
     def track_input(self, path) -> None:
@@ -137,6 +139,15 @@ def _load_tokens(run: _Run, args, csv_labels):
     raise _UsageError("labels required: pass --labels FILE or --label-column COL")
 
 
+def _load_labeled(run: _Run, args) -> tuple:
+    """(matrix, LabelVector) with one label per matrix row."""
+    data, csv_labels = _load_data(run, args)
+    tokens = _load_tokens(run, args, csv_labels)
+    if len(tokens) != data.shape[0]:
+        raise InvalidData(f"{data.shape[0]} data rows vs {len(tokens)} labels")
+    return data, index_labels(tokens)
+
+
 def _add_data_flags(p: _Parser, with_labels: bool = True):
     p.add_argument("--data", required=True, help="matrix file (.rkm1/.mtx/.csv)")
     p.add_argument("--format", default="auto", choices=["auto", "rkm1", "mtx", "csv"])
@@ -172,50 +183,32 @@ def _cmd_encode(args) -> int:
 
 def _cmd_solve(args) -> int:
     run = _Run("solve", args)
-    data, csv_labels = _load_data(run, args)
-    tokens = _load_tokens(run, args, csv_labels)
-    if len(tokens) != data.shape[0]:
-        raise InvalidData(f"{data.shape[0]} data rows vs {len(tokens)} labels")
-    lv = index_labels(tokens)
-    Y = encode_labels(lv)
+    data, lv = _load_labeled(run, args)
     view = build_centered_view(data, assume_centered=args.pre_centered)
+    iters = args.iters
+    if args.iters_from_kappa:
+        eps, eps0, kappa = args.iters_from_kappa
+        iters = max(1, iterations_for_tolerance(eps, eps0, kappa))
+        print(f"iterations from condition number: {iters}", file=sys.stderr)
+    subspace = fit_subspace(
+        args.method, view, encode_labels(lv), lv, seed=args.seed,
+        rk_iters=iters, rk_tail_average=args.tail_average,
+        checkpoint_every=args.checkpoint_every, lsqr_tol=args.tol,
+        lsqr_max_iters=args.max_iters, rank_tol=args.rank_tol,
+    )
+    run.results.update({f: v for f in STATUS_FIELDS
+                        if (v := getattr(subspace, f)) is not None})
 
-    trace = None
-    if args.method == "rk":
-        iters = args.iters or default_iterations(view.n)
-        if args.iters_from_kappa:
-            eps, eps0, kappa = args.iters_from_kappa
-            iters = max(1, iterations_for_tolerance(eps, eps0, kappa))
-            print(f"iterations from condition number: {iters}", file=sys.stderr)
-        config = SolverConfig(
-            max_iters=iters,
-            seed=args.seed,
-            checkpoint_every=args.checkpoint_every,
-            tail_average=args.tail_average,
-            sampler_method=args.sampler,
-        )
-        result = solve_rk(view, Y, config)
-        W = result.W
-        trace = result.trace
-        run.results.update(iterations_run=result.iterations_run,
-                           excluded_rows=result.excluded_rows)
-    elif args.method == "lsqr":
-        W = solve_lsqr(view, Y, tol=args.tol, max_iters=args.max_iters).matrix
-    elif args.method == "pinv":
-        W = pinv_oracle(to_dense_centered(view), Y, rank_tol=args.rank_tol).matrix
-    else:  # ulda
-        W = ulda_oracle(densify(view.base), lv, rank_tol=args.rank_tol).matrix
-
-    write_rkm1(args.out, W)
+    write_rkm1(args.out, subspace.matrix)
     run.track_output(args.out)
     if args.means_out:
         write_rkm1(args.means_out, view.column_means.reshape(1, -1))
         run.track_output(args.means_out)
-    if args.trace_out and trace:
+    if args.trace_out and subspace.trace:
         write_csv_rows(
             args.trace_out,
             ["iteration", "w_frob", "sampled_row_residual"],
-            [(e.iteration, e.w_frob, e.sampled_row_residual) for e in trace],
+            [(e.iteration, e.w_frob, e.sampled_row_residual) for e in subspace.trace],
         )
         run.track_output(args.trace_out)
     run.write_manifest(args.out)
@@ -247,11 +240,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_scatter(args) -> int:
     run = _Run("scatter", args)
-    data, csv_labels = _load_data(run, args)
-    tokens = _load_tokens(run, args, csv_labels)
-    if len(tokens) != data.shape[0]:
-        raise InvalidData(f"{data.shape[0]} data rows vs {len(tokens)} labels")
-    lv = index_labels(tokens)
+    data, lv = _load_labeled(run, args)
     dense = densify(data)
     trace_w, trace_b = scatter_traces(dense, lv)
     payload = {
@@ -283,14 +272,11 @@ def _cmd_scatter(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     run = _Run("diagnose", args)
-    data, csv_labels = _load_data(run, args)
-    tokens = _load_tokens(run, args, csv_labels)
-    lv = index_labels(tokens)
-    Y = encode_labels(lv)
+    data, lv = _load_labeled(run, args)
     view = build_centered_view(data, assume_centered=args.pre_centered)
     cadence = args.checkpoint_every or max(1, args.iters // 20)
     config = SolverConfig(max_iters=args.iters, seed=args.seed, checkpoint_every=cadence)
-    report = run_convergence_study(view, Y, trials=args.trials, config=config)
+    report = run_convergence_study(view, encode_labels(lv), trials=args.trials, config=config)
     payload = {
         "trials": report.trials,
         "kappa": report.kappa,
@@ -376,7 +362,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="compute a reduced-dimension subspace")
     _add_data_flags(p)
-    p.add_argument("--method", required=True, choices=["rk", "lsqr", "pinv", "ulda"])
+    p.add_argument("--method", required=True,
+                   choices=[m for m in KNOWN_METHODS if m != "full"])
     p.add_argument("--out", required=True)
     p.add_argument("--iters", type=int, help="RK iteration budget (default 20 per row)")
     p.add_argument("--seed", type=int, default=0)
@@ -387,7 +374,6 @@ def build_parser() -> _Parser:
     p.add_argument("--iters-from-kappa", nargs=3, type=float,
                    metavar=("EPS", "EPS0", "KAPPA"),
                    help="derive the RK iteration count from a known condition number")
-    p.add_argument("--sampler", default="alias", choices=["alias", "cumulative"])
     p.add_argument("--pre-centered", action="store_true",
                    help="treat the stored rows as already column-centered")
     p.add_argument("--means-out", help="write training column means (1 x d RKM1)")
@@ -424,7 +410,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="split/fit/project/classify protocol")
     _add_data_flags(p)
     p.add_argument("--methods", default="full,rk,lsqr",
-                   help="comma list from full,rk,lsqr,pinv,ulda")
+                   help=f"comma list from {','.join(KNOWN_METHODS)}")
     p.add_argument("--replicates", type=int, default=30)
     p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--knn", default="1,5,10", help="comma list of k values")

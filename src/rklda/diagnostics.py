@@ -193,7 +193,6 @@ def run_convergence_study(
             max_iters=config.max_iters,
             seed=seed,
             checkpoint_every=cadence,
-            sampler_method=config.sampler_method,
             w0=config.w0,
         )
         solve_rk(view, Ym, trial_cfg, dist=dist, on_checkpoint=record)

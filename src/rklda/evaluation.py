@@ -38,9 +38,7 @@ class ExperimentConfig:
     seed: int = 0
     rk_iters: int | None = None        # default: 20 iterations per training row
     rk_tail_average: float | None = None
-    rk_sampler_method: str = "alias"
     lsqr_tol: float = 1e-12
-    lsqr_max_iters: int | None = None
     timing: str = "wall"               # "wall" | "none" (report zeros)
     max_dense_elements: int = DENSE_GUARD_ELEMENTS
 
@@ -198,29 +196,38 @@ def accuracy(predicted, truth) -> float:
     return float(np.mean(predicted == truth))
 
 
-def _fit_subspace(method: str, view, Y, labels_tr: LabelVector,
-                  config: ExperimentConfig, seed: int):
+def fit_subspace(method: str, view, Y, labels: LabelVector, *, seed: int,
+                 rk_iters: int | None = None, rk_tail_average: float | None = None,
+                 checkpoint_every: int = 0, lsqr_tol: float = 1e-12,
+                 lsqr_max_iters: int | None = None, rank_tol: float | None = None,
+                 max_dense_elements: int = DENSE_GUARD_ELEMENTS) -> Subspace | None:
+    """The subspace of ``method`` (one of KNOWN_METHODS) fit on the centered
+    ``view`` with indicator ``Y`` of ``labels``; None for ``full``.
+
+    An RK fit (default 20 iterations per row) carries its iterations_run,
+    excluded_rows and checkpoint trace; an LSQR fit whether every column
+    converged.  ``pinv`` and ``ulda`` densify within ``max_dense_elements``.
+    """
     if method == "full":
         return None
     if method == "rk":
-        iters = config.rk_iters or default_iterations(view.n)
-        solver = SolverConfig(
-            max_iters=iters,
+        config = SolverConfig(
+            max_iters=rk_iters or default_iterations(view.n),
             seed=seed,
-            tail_average=config.rk_tail_average,
-            sampler_method=config.rk_sampler_method,
+            checkpoint_every=checkpoint_every,
+            tail_average=rk_tail_average,
         )
-        return Subspace(matrix=solve_rk(view, Y, solver).W, origin="RK")
+        result = solve_rk(view, Y, config)
+        return Subspace(matrix=result.W, origin="RK", iterations_run=result.iterations_run,
+                        excluded_rows=result.excluded_rows, trace=result.trace)
     if method == "lsqr":
-        return solve_lsqr(view, Y, tol=config.lsqr_tol, max_iters=config.lsqr_max_iters)
+        return solve_lsqr(view, Y, tol=lsqr_tol, max_iters=lsqr_max_iters)
     if method == "pinv":
-        return pinv_oracle(
-            to_dense_centered(view, config.max_dense_elements), Y,
-            max_elements=config.max_dense_elements,
-        )
+        return pinv_oracle(to_dense_centered(view, max_dense_elements), Y,
+                           rank_tol=rank_tol, max_elements=max_dense_elements)
     if method == "ulda":
-        return ulda_oracle(densify(view.base, config.max_dense_elements), labels_tr,
-                           max_elements=config.max_dense_elements)
+        return ulda_oracle(densify(view.base, max_dense_elements), labels,
+                           rank_tol=rank_tol, max_elements=max_dense_elements)
     raise InvalidData(f"unknown method {method!r}")
 
 
@@ -253,7 +260,11 @@ def _replicate(data, tokens, config: ExperimentConfig, replicate: int,
         m_seed = int(children[1 + m_pos].generate_state(1, dtype=np.uint64)[0])
         try:
             t0 = clock()
-            B = _fit_subspace(method, view, Y, labels_tr, config, m_seed)
+            B = fit_subspace(method, view, Y, labels_tr, seed=m_seed,
+                             rk_iters=config.rk_iters,
+                             rk_tail_average=config.rk_tail_average,
+                             lsqr_tol=config.lsqr_tol,
+                             max_dense_elements=config.max_dense_elements)
             t1 = clock()
             Z_train = project(X_train, B, view.column_means, config.max_dense_elements)
             Z_test = project(X_test, B, view.column_means, config.max_dense_elements)

@@ -42,11 +42,11 @@ the stretch only compute on the non-finite values.
 
 RNG contract: the generator is NumPy's PCG64 seeded through SeedSequence;
 replicate substreams come from SeedSequence.spawn.  Uniforms are consumed
-strictly sequentially (two per draw for the alias method, one for the
-cumulative method), so equal (seed, config, data) reproduce bit-identical
-results.  Row indices are drawn in blocks of SAMPLE_BLOCK with
-``sample_rows``, which consumes the stream exactly as sequential
-``sample_row`` calls do, so block draws leave the trajectory unchanged.
+strictly sequentially, two per draw (the alias table's slot and accept
+test), so equal (seed, config, data) reproduce bit-identical results.  Row
+indices are drawn in blocks of SAMPLE_BLOCK with ``sample_rows``, which
+consumes the stream exactly as sequential ``sample_row`` calls do, so block
+draws leave the trajectory unchanged.
 """
 
 import math
@@ -71,8 +71,6 @@ class SolverConfig:
     checkpoint_every: int = 0          # 0 disables the trace
     tail_average: float | None = None  # burn-in fraction in [0, 1)
     w0: np.ndarray | None = None       # must lie in the row space of Xc; zero always does
-    sampler_method: str = "alias"
-    trace_matrices: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -90,7 +88,6 @@ class TraceEntry:
     iteration: int
     w_frob: float
     sampled_row_residual: float  # ||y_i^T - x_i^T W|| before the recorded step
-    w: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -294,7 +291,6 @@ def solve_rk(
                     iteration=k,
                     w_frob=float(np.linalg.norm(W)),
                     sampled_row_residual=last_residual,
-                    w=W.copy() if config.trace_matrices else None,
                 )
             )
         if on_checkpoint is not None:
@@ -303,7 +299,7 @@ def solve_rk(
     checkpoint(0, float("nan"))
     R = np.empty((min(SAMPLE_BLOCK, K), g))
     for start in range(0, K, SAMPLE_BLOCK):
-        rows = sample_rows(dist, rng, min(SAMPLE_BLOCK, K - start), config.sampler_method).tolist()
+        rows = sample_rows(dist, rng, min(SAMPLE_BLOCK, K - start)).tolist()
         k, stop = start, start + len(rows)
         while k < stop:
             end = _stretch_end(k, stop, cadence, burn)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import InvalidData, TooLarge
 from .labels import LabelVector
 
 SCATTER_GUARD = 10**8  # limit on n * d^2
@@ -49,7 +49,7 @@ def scatter_matrices(X_small, labels: LabelVector) -> ScatterSet:
     X = np.asarray(X_small, dtype=np.float64)
     n, d = X.shape
     if n != labels.n:
-        raise ValueError(f"{n} observations vs {labels.n} labels")
+        raise InvalidData(f"{n} observations vs {labels.n} labels")
     _check_guard(n, d)
     cents, grand = _centroids(X, labels)
 
@@ -72,7 +72,7 @@ def scatter_traces(X_small, labels: LabelVector) -> tuple[float, float]:
     X = np.asarray(X_small, dtype=np.float64)
     n = X.shape[0]
     if n != labels.n:
-        raise ValueError(f"{n} observations vs {labels.n} labels")
+        raise InvalidData(f"{n} observations vs {labels.n} labels")
     cents, grand = _centroids(X, labels)
     within_dev = X - cents[labels.indices]
     trace_w = float(np.einsum("ij,ij->", within_dev, within_dev)) / n

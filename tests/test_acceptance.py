@@ -203,13 +203,15 @@ def test_c07_row_space_confinement():
             Xc = to_dense_centered(view)
             _, s, Vt = np.linalg.svd(Xc, full_matrices=False)
             V = Vt[s > max(Xc.shape) * np.finfo(float).eps * s[0]].T
-            result = solve_rk(
+            seen = []
+            solve_rk(
                 view, Y,
                 SolverConfig(max_iters=200, seed=int(rng.integers(0, 2**32)),
-                             checkpoint_every=25, trace_matrices=True),
+                             checkpoint_every=25),
+                on_checkpoint=lambda k, W: seen.append(W.copy()),
             )
-            for entry in result.trace:
-                Wk = entry.w
+            assert len(seen) == 9
+            for Wk in seen:
                 out = np.linalg.norm(Wk - V @ (V.T @ Wk))
                 assert out <= 1e-8 * max(1.0, np.linalg.norm(Wk))
 

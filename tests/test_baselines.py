@@ -9,7 +9,7 @@ from rklda.baselines import (
     solve_lsqr,
     ulda_oracle,
 )
-from rklda.errors import DegenerateSubspace, TooLarge
+from rklda.errors import DegenerateSubspace, InvalidData, TooLarge
 from rklda.labels import encode_labels, index_labels
 from rklda.matrix import build_centered_view, to_dense_centered
 
@@ -75,6 +75,11 @@ def test_pinv_rank_truncation():
 def test_pinv_guard():
     with pytest.raises(TooLarge):
         pinv_oracle(np.eye(100), np.ones((100, 1)), max_elements=99)
+
+
+def test_pinv_rejects_y_row_count_mismatch():
+    with pytest.raises(InvalidData, match="Y has 10 rows, data has 12"):
+        pinv_oracle(np.ones((12, 3)), np.ones((10, 2)))
 
 
 def test_pinv_matches_numpy_pinv():

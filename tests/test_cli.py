@@ -7,9 +7,12 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from rklda.cli import dispatch
+from rklda.baselines import Subspace, principal_angles
+from rklda.cli import STATUS_FIELDS, dispatch
+from rklda.evaluation import fit_subspace
 from rklda.io import read_rkm1, write_rkm1
 from rklda.labels import encode_labels, index_labels
+from rklda.matrix import build_centered_view
 from rklda.synthetic import two_gaussians
 
 
@@ -86,8 +89,12 @@ def test_single_class_data_error(dataset, tmp_path, capsys):
 
 def test_solve_all_methods_agree_on_consistent(dataset, tmp_path):
     data, labels, X, y = dataset
+    lv = index_labels([f"c{t}" for t in y])
+    view, Y = build_centered_view(X), encode_labels(lv)
+    status = {"rk": {"iterations_run": 20000, "excluded_rows": 0},
+              "lsqr": {"converged": True}, "pinv": {}, "ulda": {}}
     outs = {}
-    for method in ("rk", "lsqr", "pinv"):
+    for method in ("rk", "lsqr", "pinv", "ulda"):
         out = tmp_path / f"W_{method}.rkm1"
         argv = ["solve", "--method", method, "--data", str(data),
                 "--labels", str(labels), "--out", str(out), "--seed", "1"]
@@ -95,8 +102,18 @@ def test_solve_all_methods_agree_on_consistent(dataset, tmp_path):
             argv += ["--iters", "20000"]
         assert dispatch(argv) == 0
         outs[method] = read_rkm1(out)
+        # the CLI is fit_subspace plus file output
+        direct = fit_subspace(method, view, Y, lv, seed=1, rk_iters=20000)
+        assert np.array_equal(outs[method], direct.matrix)
+        manifest = json.loads((tmp_path / f"W_{method}.rkm1.manifest.json").read_text())
+        assert {f: manifest[f] for f in STATUS_FIELDS if f in manifest} == status[method]
     # n=40 > d=6: overdetermined; lsqr and pinv agree tightly
     assert np.allclose(outs["lsqr"], outs["pinv"], atol=1e-8)
+    # two classes: ULDA's one direction spans the same line as the
+    # least-squares solution's column difference
+    angles = principal_angles(Subspace(outs["ulda"], "ULDA"),
+                              Subspace(outs["pinv"] @ [[1.0], [-1.0]], "PINV"))
+    assert angles.max() < 1e-6
 
 
 def test_encode_subcommand(dataset, tmp_path):
@@ -176,6 +193,22 @@ def test_scatter_sparse_dense_guard(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "TooLarge" in err and "20000000 elements" in err
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", [
+    ["solve", "--method", "pinv"],
+    ["scatter"],
+    ["diagnose", "--trials", "2", "--iters", "20"],
+], ids=["solve", "scatter", "diagnose"])
+def test_label_count_mismatch_is_data_error(tmp_path, capsys, subcommand):
+    data, labels = tmp_path / "X.rkm1", tmp_path / "y.txt"
+    write_rkm1(data, np.random.default_rng(3).standard_normal((12, 4)))
+    labels.write_text("a\nb\n" * 5)
+    code = dispatch([*subcommand, "--data", str(data), "--labels", str(labels),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "12 data rows vs 10 labels" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_diagnose_subcommand(dataset, tmp_path):

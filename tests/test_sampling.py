@@ -87,39 +87,34 @@ class _FixedUniforms:
         return out
 
 
-def test_cumulative_mapping():
+def test_alias_mapping():
     dist = build_sampler(view_with_norms([1.0, 3.0]))
-    # cumulative weights [0.25, 1.0]: u = 0.5 lands past the first weight
-    assert sample_row(dist, _FixedUniforms([0.5]), method="cumulative") == 1
-    assert sample_row(dist, _FixedUniforms([0.2]), method="cumulative") == 0
-    assert sample_row(dist, _FixedUniforms([0.9999]), method="cumulative") == 1
+    # scaled probs [0.5, 1.5]: slot 0 accepts below 0.5, else redirects to 1
+    assert sample_row(dist, _FixedUniforms([0.2, 0.4])) == 0
+    assert sample_row(dist, _FixedUniforms([0.2, 0.6])) == 1
+    assert sample_row(dist, _FixedUniforms([0.7, 0.99])) == 1
+    assert sample_rows(dist, _FixedUniforms([0.2, 0.4, 0.2, 0.6]), 2).tolist() == [0, 1]
 
 
 def test_single_row_always_zero():
     dist = build_sampler(view_with_norms([4.0]))
     rng = make_rng(7)
     assert all(sample_row(dist, rng) == 0 for _ in range(20))
-    rng = make_rng(7)
-    assert all(sample_row(dist, rng, method="cumulative") == 0 for _ in range(20))
 
 
-@pytest.mark.parametrize("method", ["alias", "cumulative"])
-def test_scalar_and_vector_draws_agree(method):
+def test_scalar_and_vector_draws_agree():
     dist = build_sampler(view_with_norms([1.0, 2.0, 0.0, 5.0, 0.5]))
-    seq = [sample_row(dist, make_rng(42), method) for _ in range(1)]
     rng_a, rng_b = make_rng(99), make_rng(99)
-    scalar = [sample_row(dist, rng_a, method) for _ in range(500)]
-    vector = sample_rows(dist, rng_b, 500, method)
+    scalar = [sample_row(dist, rng_a) for _ in range(500)]
+    vector = sample_rows(dist, rng_b, 500)
     assert scalar == vector.tolist()
-    assert seq  # silence unused warning
 
 
-@pytest.mark.parametrize("method", ["alias", "cumulative"])
-def test_empirical_frequencies(method):
+def test_empirical_frequencies():
     norms = [1.0, 3.0, 0.0, 10.0, 2.0]
     dist = build_sampler(view_with_norms(norms))
     n_draws = 10**6
-    draws = sample_rows(dist, make_rng(2024), n_draws, method)
+    draws = sample_rows(dist, make_rng(2024), n_draws)
     freq = np.bincount(draws, minlength=len(norms)) / n_draws
     p = dist.probs
     sigma = np.sqrt(p * (1 - p) / n_draws)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rklda.errors import TooLarge
+from rklda.errors import InvalidData, TooLarge
 from rklda.labels import index_labels
 from rklda.scatter import scatter_matrices, scatter_traces
 
@@ -108,3 +108,10 @@ def test_guard():
     # traces still fine at this shape
     tw, tb = scatter_traces(X, labels)
     assert tw == 0.0 and tb == 0.0
+
+
+@pytest.mark.parametrize("fn", [scatter_matrices, scatter_traces])
+def test_label_count_mismatch_is_invalid_data(fn):
+    labels = index_labels(["a", "b"] * 5)
+    with pytest.raises(InvalidData, match="12 observations vs 10 labels"):
+        fn(np.ones((12, 3)), labels)
