@@ -27,8 +27,8 @@ class Subspace:
     origin: str                  # RK | LSQR | PINV | ULDA
     rank_tol: float | None = None
     converged: bool | None = None       # LSQR's stopping test; None where none applies
-    iterations_run: int | None = None   # RK only, as are the two fields below
-    excluded_rows: int | None = None    # zero-norm centered rows, never sampled
+    iterations_run: int | None = None   # RK's steps, or LSQR's most over the columns
+    excluded_rows: int | None = None    # RK only, as is the trace: zero-norm rows, never sampled
     trace: tuple | None = None          # rk.TraceEntry per checkpoint
 
     def __post_init__(self):
@@ -78,16 +78,19 @@ def solve_lsqr(
     op = _centered_operator(view)
     cols = []
     converged = True
+    iterations = 0
     for j in range(Ym.shape[1]):
         sol = lsqr(op, Ym[:, j], atol=tol, btol=tol, conlim=0.0, iter_lim=max_iters)
         cols.append(sol[0])
+        iterations = max(iterations, int(sol[2]))
         if sol[1] == 7:  # iteration limit reached
             converged = False
             logger.warning(
                 "lsqr column %d stopped at the iteration limit (%d); "
                 "returning the best iterate", j, max_iters,
             )
-    return Subspace(matrix=np.column_stack(cols), origin="LSQR", converged=converged)
+    return Subspace(matrix=np.column_stack(cols), origin="LSQR", converged=converged,
+                    iterations_run=iterations)
 
 
 def pinv_oracle(

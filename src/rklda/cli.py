@@ -8,7 +8,8 @@ subcommand, resolved flags, 64-bit input/output content digests, seed, tool
 version, and timestamps, so an artifact can be reproduced from its manifest.
 ``solve`` adds the fitted subspace's status: ``iterations_run`` and
 ``excluded_rows`` (rows with zero centered norm, never sampled) for ``rk``,
-``converged`` (every column met LSQR's stopping test) for ``lsqr``.
+``converged`` (every column met LSQR's stopping test) and ``iterations_run``
+(the most any column took) for ``lsqr``.
 Output files are written to a temp file and renamed into place; a failing
 run leaves no partial outputs.
 
@@ -241,8 +242,7 @@ def _cmd_transform(args) -> int:
 def _cmd_scatter(args) -> int:
     run = _Run("scatter", args)
     data, lv = _load_labeled(run, args)
-    dense = densify(data)
-    trace_w, trace_b = scatter_traces(dense, lv)
+    trace_w, trace_b = scatter_traces(data, lv)
     payload = {
         "n": int(data.shape[0]),
         "d": int(data.shape[1]),
@@ -252,7 +252,7 @@ def _cmd_scatter(args) -> int:
         "trace_t": trace_w + trace_b,
     }
     if not args.traces_only:
-        ss = scatter_matrices(dense, lv)
+        ss = scatter_matrices(densify(data), lv)
         payload.update(
             s_w=ss.s_w.tolist(),
             s_b=ss.s_b.tolist(),

@@ -206,7 +206,8 @@ def fit_subspace(method: str, view, Y, labels: LabelVector, *, seed: int,
 
     An RK fit (default 20 iterations per row) carries its iterations_run,
     excluded_rows and checkpoint trace; an LSQR fit whether every column
-    converged.  ``pinv`` and ``ulda`` densify within ``max_dense_elements``.
+    converged and the most iterations a column took.  ``pinv`` and ``ulda``
+    densify within ``max_dense_elements``.
     """
     if method == "full":
         return None

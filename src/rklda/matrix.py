@@ -70,6 +70,7 @@ class CenteredMatrixView:
     centered_row_norms_sq: np.ndarray
     frob_norm_sq: float
     is_sparse: bool = field(default=False)
+    cross: np.ndarray | None = field(default=None, repr=False)  # x_i . mu; sparse bases only
 
     @property
     def n(self) -> int:
@@ -103,6 +104,24 @@ class CenteredMatrixView:
         ``base.T`` builds a new CSC wrapper on every call."""
         return self.base.T.tocsr() if self.is_sparse else self.base.T
 
+    @cached_property
+    def augmented_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(columns, weights, indptr) of a sparse base's rows, each extended
+        by column d with weight 1 and column d + 1 with weight cross_i: the
+        gather layout of the lazily centered RK step.  Built on first use;
+        holds nnz + 2n indices and weights."""
+        base = self.base
+        n, d = base.shape
+        indptr = base.indptr + 2 * np.arange(n + 1)
+        a_pos, p_pos = indptr[1:] - 2, indptr[1:] - 1
+        stored = np.ones(indptr[-1], dtype=bool)
+        stored[a_pos] = stored[p_pos] = False
+        cols = np.empty(indptr[-1], dtype=np.intp)
+        cols[stored], cols[a_pos], cols[p_pos] = base.indices, d, d + 1
+        weights = np.empty(indptr[-1])
+        weights[stored], weights[a_pos], weights[p_pos] = base.data, 1.0, self.cross
+        return cols, weights, indptr
+
     def rmatmul(self, u: np.ndarray) -> np.ndarray:
         """(X - 1 mu^T)^T @ u without densifying the base."""
         u = np.asarray(u, dtype=np.float64)
@@ -129,6 +148,7 @@ def build_centered_view(base, assume_centered: bool = False) -> CenteredMatrixVi
     else:
         mu = mat.mean(axis=0)
 
+    cross = None
     if sparse:
         raw_sq = np.asarray(mat.multiply(mat).sum(axis=1)).reshape(-1)
         cross = np.asarray(mat @ mu).reshape(-1)
@@ -143,6 +163,7 @@ def build_centered_view(base, assume_centered: bool = False) -> CenteredMatrixVi
         centered_row_norms_sq=norms_sq,
         frob_norm_sq=float(norms_sq.sum()),
         is_sparse=sparse,
+        cross=cross,
     )
     ratio = view.centering_ratio
     if sparse and ratio > CENTERING_RATIO_WARN:

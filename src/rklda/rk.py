@@ -9,22 +9,45 @@ that row's equation:
 With W0 = 0 every iterate remains in the row space of Xc, which steers the
 solve toward the least-norm solution without explicit regularization.
 
-Dense bases center the sampled row into one reused buffer; a step costs
-O(d g).  Sparse bases never form the d-length centered row.  The iterate is
+The steps run in stretches of a drawn block: ``solve_rk`` cuts each block
+at checkpoints and at the burn-in point, and the iterate writes each step's
+coefficient c into a row of a block-sized buffer.
+
+Dense bases run a stretch as forward substitution on the Gram matrix of
+its rows, which is Kaczmarz read as Gauss-Seidel on Xc Xc^T (Bjorck and
+Elfving, BIT 1979).  For the rows S = (i_0, ..., i_{s-1}) of a chunk, with
+W0 the iterate before it, step j's residual is
+
+    y_j - W_j^T x_j = y_j - W0^T x_j - sum_{l<j} (x_j . x_l) c_l
+
+so the coefficients solve the lower-triangular system
+
+    L C = Y_S - Xc_S W0,  L = tril(Xc_S Xc_S^T) with diagonal ||x_j||^2
+
+and the chunk ends at W0 + Xc_S^T C.  The iterates are the per-step ones in
+exact arithmetic; only the rounding differs.  After the burn-in, the sum of
+the chunk's s iterates is s W0 + Xc_S^T ((s - j)_j * C), so the tail sum
+gains that with one more product.  A chunk holds gram_chunk(d) =
+min(64, max(8, NORM_CHUNK_ELEMENTS // d)) rows: the Gram matrix costs s d
+flops per step against the step's own d g, so chunks shrink as d grows.
+A step's residual is c_j ||x_j||^2, formed only for the row a checkpoint
+reports.
+
+Sparse bases never form the d-length centered row.  The iterate is
 kept as W = V - mu a^T with the g-vector p = mu^T V, and cross_i = s_i^T mu
-is computed once per solve.  Then
+is kept on the view.  Then
 
     y_i - W^T x_i = y_i - V[cols]^T vals + (cross_i - ||mu||^2) a + p
 
 and the step is V[cols] += vals c^T, a += c, p += cross_i c, so a step costs
 O(nnz(s_i) g).  a and p are stored as rows d and d + 1 of V, and each CSR
-row is extended once per solve by the columns d, d + 1 with weights 1 and
-cross_i, so a step is one gather, one update and one scatter.  The
-residual is still summed in the order above: folding the shift into the
-same dot product loses the sparse/dense agreement near a degenerate
-centering.  Tail averaging uses the lazy-sum identity: with W_b the
-iterate before step b (the burn-in), the mean of the iterates after steps
-b..K-1 is
+row is extended once per view (``CenteredMatrixView.augmented_rows``) by the
+columns d, d + 1 with weights 1 and cross_i, so a step is one gather, one
+update and one scatter.  The residual is still summed in the order above:
+folding the shift into the same dot product loses the sparse/dense
+agreement near a degenerate centering.  Tail averaging uses the lazy-sum
+identity: with W_b the iterate before step b (the burn-in), the mean of the
+iterates after steps b..K-1 is
 
     W_b + (U - mu A^T) / (K - b),  U = sum_k (K - k) vals_k c_k^T,  A = sum_k (K - k) c_k
 
@@ -32,13 +55,11 @@ where each term of U lands on the sampled row's columns only.  The lazy
 form adds rounding of relative size about eps * n ||mu||^2 / ||Xc||_F^2
 (``CenteredMatrixView.centering_ratio``) to each step.
 
-The step loop runs inside the iterate, over stretches of a drawn block:
-``solve_rk`` cuts each block at checkpoints and at the burn-in point, the
-iterate writes each step's residual into a row of a block-sized buffer, and
-the stretch's residuals are checked for finiteness once, after it ends and
-before its checkpoint.  ``NumericalDivergence`` names the first step whose
-residual is not finite, as a per-step check would; the steps after it in
-the stretch only compute on the non-finite values.
+Each stretch's coefficients are checked for finiteness once, after it ends
+and before its checkpoint.  ``NumericalDivergence`` names the first step
+whose coefficient is not finite, as a per-step check would: a non-finite
+c_j taints every later row of C in its column, through the substitution
+and through W, so the steps after it only compute on non-finite values.
 
 RNG contract: the generator is NumPy's PCG64 seeded through SeedSequence;
 replicate substreams come from SeedSequence.spawn.  Uniforms are consumed
@@ -53,15 +74,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrsm
 
 from .errors import InvalidData, NumericalDivergence, ZeroRowError
 from .labels import as_matrix
-from .matrix import CenteredMatrixView
+from .matrix import NORM_CHUNK_ELEMENTS, CenteredMatrixView
 from .sampling import SamplingDistribution, build_sampler, sample_rows
 
 DEFAULT_ITERS_PER_ROW = 20
 # Row indices drawn per sample_rows call; bounds the draw buffer at any K.
 SAMPLE_BLOCK = 4096
+# Bounds on the rows per Gram chunk of a dense stretch; see gram_chunk.
+GRAM_CHUNK_MAX = 64
+GRAM_CHUNK_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -107,12 +132,18 @@ def default_iterations(n: int) -> int:
     return DEFAULT_ITERS_PER_ROW * n
 
 
+def gram_chunk(d: int) -> int:
+    """Rows per Gram chunk of a dense stretch at d columns."""
+    return min(GRAM_CHUNK_MAX, max(GRAM_CHUNK_MIN, NORM_CHUNK_ELEMENTS // d))
+
+
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
 
 class _DenseIterate:
-    """W stored as is; the sampled row is centered into one reused buffer."""
+    """W stored as is; a stretch runs as forward substitution on the Gram
+    matrix of its rows, a chunk of at most ``gram_chunk(d)`` rows at a time."""
 
     def __init__(self, view: CenteredMatrixView, Y: np.ndarray, W: np.ndarray,
                  K: int, burn: int | None):
@@ -121,25 +152,43 @@ class _DenseIterate:
         self.norms_sq = view.centered_row_norms_sq
         self.Y = Y
         self.W = W
-        self.x = np.empty(view.d)
-        self.x_col = self.x[:, None]  # column view of the buffer, for the outer product
         self.K = K
         self.burn = burn
         self.tail_sum = np.zeros_like(W) if burn is not None else None
+        self.b = b = gram_chunk(view.d)
+        self.X = np.empty((b, view.d))  # the chunk's centered rows
+        self.G = np.empty(b * b)        # flat, so that every s x s view is contiguous
+        self.XW = np.empty((b, W.shape[1]))
+        self.dW = np.empty_like(W)
+        self.steps_left = np.arange(b, 0, -1, dtype=np.float64)[:, None]
 
-    def run(self, k0: int, rows: list[int], R: np.ndarray) -> None:
-        """Steps k0, k0 + 1, ... on the sampled ``rows``; step j's residual
-        goes to R[j].  A stretch lies wholly before or after the burn-in."""
-        base, mu, Y, W = self.base, self.mu, self.Y, self.W
-        x, x_col, norms_sq = self.x, self.x_col, self.norms_sq
+    def run(self, k0: int, rows: np.ndarray, C: np.ndarray) -> None:
+        """Steps k0, k0 + 1, ... on the sampled ``rows``; step j's coefficient
+        c_j goes to C[j].  A stretch lies wholly before or after the burn-in."""
+        base, mu, norms_sq, Y, W, dW = self.base, self.mu, self.norms_sq, self.Y, self.W, self.dW
         tail_sum = self.tail_sum if self.burn is not None and k0 >= self.burn else None
-        for i, r in zip(rows, R):
-            np.subtract(base[i], mu, out=x)
-            np.dot(x, W, out=r)
-            np.subtract(Y[i], r, out=r)
-            W += x_col * (r / norms_sq[i])
+        b = self.b
+        for lo in range(0, len(rows), b):
+            S = rows[lo:lo + b]
+            s = len(S)
+            X = self.X[:s]
+            base.take(S, axis=0, out=X)
+            X -= mu
+            G = self.G[:s * s].reshape(s, s)
+            np.dot(X, X.T, out=G)
+            # each step divides by the view's row norm, as a single step does
+            norms_sq.take(S, out=self.G[:s * s:s + 1])
+            c = C[lo:lo + s]
+            Y.take(S, axis=0, out=c)
+            c -= np.dot(X, W, out=self.XW[:s])
+            # read as Fortran arrays, G.T holds tril(G)^T in its upper
+            # triangle and c.T is B^T: solving c.T tril(G)^T = B^T on the
+            # right is tril(G) c = B, in place
+            dtrsm(1.0, G.T, c.T, side=1, overwrite_b=1)
             if tail_sum is not None:
-                tail_sum += W
+                tail_sum += s * W
+                tail_sum += X.T @ (self.steps_left[b - s:] * c)
+            W += np.dot(X.T, c, out=dW)
 
     def current(self) -> np.ndarray:
         return self.W
@@ -156,23 +205,11 @@ class _SparseIterate:
 
     def __init__(self, view: CenteredMatrixView, Y: np.ndarray, W: np.ndarray,
                  K: int, burn: int | None):
-        base = view.base
-        (n, d), g = base.shape, W.shape[1]
+        d, g = view.d, W.shape[1]
         self.mu = mu = view.column_means
-        cross = np.asarray(base @ mu).reshape(-1)
-        # augmented CSR: row i's stored entries, then column d (a) with
-        # weight 1 and column d + 1 (p) with weight cross_i
-        indptr = base.indptr + 2 * np.arange(n + 1)
-        a_pos, p_pos = indptr[1:] - 2, indptr[1:] - 1
-        stored = np.ones(indptr[-1], dtype=bool)
-        stored[a_pos] = stored[p_pos] = False
-        self.cols = np.empty(indptr[-1], dtype=np.intp)
-        self.cols[stored], self.cols[a_pos], self.cols[p_pos] = base.indices, d, d + 1
-        self.weights = np.empty(indptr[-1])
-        self.weights[stored], self.weights[a_pos], self.weights[p_pos] = base.data, 1.0, cross
+        self.cols, self.weights, self.indptr = view.augmented_rows
         self.weights_col = self.weights[:, None]
-        self.indptr = indptr
-        self.shift = cross - float(mu @ mu)
+        self.shift = view.cross - float(mu @ mu)
         self.norms_sq = view.centered_row_norms_sq
         self.Y = Y
         self.d = d
@@ -185,26 +222,26 @@ class _SparseIterate:
         # rows :d hold U, row d holds A; U gets no p row
         self.U = np.zeros((d + 1, g)) if burn is not None else None
 
-    def run(self, k0: int, rows: list[int], R: np.ndarray) -> None:
-        """Steps k0, k0 + 1, ... on the sampled ``rows``; step j's residual
-        goes to R[j].  A stretch lies wholly before or after the burn-in."""
+    def run(self, k0: int, rows: np.ndarray, C: np.ndarray) -> None:
+        """Steps k0, k0 + 1, ... on the sampled ``rows``; step j's coefficient
+        c_j goes to C[j].  A stretch lies wholly before or after the burn-in."""
         if k0 == self.burn:
             self.W_b = self.current()
         V, Y, U, K = self.V, self.Y, self.U, self.K
         cols_all, weights, weights_col = self.cols, self.weights, self.weights_col
         indptr, shift, norms_sq = self.indptr, self.shift, self.norms_sq
         tail = self.W_b is not None
-        for k, i, r in zip(range(k0, k0 + len(rows)), rows, R):
+        for k, i, c in zip(range(k0, k0 + len(rows)), rows.tolist(), C):
             lo, hi = indptr[i], indptr[i + 1]
             cols = cols_all[lo:hi]
             G = V.take(cols, axis=0)
             m = hi - lo - 2
             # y_i - vals . V[cols] + shift_i a + p, summed in this order
-            np.dot(weights[lo:hi - 2], G[:m], out=r)
-            np.subtract(Y[i], r, out=r)
-            r += shift[i] * G[m]
-            r += G[m + 1]
-            c = r / norms_sq[i]
+            np.dot(weights[lo:hi - 2], G[:m], out=c)
+            np.subtract(Y[i], c, out=c)
+            c += shift[i] * G[m]
+            c += G[m + 1]
+            c /= norms_sq[i]
             w = weights_col[lo:hi]
             # CSR column indices within a row are unique, so assignment is safe
             G += w * c
@@ -224,11 +261,17 @@ class _SparseIterate:
         return self.W_b + (self.U[:d] - np.outer(self.mu, self.U[d])) / (self.K - self.burn)
 
 
-def _check_finite(R: np.ndarray, k0: int) -> None:
-    """Raise at the first non-finite residual row; row j is step k0 + j."""
-    if not np.isfinite(R).all():
-        k = k0 + int(np.argmin(np.isfinite(R).all(axis=1))) + 1
-        raise NumericalDivergence(f"non-finite residual at iteration {k}", iteration=k)
+def _check_finite(C: np.ndarray, k0: int) -> None:
+    """Raise at the first non-finite coefficient row; row j is step k0 + j.
+
+    A sum of squares is non-finite when any term is, so one dot product
+    screens the rows; it overflows only past |c| ~ 1e154, and then the full
+    scan finds nothing."""
+    flat = C.ravel()
+    if math.isfinite(flat.dot(flat)) or np.isfinite(C).all():
+        return
+    k = k0 + int(np.argmin(np.isfinite(C).all(axis=1))) + 1
+    raise NumericalDivergence(f"non-finite residual at iteration {k}", iteration=k)
 
 
 def _stretch_end(k: int, stop: int, cadence: int, burn: int | None) -> int:
@@ -283,6 +326,8 @@ def solve_rk(
     cadence = config.checkpoint_every
     trace: list[TraceEntry] | None = [] if cadence > 0 else None
 
+    caller_errstate = np.geterr()
+
     def checkpoint(k: int, last_residual: float) -> None:
         W = iterate.current()
         if trace is not None:
@@ -294,23 +339,27 @@ def solve_rk(
                 )
             )
         if on_checkpoint is not None:
-            on_checkpoint(k, W)
+            with np.errstate(**caller_errstate):
+                on_checkpoint(k, W)
 
     checkpoint(0, float("nan"))
-    R = np.empty((min(SAMPLE_BLOCK, K), g))
-    for start in range(0, K, SAMPLE_BLOCK):
-        rows = sample_rows(dist, rng, min(SAMPLE_BLOCK, K - start)).tolist()
-        k, stop = start, start + len(rows)
-        while k < stop:
-            end = _stretch_end(k, stop, cadence, burn)
-            lo, hi = k - start, end - start
-            # non-finite values surface through the check below, not as warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                iterate.run(k, rows[lo:hi], R[lo:hi])
-            _check_finite(R[lo:hi], k)
-            if end == K or (cadence > 0 and end % cadence == 0):
-                checkpoint(end, float(np.linalg.norm(R[hi - 1])))
-            k = end
+    norms_sq = view.centered_row_norms_sq
+    C = np.empty((min(SAMPLE_BLOCK, K), g))
+    # non-finite values surface through the check below, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, K, SAMPLE_BLOCK):
+            rows = sample_rows(dist, rng, min(SAMPLE_BLOCK, K - start))
+            k, stop = start, start + len(rows)
+            while k < stop:
+                end = _stretch_end(k, stop, cadence, burn)
+                lo, hi = k - start, end - start
+                iterate.run(k, rows[lo:hi], C[lo:hi])
+                _check_finite(C[lo:hi], k)
+                if end == K or (cadence > 0 and end % cadence == 0):
+                    # the step's residual y_i - W^T x_i is c_i ||x_i||^2
+                    c = C[hi - 1]
+                    checkpoint(end, math.sqrt(c.dot(c)) * float(norms_sq[rows[hi - 1]]))
+                k = end
 
     return SolveResult(
         W=iterate.result(),

@@ -27,6 +27,7 @@ def test_lsqr_identity_system():
     assert np.allclose(sub.matrix, [[3.0], [4.0]], atol=1e-10)
     assert sub.origin == "LSQR"
     assert sub.converged
+    assert sub.iterations_run == 1
 
 
 def test_lsqr_least_norm_single_row():
@@ -52,6 +53,19 @@ def test_lsqr_nonconvergence_flagged():
     Y = rng.standard_normal((40, 1))
     sub = solve_lsqr(view, Y, tol=1e-14, max_iters=2)
     assert not sub.converged
+    assert sub.iterations_run == 2
+
+
+def test_lsqr_iterations_are_the_most_over_columns():
+    # a left singular vector converges in one iteration, a generic column
+    # takes several
+    rng = np.random.default_rng(6)
+    view = build_centered_view(rng.standard_normal((20, 8)))
+    U = np.linalg.svd(to_dense_centered(view), full_matrices=False)[0]
+    Y = np.column_stack([U[:, 0], rng.standard_normal(20)])
+    per_column = [solve_lsqr(view, Y[:, [j]]).iterations_run for j in range(2)]
+    assert per_column[0] < per_column[1]
+    assert solve_lsqr(view, Y).iterations_run == per_column[1]
 
 
 def test_pinv_identity():

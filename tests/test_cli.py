@@ -106,6 +106,9 @@ def test_solve_all_methods_agree_on_consistent(dataset, tmp_path):
         direct = fit_subspace(method, view, Y, lv, seed=1, rk_iters=20000)
         assert np.array_equal(outs[method], direct.matrix)
         manifest = json.loads((tmp_path / f"W_{method}.rkm1.manifest.json").read_text())
+        if method == "lsqr":
+            assert direct.iterations_run > 0
+            status["lsqr"]["iterations_run"] = direct.iterations_run
         assert {f: manifest[f] for f in STATUS_FIELDS if f in manifest} == status[method]
     # n=40 > d=6: overdetermined; lsqr and pinv agree tightly
     assert np.allclose(outs["lsqr"], outs["pinv"], atol=1e-8)
@@ -180,19 +183,26 @@ def test_scatter_subcommand(dataset, tmp_path):
 
 
 def test_scatter_sparse_dense_guard(tmp_path, capsys):
-    # 10 x 2,000,000 holds 20,000,000 elements once dense, past the guard
+    # 10 x 2,000,000 holds 20,000,000 elements once dense, past the guard:
+    # the full matrices are refused, the traces come from the stored entries
     data = tmp_path / "X.mtx"
     labels = tmp_path / "y.txt"
     scipy.io.mmwrite(str(data), sp.csr_array(
         (np.ones(10), (np.arange(10), np.arange(10) * 1000)), shape=(10, 2_000_000)))
     labels.write_text("a\nb\n" * 5)
-    for extra in ([], ["--traces-only"]):
-        code = dispatch(["scatter", "--data", str(data), "--labels", str(labels),
-                         "--out", str(tmp_path / "s.json"), *extra])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "TooLarge" in err and "20000000 elements" in err
+    argv = ["scatter", "--data", str(data), "--labels", str(labels),
+            "--out", str(tmp_path / "s.json")]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert "TooLarge" in err and "20000000 elements" in err
     assert not (tmp_path / "s.json").exists()
+    assert dispatch([*argv, "--traces-only"]) == 0
+    out = json.loads((tmp_path / "s.json").read_text())
+    # ten unit entries in distinct columns: each class centroid holds five
+    # entries of 1/5, so trace S_w = (10 - 2 * 5 * 5/25) / 10 and the
+    # centroids sit 1/10 from the grand mean in each of the ten columns
+    assert out["trace_w"] == pytest.approx(0.8)
+    assert out["trace_b"] == pytest.approx(0.1)
 
 
 @pytest.mark.parametrize("subcommand", [

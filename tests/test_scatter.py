@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -74,6 +75,30 @@ def test_traces_match_matrix_traces(seed):
     tw, tb = scatter_traces(X, labels)
     assert tw == pytest.approx(np.trace(ss.s_w), rel=1e-10, abs=1e-12)
     assert tb == pytest.approx(np.trace(ss.s_b), rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:sparse within-class trace cancels")
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 1.0))
+def test_sparse_traces_match_dense(seed, density):
+    X, labels = random_instance(seed)
+    X[np.random.default_rng(seed).random(X.shape) >= density] = 0.0
+    tw, tb = scatter_traces(X, labels)
+    stw, stb = scatter_traces(sp.csr_array(X), labels)
+    # the sparse within-class expansion loses about eps * sum ||x_i||^2
+    scale = np.einsum("ij,ij->", X, X) / X.shape[0]
+    assert stw == pytest.approx(tw, rel=1e-12, abs=1e-13 * scale)
+    assert stb == pytest.approx(tb, rel=1e-12, abs=1e-13 * scale)
+
+
+def test_sparse_traces_warn_on_cancellation():
+    # every observation sits 1e-6 from a class centroid at distance ~1e3
+    rng = np.random.default_rng(0)
+    labels = index_labels(["a", "b"] * 10)
+    X = 1e3 * rng.standard_normal((2, 4))[labels.indices] + 1e-6 * rng.standard_normal((20, 4))
+    with pytest.warns(RuntimeWarning, match="within-class trace cancels"):
+        tw, _ = scatter_traces(sp.csr_array(X), labels)
+    assert tw >= 0.0
 
 
 @settings(max_examples=30, deadline=None)
