@@ -47,6 +47,8 @@ class ExperimentConfig:
             raise InvalidData(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.replicates < 1:
             raise InvalidData("replicates must be >= 1")
+        if self.rk_iters is not None and self.rk_iters < 1:
+            raise InvalidData(f"rk_iters must be >= 1, got {self.rk_iters}")
         if not self.knn_ks or any(k < 1 for k in self.knn_ks):
             raise InvalidData("every kNN k must be >= 1")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
@@ -213,7 +215,7 @@ def fit_subspace(method: str, view, Y, labels: LabelVector, *, seed: int,
         return None
     if method == "rk":
         config = SolverConfig(
-            max_iters=rk_iters or default_iterations(view.n),
+            max_iters=default_iterations(view.n) if rk_iters is None else rk_iters,
             seed=seed,
             checkpoint_every=checkpoint_every,
             tail_average=rk_tail_average,

@@ -177,16 +177,23 @@ def build_centered_view(base, assume_centered: bool = False) -> CenteredMatrixVi
     return view
 
 
-def _centered_norms_sq(mat: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """||x_i - mu||^2 per row from explicitly centered rows, a chunk at a time."""
+def centered_chunks(mat: np.ndarray, mu: np.ndarray):
+    """Yield (lo, rows lo.. of mat - mu), NORM_CHUNK_ELEMENTS // d rows at a
+    time, centered explicitly into one reused buffer."""
     n, d = mat.shape
     rows = max(1, NORM_CHUNK_ELEMENTS // d)
     buf = np.empty((min(rows, n), d))
-    norms_sq = np.empty(n)
     for lo in range(0, n, rows):
         chunk = buf[: min(rows, n - lo)]
         np.subtract(mat[lo : lo + rows], mu, out=chunk)
-        norms_sq[lo : lo + rows] = np.einsum("ij,ij->i", chunk, chunk)
+        yield lo, chunk
+
+
+def _centered_norms_sq(mat: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """||x_i - mu||^2 per row from explicitly centered rows, a chunk at a time."""
+    norms_sq = np.empty(mat.shape[0])
+    for lo, chunk in centered_chunks(mat, mu):
+        norms_sq[lo : lo + len(chunk)] = np.einsum("ij,ij->i", chunk, chunk)
     return norms_sq
 
 

@@ -10,8 +10,8 @@ With W0 = 0 every iterate remains in the row space of Xc, which steers the
 solve toward the least-norm solution without explicit regularization.
 
 The steps run in stretches of a drawn block: ``solve_rk`` cuts each block
-at checkpoints and at the burn-in point, and the iterate writes each step's
-coefficient c into a row of a block-sized buffer.
+at checkpoints only, and the iterate writes each step's coefficient c into a
+row of a block-sized buffer.
 
 Dense bases run a stretch as forward substitution on the Gram matrix of
 its rows, which is Kaczmarz read as Gauss-Seidel on Xc Xc^T (Bjorck and
@@ -25,9 +25,7 @@ so the coefficients solve the lower-triangular system
     L C = Y_S - Xc_S W0,  L = tril(Xc_S Xc_S^T) with diagonal ||x_j||^2
 
 and the chunk ends at W0 + Xc_S^T C.  The iterates are the per-step ones in
-exact arithmetic; only the rounding differs.  After the burn-in, the sum of
-the chunk's s iterates is s W0 + Xc_S^T ((s - j)_j * C), so the tail sum
-gains that with one more product.  A chunk holds gram_chunk(d) =
+exact arithmetic; only the rounding differs.  A chunk holds gram_chunk(d) =
 min(64, max(8, NORM_CHUNK_ELEMENTS // d)) rows: the Gram matrix costs s d
 flops per step against the step's own d g, so chunks shrink as d grows.
 A step's residual is c_j ||x_j||^2, formed only for the row a checkpoint
@@ -45,15 +43,20 @@ row is extended once per view (``CenteredMatrixView.augmented_rows``) by the
 columns d, d + 1 with weights 1 and cross_i, so a step is one gather, one
 update and one scatter.  The residual is still summed in the order above:
 folding the shift into the same dot product loses the sparse/dense
-agreement near a degenerate centering.  Tail averaging uses the lazy-sum
-identity: with W_b the iterate before step b (the burn-in), the mean of the
-iterates after steps b..K-1 is
-
-    W_b + (U - mu A^T) / (K - b),  U = sum_k (K - k) vals_k c_k^T,  A = sum_k (K - k) c_k
-
-where each term of U lands on the sampled row's columns only.  The lazy
-form adds rounding of relative size about eps * n ||mu||^2 / ||Xc||_F^2
+agreement near a degenerate centering.  The lazy form adds rounding of
+relative size about eps * n ||mu||^2 / ||Xc||_F^2
 (``CenteredMatrixView.centering_ratio``) to each step.
+
+Tail averaging is one identity on either storage.  Step k (0-based) adds
+x_{i_k} c_k^T, so with b the burn-in the mean of the iterates after steps
+b..K-1 is
+
+    W_K - Xc^T Z / (K - b),  Z[i] = sum over k > b with i_k = i of (k - b) c_k
+
+``solve_rk`` adds each stretch's coefficients into the n x g array Z and
+forms Xc^T Z once at the end: sparse bases through the lazy
+``CenteredMatrixView.rmatmul``, dense ones from explicitly centered rows,
+which stay exact at large column offsets.
 
 Each stretch's coefficients are checked for finiteness once, after it ends
 and before its checkpoint.  ``NumericalDivergence`` names the first step
@@ -78,7 +81,7 @@ from scipy.linalg.blas import dtrsm
 
 from .errors import InvalidData, NumericalDivergence, ZeroRowError
 from .labels import as_matrix
-from .matrix import NORM_CHUNK_ELEMENTS, CenteredMatrixView
+from .matrix import NORM_CHUNK_ELEMENTS, CenteredMatrixView, centered_chunks
 from .sampling import SamplingDistribution, build_sampler, sample_rows
 
 DEFAULT_ITERS_PER_ROW = 20
@@ -145,28 +148,21 @@ class _DenseIterate:
     """W stored as is; a stretch runs as forward substitution on the Gram
     matrix of its rows, a chunk of at most ``gram_chunk(d)`` rows at a time."""
 
-    def __init__(self, view: CenteredMatrixView, Y: np.ndarray, W: np.ndarray,
-                 K: int, burn: int | None):
+    def __init__(self, view: CenteredMatrixView, Y: np.ndarray, W: np.ndarray):
         self.base = view.base
         self.mu = view.column_means
         self.norms_sq = view.centered_row_norms_sq
         self.Y = Y
         self.W = W
-        self.K = K
-        self.burn = burn
-        self.tail_sum = np.zeros_like(W) if burn is not None else None
         self.b = b = gram_chunk(view.d)
         self.X = np.empty((b, view.d))  # the chunk's centered rows
         self.G = np.empty(b * b)        # flat, so that every s x s view is contiguous
         self.XW = np.empty((b, W.shape[1]))
         self.dW = np.empty_like(W)
-        self.steps_left = np.arange(b, 0, -1, dtype=np.float64)[:, None]
 
-    def run(self, k0: int, rows: np.ndarray, C: np.ndarray) -> None:
-        """Steps k0, k0 + 1, ... on the sampled ``rows``; step j's coefficient
-        c_j goes to C[j].  A stretch lies wholly before or after the burn-in."""
+    def run(self, rows: np.ndarray, C: np.ndarray) -> None:
+        """One step per sampled row; step j's coefficient c_j goes to C[j]."""
         base, mu, norms_sq, Y, W, dW = self.base, self.mu, self.norms_sq, self.Y, self.W, self.dW
-        tail_sum = self.tail_sum if self.burn is not None and k0 >= self.burn else None
         b = self.b
         for lo in range(0, len(rows), b):
             S = rows[lo:lo + b]
@@ -185,26 +181,17 @@ class _DenseIterate:
             # triangle and c.T is B^T: solving c.T tril(G)^T = B^T on the
             # right is tril(G) c = B, in place
             dtrsm(1.0, G.T, c.T, side=1, overwrite_b=1)
-            if tail_sum is not None:
-                tail_sum += s * W
-                tail_sum += X.T @ (self.steps_left[b - s:] * c)
             W += np.dot(X.T, c, out=dW)
 
     def current(self) -> np.ndarray:
         return self.W
-
-    def result(self) -> np.ndarray:
-        if self.tail_sum is None:
-            return self.W
-        return self.tail_sum / (self.K - self.burn)
 
 
 class _SparseIterate:
     """W = V[:d] - mu a^T with a = V[d] and p = mu^T V[:d] = V[d + 1]; a step
     touches the row's columns and those two rows only."""
 
-    def __init__(self, view: CenteredMatrixView, Y: np.ndarray, W: np.ndarray,
-                 K: int, burn: int | None):
+    def __init__(self, view: CenteredMatrixView, Y: np.ndarray, W: np.ndarray):
         d, g = view.d, W.shape[1]
         self.mu = mu = view.column_means
         self.cols, self.weights, self.indptr = view.augmented_rows
@@ -216,22 +203,13 @@ class _SparseIterate:
         self.V = np.zeros((d + 2, g))
         self.V[:d] = W
         self.V[d + 1] = mu @ W
-        self.K = K
-        self.burn = burn
-        self.W_b = None
-        # rows :d hold U, row d holds A; U gets no p row
-        self.U = np.zeros((d + 1, g)) if burn is not None else None
 
-    def run(self, k0: int, rows: np.ndarray, C: np.ndarray) -> None:
-        """Steps k0, k0 + 1, ... on the sampled ``rows``; step j's coefficient
-        c_j goes to C[j].  A stretch lies wholly before or after the burn-in."""
-        if k0 == self.burn:
-            self.W_b = self.current()
-        V, Y, U, K = self.V, self.Y, self.U, self.K
+    def run(self, rows: np.ndarray, C: np.ndarray) -> None:
+        """One step per sampled row; step j's coefficient c_j goes to C[j]."""
+        V, Y = self.V, self.Y
         cols_all, weights, weights_col = self.cols, self.weights, self.weights_col
         indptr, shift, norms_sq = self.indptr, self.shift, self.norms_sq
-        tail = self.W_b is not None
-        for k, i, c in zip(range(k0, k0 + len(rows)), rows.tolist(), C):
+        for i, c in zip(rows.tolist(), C):
             lo, hi = indptr[i], indptr[i + 1]
             cols = cols_all[lo:hi]
             G = V.take(cols, axis=0)
@@ -246,19 +224,22 @@ class _SparseIterate:
             # CSR column indices within a row are unique, so assignment is safe
             G += w * c
             V[cols] = G
-            if tail:
-                weighted = (K - k) * c
-                U[cols[:-1]] += w[:-1] * weighted
 
     def current(self) -> np.ndarray:
         d = self.d
         return self.V[:d] - np.outer(self.mu, self.V[d])
 
-    def result(self) -> np.ndarray:
-        if self.U is None:
-            return self.current()
-        d = self.d
-        return self.W_b + (self.U[:d] - np.outer(self.mu, self.U[d])) / (self.K - self.burn)
+
+def _centered_product(view: CenteredMatrixView, Z: np.ndarray) -> np.ndarray:
+    """Xc^T Z.  Dense rows are centered explicitly, a chunk at a time, since
+    the lazy X^T Z - mu 1^T Z cancels at large column offsets; sparse bases
+    take that lazy form, as their steps do."""
+    if view.is_sparse:
+        return view.rmatmul(Z)
+    P = np.zeros((view.d, Z.shape[1]))
+    for lo, X in centered_chunks(view.base, view.column_means):
+        P += X.T @ Z[lo:lo + len(X)]
+    return P
 
 
 def _check_finite(C: np.ndarray, k0: int) -> None:
@@ -272,17 +253,6 @@ def _check_finite(C: np.ndarray, k0: int) -> None:
         return
     k = k0 + int(np.argmin(np.isfinite(C).all(axis=1))) + 1
     raise NumericalDivergence(f"non-finite residual at iteration {k}", iteration=k)
-
-
-def _stretch_end(k: int, stop: int, cadence: int, burn: int | None) -> int:
-    """The end of the stretch from step k: the next checkpoint, the burn-in
-    point or the end of the drawn block, whichever comes first."""
-    end = stop
-    if cadence > 0:
-        end = min(end, (k // cadence + 1) * cadence)
-    if burn is not None and k < burn:
-        end = min(end, burn)
-    return end
 
 
 def solve_rk(
@@ -320,8 +290,10 @@ def solve_rk(
 
     rng = make_rng(config.seed)
     K = config.max_iters
+    iterate = (_SparseIterate if view.is_sparse else _DenseIterate)(view, Ym, W)
     burn = int(math.floor(config.tail_average * K)) if config.tail_average is not None else None
-    iterate = (_SparseIterate if view.is_sparse else _DenseIterate)(view, Ym, W, K, burn)
+    # Z[i] sums (k - burn) c_k over the steps k > burn on row i
+    Z = np.zeros((n, g)) if burn is not None else None
 
     cadence = config.checkpoint_every
     trace: list[TraceEntry] | None = [] if cadence > 0 else None
@@ -331,10 +303,11 @@ def solve_rk(
     def checkpoint(k: int, last_residual: float) -> None:
         W = iterate.current()
         if trace is not None:
+            flat = W.ravel()  # np.linalg.norm(W) in the same bits, without its overhead
             trace.append(
                 TraceEntry(
                     iteration=k,
-                    w_frob=float(np.linalg.norm(W)),
+                    w_frob=math.sqrt(flat.dot(flat)),
                     sampled_row_residual=last_residual,
                 )
             )
@@ -351,18 +324,26 @@ def solve_rk(
             rows = sample_rows(dist, rng, min(SAMPLE_BLOCK, K - start))
             k, stop = start, start + len(rows)
             while k < stop:
-                end = _stretch_end(k, stop, cadence, burn)
+                # a stretch ends at the next checkpoint or the end of the block
+                end = min(stop, (k // cadence + 1) * cadence) if cadence > 0 else stop
                 lo, hi = k - start, end - start
-                iterate.run(k, rows[lo:hi], C[lo:hi])
+                iterate.run(rows[lo:hi], C[lo:hi])
                 _check_finite(C[lo:hi], k)
+                if Z is not None and end > burn:
+                    t = max(k, burn)
+                    steps = np.arange(t - burn, end - burn, dtype=np.float64)[:, None]
+                    np.add.at(Z, rows[t - start:hi], steps * C[t - start:hi])
                 if end == K or (cadence > 0 and end % cadence == 0):
                     # the step's residual y_i - W^T x_i is c_i ||x_i||^2
                     c = C[hi - 1]
                     checkpoint(end, math.sqrt(c.dot(c)) * float(norms_sq[rows[hi - 1]]))
                 k = end
 
+    W = iterate.current()
+    if Z is not None:
+        W = W - _centered_product(view, Z) / (K - burn)
     return SolveResult(
-        W=iterate.result(),
+        W=W,
         iterations_run=K,
         trace=tuple(trace) if trace is not None else None,
         rng_seed=config.seed,

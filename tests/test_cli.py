@@ -286,6 +286,18 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("subcommand", [
+    ["solve", "--method", "rk", "--iters", "0"],
+    ["experiment", "--methods", "rk", "--rk-iters", "0"],
+], ids=["solve", "experiment"])
+def test_zero_iteration_budget_is_data_error(dataset, tmp_path, subcommand):
+    data, labels, _, _ = dataset
+    code = dispatch([*subcommand, "--data", str(data), "--labels", str(labels),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
+
+
 def test_iters_from_kappa(dataset, tmp_path, capsys):
     data, labels, _, _ = dataset
     out = tmp_path / "W.rkm1"
