@@ -13,9 +13,9 @@ import numpy as np
 import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, lsqr
 
-from .errors import DegenerateSubspace, InvalidData, TooLarge
+from .errors import DegenerateSubspace, InvalidData
 from .labels import LabelVector, as_matrix
-from .matrix import DENSE_GUARD_ELEMENTS, CenteredMatrixView
+from .matrix import CenteredMatrixView, check_dense_size
 from .scatter import scatter_matrices
 
 logger = logging.getLogger(__name__)
@@ -42,10 +42,8 @@ class Subspace:
         return self.matrix.shape[1]
 
 
-def default_rank_tol(matrix: np.ndarray, sigma_max: float | None = None) -> float:
+def default_rank_tol(matrix: np.ndarray, sigma_max: float) -> float:
     """max(n, d) * eps * sigma_max, the standard numerical-rank cutoff."""
-    if sigma_max is None:
-        sigma_max = float(np.linalg.norm(matrix, 2)) if matrix.size else 0.0
     return max(matrix.shape) * np.finfo(np.float64).eps * sigma_max
 
 
@@ -97,7 +95,6 @@ def pinv_oracle(
     X_small: np.ndarray,
     Y,
     rank_tol: float | None = None,
-    max_elements: int = DENSE_GUARD_ELEMENTS,
 ) -> Subspace:
     """Least-norm solution via dense SVD: sum over nonzero singular triplets
     of (1/s_j) v_j u_j^T Y.  The matrix is used exactly as given (callers
@@ -105,8 +102,7 @@ def pinv_oracle(
     X = np.asarray(X_small, dtype=np.float64)
     if X.ndim != 2:
         raise InvalidData("pinv_oracle expects a dense 2-d matrix")
-    if X.size > max_elements:
-        raise TooLarge(f"{X.size} elements exceeds the dense guard {max_elements}")
+    check_dense_size(X.size, "pinv_oracle's input")
     Ym = as_matrix(Y)
     if Ym.shape[0] != X.shape[0]:
         raise InvalidData(f"Y has {Ym.shape[0]} rows, data has {X.shape[0]}")
@@ -122,7 +118,6 @@ def ulda_oracle(
     X_small: np.ndarray,
     labels: LabelVector,
     rank_tol: float | None = None,
-    max_elements: int = DENSE_GUARD_ELEMENTS,
 ) -> Subspace:
     """Eigenvectors of pinv(S_t) S_b with nonzero eigenvalues (at most g-1).
 
@@ -130,8 +125,7 @@ def ulda_oracle(
     restricted to the range of S_t, which shares those eigenvectors.
     """
     X = np.asarray(X_small, dtype=np.float64)
-    if X.size > max_elements:
-        raise TooLarge(f"{X.size} elements exceeds the dense guard {max_elements}")
+    check_dense_size(X.size, "ulda_oracle's input")
     scatter = scatter_matrices(X, labels)
     St, Sb = scatter.s_t, scatter.s_b
 

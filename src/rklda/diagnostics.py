@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import Subspace, pinv_oracle
+from .baselines import Subspace, default_rank_tol, pinv_oracle
 from .errors import DegenerateMatrix, InvalidData
 from .labels import as_matrix
 from .matrix import CenteredMatrixView, to_dense_centered
-from .rk import SolverConfig, solve_rk
+from .rk import SolverConfig, derive_seed, solve_rk
 from .sampling import build_sampler, sample_rows
 
 CONSISTENCY_RTOL = 1e-10
@@ -64,16 +64,14 @@ class ConvergenceReport:
     trials: int
 
 
-def condition_profile(X_small: np.ndarray, rank_tol: float | None = None) -> ConditionProfile:
+def condition_profile(X_small: np.ndarray) -> ConditionProfile:
     """kappa, smallest nonzero singular value, and squared Frobenius norm.
 
     The matrix is used exactly as given (no internal centering).
     """
     X = np.asarray(X_small, dtype=np.float64)
     s = np.linalg.svd(X, compute_uv=False)
-    if rank_tol is None:
-        rank_tol = max(X.shape) * np.finfo(np.float64).eps * (s[0] if len(s) else 0.0)
-    nonzero = s[s > rank_tol]
+    nonzero = s[s > default_rank_tol(X, s[0] if len(s) else 0.0)]
     if len(nonzero) == 0:
         raise DegenerateMatrix("matrix has numerical rank 0")
     frob_sq = float(np.sum(s**2))
@@ -179,8 +177,7 @@ def run_convergence_study(
     ks = sorted({0, config.max_iters} | set(range(cadence, config.max_iters, cadence)))
     k_pos = {k: j for j, k in enumerate(ks)}
     dist = build_sampler(view)
-    seeds = [int(ss.generate_state(1, dtype=np.uint64)[0])
-             for ss in np.random.SeedSequence(config.seed).spawn(trials)]
+    seeds = [derive_seed(ss) for ss in np.random.SeedSequence(config.seed).spawn(trials)]
 
     def one_trial(seed: int) -> np.ndarray:
         errs = np.empty(len(ks))

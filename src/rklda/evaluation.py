@@ -20,13 +20,15 @@ import numpy as np
 from .baselines import Subspace, pinv_oracle, solve_lsqr, ulda_oracle
 from .errors import ClassCoverageError, InvalidData, RkldaError
 from .labels import LabelVector, encode_labels, index_labels
-from .matrix import DENSE_GUARD_ELEMENTS, build_centered_view, densify, to_dense_centered
-from .rk import SolverConfig, default_iterations, solve_rk
+from .matrix import build_centered_view, densify, to_dense_centered
+from .rk import SolverConfig, default_iterations, derive_seed, solve_rk
 
 KNOWN_METHODS = ("full", "rk", "lsqr", "pinv", "ulda")
 # Entries held at once by the kNN: test rows x training rows of squared
 # distances in the search, test rows x classes of counts in the vote.
 KNN_CHUNK_ELEMENTS = 1 << 17
+# Splits drawn before split gives up on covering every class in training.
+SPLIT_MAX_RESAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,6 @@ class ExperimentConfig:
     rk_tail_average: float | None = None
     lsqr_tol: float = 1e-12
     timing: str = "wall"               # "wall" | "none" (report zeros)
-    max_dense_elements: int = DENSE_GUARD_ELEMENTS
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
@@ -66,13 +67,12 @@ class ExperimentReport:
     config: dict = field(default_factory=dict)
 
 
-def split(n: int, train_fraction: float, rng: np.random.Generator,
-          labels=None, max_resamples: int = 100):
+def split(n: int, train_fraction: float, rng: np.random.Generator, labels=None):
     """Uniform random partition into (train, test) index arrays.
 
     |train| = round(train_fraction * n), clamped so both sides are nonempty.
     When ``labels`` is given, resamples until every class appears in the
-    training set (up to ``max_resamples`` attempts).
+    training set (up to SPLIT_MAX_RESAMPLES attempts).
     """
     if n < 2:
         raise InvalidData("need at least two observations to split")
@@ -80,28 +80,26 @@ def split(n: int, train_fraction: float, rng: np.random.Generator,
     n_train = min(max(n_train, 1), n - 1)
     label_arr = None if labels is None else np.asarray(labels)
     classes = None if label_arr is None else np.unique(label_arr)
-    for _ in range(max_resamples):
+    for _ in range(SPLIT_MAX_RESAMPLES):
         perm = rng.permutation(n)
         train = np.sort(perm[:n_train])
         test = np.sort(perm[n_train:])
         if classes is None or len(np.unique(label_arr[train])) == len(classes):
             return train, test
     raise ClassCoverageError(
-        f"failed to cover all classes in training after {max_resamples} resamples"
+        f"failed to cover all classes in training after {SPLIT_MAX_RESAMPLES} resamples"
     )
 
 
-def project(data, B, train_column_means: np.ndarray,
-            max_dense_elements: int = DENSE_GUARD_ELEMENTS) -> np.ndarray:
+def project(data, B, train_column_means: np.ndarray) -> np.ndarray:
     """Center rows with the *training* column means, then apply B.
 
     ``B=None`` keeps the full centered rows (no dimension reduction); sparse
-    data is then densified, which raises TooLarge past
-    ``max_dense_elements``.
+    data is then densified, which raises TooLarge past the dense guard.
     """
     mu = np.asarray(train_column_means, dtype=np.float64)
     if B is None:
-        return densify(data, max_dense_elements) - mu
+        return densify(data) - mu
     M = B.matrix if isinstance(B, Subspace) else np.asarray(B, dtype=np.float64)
     return np.asarray(data @ M) - mu @ M
 
@@ -201,15 +199,15 @@ def accuracy(predicted, truth) -> float:
 def fit_subspace(method: str, view, Y, labels: LabelVector, *, seed: int,
                  rk_iters: int | None = None, rk_tail_average: float | None = None,
                  checkpoint_every: int = 0, lsqr_tol: float = 1e-12,
-                 lsqr_max_iters: int | None = None, rank_tol: float | None = None,
-                 max_dense_elements: int = DENSE_GUARD_ELEMENTS) -> Subspace | None:
+                 lsqr_max_iters: int | None = None,
+                 rank_tol: float | None = None) -> Subspace | None:
     """The subspace of ``method`` (one of KNOWN_METHODS) fit on the centered
     ``view`` with indicator ``Y`` of ``labels``; None for ``full``.
 
     An RK fit (default 20 iterations per row) carries its iterations_run,
     excluded_rows and checkpoint trace; an LSQR fit whether every column
     converged and the most iterations a column took.  ``pinv`` and ``ulda``
-    densify within ``max_dense_elements``.
+    densify within the dense guard.
     """
     if method == "full":
         return None
@@ -226,16 +224,14 @@ def fit_subspace(method: str, view, Y, labels: LabelVector, *, seed: int,
     if method == "lsqr":
         return solve_lsqr(view, Y, tol=lsqr_tol, max_iters=lsqr_max_iters)
     if method == "pinv":
-        return pinv_oracle(to_dense_centered(view, max_dense_elements), Y,
-                           rank_tol=rank_tol, max_elements=max_dense_elements)
+        return pinv_oracle(to_dense_centered(view), Y, rank_tol=rank_tol)
     if method == "ulda":
-        return ulda_oracle(densify(view.base, max_dense_elements), labels,
-                           rank_tol=rank_tol, max_elements=max_dense_elements)
+        return ulda_oracle(densify(view.base), labels, rank_tol=rank_tol)
     raise InvalidData(f"unknown method {method!r}")
 
 
-def _replicate(data, tokens, config: ExperimentConfig, replicate: int,
-               seed_seq: np.random.SeedSequence):
+def _replicate(data, tokens, class_indices: np.ndarray, config: ExperimentConfig,
+               replicate: int, seed_seq: np.random.SeedSequence):
     """One replicate: split, fit every method, classify for every k.
 
     Returns (rows, phases, failures): phases maps method -> (fit, project,
@@ -244,8 +240,7 @@ def _replicate(data, tokens, config: ExperimentConfig, replicate: int,
     n = data.shape[0]
     children = seed_seq.spawn(1 + len(config.methods))
     split_rng = np.random.Generator(np.random.PCG64(children[0]))
-    all_idx = index_labels(tokens)
-    train, test = split(n, config.train_fraction, split_rng, labels=all_idx.indices)
+    train, test = split(n, config.train_fraction, split_rng, labels=class_indices)
 
     X_train = data[train]
     X_test = data[test]
@@ -260,17 +255,16 @@ def _replicate(data, tokens, config: ExperimentConfig, replicate: int,
     phases = {}
     failures = {}
     for m_pos, method in enumerate(config.methods):
-        m_seed = int(children[1 + m_pos].generate_state(1, dtype=np.uint64)[0])
+        m_seed = derive_seed(children[1 + m_pos])
         try:
             t0 = clock()
             B = fit_subspace(method, view, Y, labels_tr, seed=m_seed,
                              rk_iters=config.rk_iters,
                              rk_tail_average=config.rk_tail_average,
-                             lsqr_tol=config.lsqr_tol,
-                             max_dense_elements=config.max_dense_elements)
+                             lsqr_tol=config.lsqr_tol)
             t1 = clock()
-            Z_train = project(X_train, B, view.column_means, config.max_dense_elements)
-            Z_test = project(X_test, B, view.column_means, config.max_dense_elements)
+            Z_train = project(X_train, B, view.column_means)
+            Z_test = project(X_test, B, view.column_means)
             t2 = clock()
             index, dist2 = knn_search(Z_train, Z_test, max(config.knn_ks))
             t3 = clock()
@@ -293,13 +287,15 @@ def run_experiment(data, tokens, config: ExperimentConfig) -> ExperimentReport:
     tokens = list(tokens)
     if data.shape[0] != len(tokens):
         raise InvalidData(f"{data.shape[0]} rows vs {len(tokens)} labels")
+    class_indices = index_labels(tokens).indices
     rep_seqs = np.random.SeedSequence(config.seed).spawn(config.replicates)
 
     rows = []
     phases = {m: [] for m in config.methods}
     fail_counts = {m: 0 for m in config.methods}
     for r in range(config.replicates):
-        rep_rows, rep_phases, failures = _replicate(data, tokens, config, r, rep_seqs[r])
+        rep_rows, rep_phases, failures = _replicate(data, tokens, class_indices, config,
+                                                    r, rep_seqs[r])
         rows.extend(rep_rows)
         for m, times in rep_phases.items():
             phases[m].append(times)

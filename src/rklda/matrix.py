@@ -25,7 +25,8 @@ import scipy.sparse as sp
 
 from .errors import InvalidData, TooLarge
 
-# Dense small-scale guard shared by the SVD-based oracles.
+# The one dense-size guard: the most elements a dense copy of the data or an
+# SVD-based oracle's input may hold.  check_dense_size reads it at each check.
 DENSE_GUARD_ELEMENTS = 10**7
 # Centered entries held at once while computing dense row norms.
 NORM_CHUNK_ELEMENTS = 1 << 16
@@ -197,28 +198,25 @@ def _centered_norms_sq(mat: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return norms_sq
 
 
-def to_dense_centered(
-    view: CenteredMatrixView, max_elements: int = DENSE_GUARD_ELEMENTS
-) -> np.ndarray:
+def check_dense_size(elements: int, what: str) -> None:
+    """Raise TooLarge when ``what`` would hold more than DENSE_GUARD_ELEMENTS."""
+    if elements > DENSE_GUARD_ELEMENTS:
+        raise TooLarge(
+            f"{what} would hold {elements} elements (guard: {DENSE_GUARD_ELEMENTS})"
+        )
+
+
+def to_dense_centered(view: CenteredMatrixView) -> np.ndarray:
     """Materialize the centered matrix for small-scale oracles only."""
     n, d = view.shape
-    if n * d > max_elements:
-        raise TooLarge(
-            f"dense centered matrix would hold {n * d} elements "
-            f"(guard: {max_elements})"
-        )
-    dense = view.base.toarray() if view.is_sparse else np.array(view.base)
-    return dense - view.column_means
+    check_dense_size(n * d, "dense centered matrix")
+    return densify(view.base) - view.column_means
 
 
-def densify(data, max_elements: int = DENSE_GUARD_ELEMENTS) -> np.ndarray:
+def densify(data) -> np.ndarray:
     """``data`` as a dense float64 array; sparse input only within the guard."""
     if not sp.issparse(data):
         return np.asarray(data, dtype=np.float64)
     n, d = data.shape
-    if n * d > max_elements:
-        raise TooLarge(
-            f"densifying the {n}x{d} sparse matrix would hold {n * d} elements "
-            f"(guard: {max_elements})"
-        )
+    check_dense_size(n * d, f"densifying the {n}x{d} sparse matrix")
     return data.toarray()

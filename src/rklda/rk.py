@@ -65,9 +65,10 @@ c_j taints every later row of C in its column, through the substitution
 and through W, so the steps after it only compute on non-finite values.
 
 RNG contract: the generator is NumPy's PCG64 seeded through SeedSequence;
-replicate substreams come from SeedSequence.spawn.  Uniforms are consumed
-strictly sequentially, two per draw (the alias table's slot and accept
-test), so equal (seed, config, data) reproduce bit-identical results.  Row
+replicate substreams come from SeedSequence.spawn, and ``derive_seed`` turns
+a substream into a solver seed.  Uniforms are consumed strictly
+sequentially, two per draw (the alias table's slot and accept test), so
+equal (seed, config, data) reproduce bit-identical results.  Row
 indices are drawn in blocks of SAMPLE_BLOCK with ``sample_rows``, which
 consumes the stream exactly as sequential ``sample_row`` calls do, so block
 draws leave the trajectory unchanged.
@@ -123,7 +124,6 @@ class SolveResult:
     W: np.ndarray
     iterations_run: int
     trace: tuple[TraceEntry, ...] | None
-    rng_seed: int
     excluded_rows: int = 0  # zero-norm centered rows never sampled
 
     def __post_init__(self):
@@ -142,6 +142,11 @@ def gram_chunk(d: int) -> int:
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+
+
+def derive_seed(seed_seq: np.random.SeedSequence) -> int:
+    """The solver seed of a spawned substream: its first 64-bit state word."""
+    return int(seed_seq.generate_state(1, dtype=np.uint64)[0])
 
 
 class _DenseIterate:
@@ -203,9 +208,11 @@ class _SparseIterate:
         self.V = np.zeros((d + 2, g))
         self.V[:d] = W
         self.V[d + 1] = mu @ W
+        self.W = None  # current(), formed on demand until the next run
 
     def run(self, rows: np.ndarray, C: np.ndarray) -> None:
         """One step per sampled row; step j's coefficient c_j goes to C[j]."""
+        self.W = None
         V, Y = self.V, self.Y
         cols_all, weights, weights_col = self.cols, self.weights, self.weights_col
         indptr, shift, norms_sq = self.indptr, self.shift, self.norms_sq
@@ -226,8 +233,10 @@ class _SparseIterate:
             V[cols] = G
 
     def current(self) -> np.ndarray:
-        d = self.d
-        return self.V[:d] - np.outer(self.mu, self.V[d])
+        if self.W is None:
+            d = self.d
+            self.W = self.V[:d] - np.outer(self.mu, self.V[d])
+        return self.W
 
 
 def _centered_product(view: CenteredMatrixView, Z: np.ndarray) -> np.ndarray:
@@ -301,6 +310,8 @@ def solve_rk(
     caller_errstate = np.geterr()
 
     def checkpoint(k: int, last_residual: float) -> None:
+        if trace is None and on_checkpoint is None:
+            return
         W = iterate.current()
         if trace is not None:
             flat = W.ravel()  # np.linalg.norm(W) in the same bits, without its overhead
@@ -346,6 +357,5 @@ def solve_rk(
         W=W,
         iterations_run=K,
         trace=tuple(trace) if trace is not None else None,
-        rng_seed=config.seed,
         excluded_rows=n - len(dist.active_rows),
     )

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from rklda import matrix
 from rklda.baselines import (
     Subspace,
     orthonormal_basis,
@@ -87,8 +90,9 @@ def test_pinv_rank_truncation():
 
 
 def test_pinv_guard():
-    with pytest.raises(TooLarge):
-        pinv_oracle(np.eye(100), np.ones((100, 1)), max_elements=99)
+    with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 99), \
+            pytest.raises(TooLarge, match="10000 elements"):
+        pinv_oracle(np.eye(100), np.ones((100, 1)))
 
 
 def test_pinv_rejects_y_row_count_mismatch():

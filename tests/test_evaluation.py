@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rklda import evaluation
+from rklda import evaluation, matrix
 from rklda.baselines import pinv_oracle
 from rklda.diagnostics import residual_at
 from rklda.errors import ClassCoverageError, InvalidData, TooLarge
 from rklda.evaluation import (
     ExperimentConfig,
     accuracy,
+    fit_subspace,
     knn_classify,
     knn_search,
     knn_vote,
@@ -23,7 +25,7 @@ from rklda.evaluation import (
     split,
 )
 from rklda.labels import encode_labels, index_labels
-from rklda.matrix import build_centered_view, to_dense_centered
+from rklda.matrix import build_centered_view, densify, to_dense_centered
 from rklda.rk import make_rng
 from rklda.synthetic import two_gaussians
 
@@ -60,7 +62,7 @@ def test_split_coverage_failure():
     # one singleton class and train_fraction so small it is almost never drawn
     labels = np.array([0] * 99 + [1])
     with pytest.raises(ClassCoverageError):
-        split(100, 0.01, make_rng(1), labels=labels, max_resamples=3)
+        split(100, 0.01, make_rng(1), labels=labels)
 
 
 def test_project_identity_columns():
@@ -237,7 +239,8 @@ def test_replicate_shared_search_matches_knn_classify(monkeypatch):
     monkeypatch.setattr(evaluation, "knn_search", spy_search)
     monkeypatch.setattr(evaluation, "knn_vote", spy_vote)
     rows, _, failures = evaluation._replicate(
-        X, tokens, config, 0, np.random.SeedSequence(config.seed))
+        X, tokens, index_labels(tokens).indices, config, 0,
+        np.random.SeedSequence(config.seed))
     monkeypatch.undo()
     assert not failures and len(rows) == 3 * 4
     assert len(searched) == 3 and len(voted) == 3 * 4
@@ -306,9 +309,10 @@ def test_run_experiment_method_failure_recorded():
         knn_ks=(1,),
         seed=3,
         timing="none",
-        max_dense_elements=10,  # forces the dense guard to trip for pinv
     )
-    report = run_experiment(X, [str(t) for t in y], cfg)
+    # a guard of 10 elements trips for pinv
+    with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 10):
+        report = run_experiment(X, [str(t) for t in y], cfg)
     assert report.methods["pinv"]["failed"]
     assert report.methods["pinv"]["failures"] == 2
     assert not report.methods["full"]["failed"]
@@ -338,16 +342,38 @@ def test_project_full_sparse_guard():
     X = sp.random(6, 50, density=0.1, format="csr", random_state=0)
     mu = np.zeros(50)
     assert np.allclose(project(X, None, mu), X.toarray())
-    with pytest.raises(TooLarge, match="300 elements"):
-        project(X, None, mu, max_dense_elements=299)
+    with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 299), \
+            pytest.raises(TooLarge, match="300 elements"):
+        project(X, None, mu)
+
+
+def test_every_dense_path_reads_the_one_guard():
+    # a 10 x 8 training set holds 80 elements once dense; a guard patched
+    # below that must trip on every path that densifies or runs an oracle
+    X, y = two_gaussians(n=10, d=8, rng=np.random.default_rng(12))
+    labels = index_labels([str(t) for t in y])
+    Y = encode_labels(labels)
+    Xs = sp.csr_array(X)
+    calls = [partial(project, Xs, None, np.zeros(8)), partial(densify, Xs)]
+    for view in (build_centered_view(X), build_centered_view(Xs)):
+        calls.append(partial(to_dense_centered, view))
+        calls += [partial(fit_subspace, m, view, Y, labels, seed=0) for m in ("pinv", "ulda")]
+
+    for call in calls:
+        call()
+    with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 79):
+        for call in calls:
+            with pytest.raises(TooLarge, match=r"\b80 elements"):
+                call()
 
 
 def test_run_experiment_full_sparse_uses_dense_guard():
     X, y = two_gaussians(n=40, d=6, rng=np.random.default_rng(10))
-    report = run_experiment(
-        sp.csr_array(X), [str(t) for t in y],
-        _tiny_config(methods=("full", "lsqr"), replicates=2, knn_ks=(1,), max_dense_elements=50),
-    )
+    with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 50):
+        report = run_experiment(
+            sp.csr_array(X), [str(t) for t in y],
+            _tiny_config(methods=("full", "lsqr"), replicates=2, knn_ks=(1,)),
+        )
     assert report.methods["full"]["failures"] == 2
     assert report.methods["lsqr"]["failures"] == 0
 

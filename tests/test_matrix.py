@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rklda import matrix
 from rklda.errors import InvalidData, TooLarge
 from rklda.matrix import (
     CENTERING_RATIO_WARN,
@@ -184,5 +186,6 @@ def test_matmul_rmatmul_match_dense():
 def test_to_dense_centered_guard():
     v = build_centered_view(np.eye(4))
     assert np.allclose(to_dense_centered(v), np.eye(4) - 0.25)
-    with pytest.raises(TooLarge):
-        to_dense_centered(v, max_elements=8)
+    with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 8), \
+            pytest.raises(TooLarge, match="16 elements"):
+        to_dense_centered(v)

@@ -334,7 +334,6 @@ def test_determinism_bit_identical():
             a = solve_rk(view, Y, cfg)
             b = solve_rk(view, Y, cfg)
             assert a.W.tobytes() == b.W.tobytes()
-            assert a.rng_seed == b.rng_seed == 77
             assert [t.w_frob for t in a.trace] == [t.w_frob for t in b.trace]
 
 
