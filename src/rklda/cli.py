@@ -183,6 +183,10 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.checkpoint_every < 0:
+        raise _UsageError("--checkpoint-every must be >= 0")
+    if args.trace_out and (args.method != "rk" or args.checkpoint_every == 0):
+        raise _UsageError("--trace-out needs --method rk and --checkpoint-every C > 0")
     run = _Run("solve", args)
     data, lv = _load_labeled(run, args)
     view = build_centered_view(data, assume_centered=args.pre_centered)
@@ -194,7 +198,7 @@ def _cmd_solve(args) -> int:
     subspace = fit_subspace(
         args.method, view, encode_labels(lv), lv, seed=args.seed,
         rk_iters=iters, rk_tail_average=args.tail_average,
-        checkpoint_every=args.checkpoint_every, lsqr_tol=args.tol,
+        checkpoint_every=args.checkpoint_every if args.trace_out else 0, lsqr_tol=args.tol,
         lsqr_max_iters=args.max_iters, rank_tol=args.rank_tol,
     )
     run.results.update({f: v for f in STATUS_FIELDS
@@ -205,7 +209,7 @@ def _cmd_solve(args) -> int:
     if args.means_out:
         write_rkm1(args.means_out, view.column_means.reshape(1, -1))
         run.track_output(args.means_out)
-    if args.trace_out and subspace.trace:
+    if args.trace_out:
         write_csv_rows(
             args.trace_out,
             ["iteration", "w_frob", "sampled_row_residual"],

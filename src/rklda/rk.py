@@ -26,10 +26,17 @@ so the coefficients solve the lower-triangular system
 
 and the chunk ends at W0 + Xc_S^T C.  The iterates are the per-step ones in
 exact arithmetic; only the rounding differs.  A chunk holds gram_chunk(d) =
-min(64, max(8, NORM_CHUNK_ELEMENTS // d)) rows: the Gram matrix costs s d
+min(48, max(8, NORM_CHUNK_ELEMENTS // d)) rows: the Gram matrix costs s d
 flops per step against the step's own d g, so chunks shrink as d grows.
-A step's residual is c_j ||x_j||^2, formed only for the row a checkpoint
-reports.
+Only Xc_S W0 depends on the chunks before, so a stretch's whole chunks go
+in groups of gram_group(d) rows that gather and center their rows, take
+their targets and form every chunk's Gram block (one batched product) at
+once; each chunk then costs one product for its residuals, the dtrsm and
+the W update.  A group's rows and its Gram blocks each hold at most
+NORM_CHUNK_ELEMENTS values, so past d of about 680 a group is one chunk.
+The rows left after a stretch's last whole chunk (the whole stretch, when
+it is shorter than a chunk) go as one short chunk.  A step's residual is
+c_j ||x_j||^2, formed only for the row a checkpoint reports.
 
 Sparse bases never form the d-length centered row.  The iterate is
 kept as W = V - mu a^T with the g-vector p = mu^T V, and cross_i = s_i^T mu
@@ -53,8 +60,8 @@ b..K-1 is
 
     W_K - Xc^T Z / (K - b),  Z[i] = sum over k > b with i_k = i of (k - b) c_k
 
-``solve_rk`` adds each stretch's coefficients into the n x g array Z and
-forms Xc^T Z once at the end: sparse bases through the lazy
+``solve_rk`` adds each drawn block's coefficients into the n x g array Z,
+one scatter per block, and forms Xc^T Z once at the end: sparse bases through the lazy
 ``CenteredMatrixView.rmatmul``, dense ones from explicitly centered rows,
 which stay exact at large column offsets.
 
@@ -89,7 +96,7 @@ DEFAULT_ITERS_PER_ROW = 20
 # Row indices drawn per sample_rows call; bounds the draw buffer at any K.
 SAMPLE_BLOCK = 4096
 # Bounds on the rows per Gram chunk of a dense stretch; see gram_chunk.
-GRAM_CHUNK_MAX = 64
+GRAM_CHUNK_MAX = 48
 GRAM_CHUNK_MIN = 8
 
 
@@ -140,6 +147,14 @@ def gram_chunk(d: int) -> int:
     return min(GRAM_CHUNK_MAX, max(GRAM_CHUNK_MIN, NORM_CHUNK_ELEMENTS // d))
 
 
+def gram_group(d: int) -> int:
+    """Rows per group of whole Gram chunks at d columns: the group's rows and
+    its stacked Gram blocks each hold at most NORM_CHUNK_ELEMENTS values
+    (one chunk when a chunk alone exceeds that)."""
+    b = gram_chunk(d)
+    return max(1, NORM_CHUNK_ELEMENTS // max(d, b) // b) * b
+
+
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
 
@@ -151,7 +166,9 @@ def derive_seed(seed_seq: np.random.SeedSequence) -> int:
 
 class _DenseIterate:
     """W stored as is; a stretch runs as forward substitution on the Gram
-    matrix of its rows, a chunk of at most ``gram_chunk(d)`` rows at a time."""
+    matrix of its rows, a chunk of ``gram_chunk(d)`` rows at a time, in
+    groups of ``gram_group(d)`` rows that share one gather and one batched
+    Gram product.  Rows short of a whole chunk go as one chunk."""
 
     def __init__(self, view: CenteredMatrixView, Y: np.ndarray, W: np.ndarray):
         self.base = view.base
@@ -160,33 +177,63 @@ class _DenseIterate:
         self.Y = Y
         self.W = W
         self.b = b = gram_chunk(view.d)
-        self.X = np.empty((b, view.d))  # the chunk's centered rows
-        self.G = np.empty(b * b)        # flat, so that every s x s view is contiguous
+        self.group = group = gram_group(view.d)
+        self.X = np.empty((group, view.d))  # the group's centered rows
+        self.G = np.empty(group * b)        # flat Gram blocks, each contiguous
         self.XW = np.empty((b, W.shape[1]))
         self.dW = np.empty_like(W)
 
     def run(self, rows: np.ndarray, C: np.ndarray) -> None:
         """One step per sampled row; step j's coefficient c_j goes to C[j]."""
-        base, mu, norms_sq, Y, W, dW = self.base, self.mu, self.norms_sq, self.Y, self.W, self.dW
+        b, group = self.b, self.group
+        e = len(rows) // b * b
+        for lo in range(0, e, group):
+            hi = min(e, lo + group)
+            self._group(rows[lo:hi], C[lo:hi])
+        if e < len(rows):
+            self._chunk(rows[e:], C[e:])
+
+    def _gather(self, S: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """The centered rows S, in the row buffer; their targets into C."""
+        X = self.X[:len(S)]
+        self.base.take(S, axis=0, out=X)
+        X -= self.mu
+        self.Y.take(S, axis=0, out=C)
+        return X
+
+    def _group(self, S: np.ndarray, C: np.ndarray) -> None:
+        """Whole chunks, their Gram blocks formed by one batched product."""
         b = self.b
-        for lo in range(0, len(rows), b):
-            S = rows[lo:lo + b]
-            s = len(S)
-            X = self.X[:s]
-            base.take(S, axis=0, out=X)
-            X -= mu
-            G = self.G[:s * s].reshape(s, s)
-            np.dot(X, X.T, out=G)
-            # each step divides by the view's row norm, as a single step does
-            norms_sq.take(S, out=self.G[:s * s:s + 1])
-            c = C[lo:lo + s]
-            Y.take(S, axis=0, out=c)
-            c -= np.dot(X, W, out=self.XW[:s])
-            # read as Fortran arrays, G.T holds tril(G)^T in its upper
-            # triangle and c.T is B^T: solving c.T tril(G)^T = B^T on the
-            # right is tril(G) c = B, in place
-            dtrsm(1.0, G.T, c.T, side=1, overwrite_b=1)
-            W += np.dot(X.T, c, out=dW)
+        full = len(S) // b
+        X = self._gather(S, C).reshape(full, b, -1)
+        G = self.G[:full * b * b].reshape(full, b, b)
+        np.matmul(X, X.transpose(0, 2, 1), out=G)
+        # each step divides by the view's row norm, as a single step does
+        self.norms_sq.take(S.reshape(full, b), out=G.reshape(full, b * b)[:, ::b + 1])
+        for j in range(full):
+            self._solve(X[j], G[j], C[j * b:j * b + b])
+
+    def _chunk(self, S: np.ndarray, C: np.ndarray) -> None:
+        """Fewer rows than a chunk, as one chunk."""
+        X = self._gather(S, C)
+        s = len(S)
+        G = self.G[:s * s]
+        if s > 1:  # a one-row block is its diagonal alone
+            np.dot(X, X.T, out=G.reshape(s, s))
+        self.norms_sq.take(S, out=G[::s + 1])
+        self._solve(X, G.reshape(s, s), C)
+
+    def _solve(self, X: np.ndarray, G: np.ndarray, c: np.ndarray) -> None:
+        """Steps over the rows X from the targets in c, which end as the
+        coefficients; G holds the rows' Gram matrix, its diagonal the row
+        norms."""
+        W = self.W
+        c -= np.dot(X, W, out=self.XW[:len(c)])
+        # read as Fortran arrays, G.T holds tril(G)^T in its upper triangle
+        # and c.T is B^T: solving c.T tril(G)^T = B^T on the right is
+        # tril(G) c = B, in place
+        dtrsm(1.0, G.T, c.T, side=1, overwrite_b=1)
+        W += np.dot(X.T, c, out=self.dW)
 
     def current(self) -> np.ndarray:
         return self.W
@@ -340,15 +387,19 @@ def solve_rk(
                 lo, hi = k - start, end - start
                 iterate.run(rows[lo:hi], C[lo:hi])
                 _check_finite(C[lo:hi], k)
-                if Z is not None and end > burn:
-                    t = max(k, burn)
-                    steps = np.arange(t - burn, end - burn, dtype=np.float64)[:, None]
-                    np.add.at(Z, rows[t - start:hi], steps * C[t - start:hi])
                 if end == K or (cadence > 0 and end % cadence == 0):
                     # the step's residual y_i - W^T x_i is c_i ||x_i||^2
                     c = C[hi - 1]
                     checkpoint(end, math.sqrt(c.dot(c)) * float(norms_sq[rows[hi - 1]]))
                 k = end
+            if Z is not None and stop > burn:
+                # the block's steps after the burn-in, in one flat scatter,
+                # which adds in the order of a row-wise one at less than
+                # half its cost
+                t = max(start, burn)
+                steps = np.arange(t - burn, stop - burn, dtype=np.float64)[:, None]
+                cells = (rows[t - start:, None] * g + np.arange(g)).reshape(-1)
+                np.add.at(Z.reshape(-1), cells, (steps * C[t - start:len(rows)]).reshape(-1))
 
     W = iterate.current()
     if Z is not None:

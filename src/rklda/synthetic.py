@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from .labels import encode_labels, index_labels
 from .matrix import build_centered_view, to_dense_centered
 
 
@@ -53,15 +52,3 @@ def planted_inconsistent(n: int, d: int, g: int, rank: int,
     Y = Xc @ W_bar + resid_scale * perp
     return view, Y
 
-
-def labeled_gaussian_blobs(n: int, d: int, g: int, rng: np.random.Generator,
-                           spread: float = 3.0):
-    """g Gaussian blobs with random centers; returns (X, tokens, LabelVector, Y)."""
-    assign = rng.integers(0, g, size=n)
-    # guarantee every class appears
-    assign[:g] = np.arange(g)
-    centers = rng.normal(0.0, spread, size=(g, d))
-    X = centers[assign] + rng.standard_normal((n, d))
-    tokens = [f"c{j}" for j in assign]
-    lv = index_labels(tokens)
-    return X, tokens, lv, encode_labels(lv)

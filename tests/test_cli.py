@@ -319,3 +319,35 @@ def test_solve_trace_output(dataset, tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == "iteration,w_frob,sampled_row_residual"
     assert [int(l.split(",")[0]) for l in lines[1:]] == [0, 50, 100]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--method", "rk", "--trace-out", "trace.csv"],
+    ["--method", "lsqr", "--checkpoint-every", "50", "--trace-out", "trace.csv"],
+    ["--method", "rk", "--checkpoint-every", "-50"],
+], ids=["rk-without-checkpoints", "lsqr", "negative-cadence"])
+def test_solve_trace_flags_usage_error(dataset, tmp_path, flags):
+    data, labels, _, _ = dataset
+    flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
+    code = dispatch(["solve", *flags, "--data", str(data), "--labels", str(labels),
+                     "--out", str(tmp_path / "W.rkm1")])
+    assert code == 1
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
+
+
+def test_checkpoints_without_trace_out_build_no_trace(dataset, tmp_path, monkeypatch):
+    import rklda.evaluation as evaluation
+
+    cadences = []
+    solve_rk = evaluation.solve_rk
+
+    def recording_solve_rk(view, Y, config):
+        cadences.append(config.checkpoint_every)
+        return solve_rk(view, Y, config)
+
+    monkeypatch.setattr(evaluation, "solve_rk", recording_solve_rk)
+    data, labels, _, _ = dataset
+    assert dispatch(["solve", "--method", "rk", "--data", str(data), "--labels", str(labels),
+                     "--iters", "100", "--checkpoint-every", "50",
+                     "--out", str(tmp_path / "W.rkm1")]) == 0
+    assert cadences == [0]

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from rklda.errors import InvalidData, NumericalDivergence, ZeroRowError
 from rklda.labels import as_matrix
 from rklda.matrix import build_centered_view, to_dense_centered
-from rklda.rk import SAMPLE_BLOCK, SolverConfig, gram_chunk, make_rng, solve_rk
+from rklda.rk import SAMPLE_BLOCK, SolverConfig, gram_chunk, gram_group, make_rng, solve_rk
 from rklda.sampling import build_sampler, sample_row, sample_rows
 from rklda.synthetic import planted_consistent
 
@@ -292,6 +292,29 @@ def test_dense_near_reference_property(n, d, parallel_exp, heavy, offset_exp, K,
     got, record = recorder()
     W = solve_rk(view, Y, cfg, on_checkpoint=record).W
     assert_near_reference(view, Y, cfg, W, checkpoints=got)
+
+
+@pytest.mark.parametrize("d", [10, 100])
+@pytest.mark.parametrize("tail_average", [None, 0.5])
+def test_dense_near_reference_across_groups(d, tail_average):
+    # in the first block, 2,000-row stretches span more than one group of
+    # chunks and end on a partial chunk, and the last 96 rows are whole
+    # chunks; the second block is a one-row stretch.  Seven rows are each
+    # drawn hundreds of times, so the tail sums add into every row's cells
+    # again and again.
+    cadence, K = 2000, SAMPLE_BLOCK + 1
+    b = gram_chunk(d)
+    assert gram_group(d) < cadence and cadence % b != 0 and (SAMPLE_BLOCK - 2 * cadence) % b == 0
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((7, d)) + 100.0
+    Y = rng.standard_normal((7, 3))
+    view = build_centered_view(X)
+    cfg = SolverConfig(max_iters=K, seed=d, checkpoint_every=cadence, tail_average=tail_average)
+    got, record = recorder()
+    W = solve_rk(view, Y, cfg, on_checkpoint=record).W
+    assert [k for k, _ in got] == [0, 2000, 4000, K]
+    assert_near_reference(view, Y, cfg, W, checkpoints=got)
+    assert solve_rk(view, Y, cfg).W.tobytes() == W.tobytes()
 
 
 @pytest.mark.parametrize("d", [10, 3000])
