@@ -3,7 +3,10 @@
 ``solve_lsqr`` is the scalable comparator: an operator-form bidiagonalization
 least-squares solve per column that touches the data only through products
 with Xc and Xc^T.  ``pinv_oracle`` and ``ulda_oracle`` are dense small-scale
-oracles guarded against large instances.
+oracles guarded against large instances.  Both take the thin SVD
+Xc = U S V^T cut to its numerical range and form no d x d matrix: the
+least-norm solution is V S^{-1} U^T Y, and ULDA's is sqrt(n) V S^{-1} P with
+P from the r x g matrix U^T Y.
 """
 
 import logging
@@ -14,9 +17,8 @@ import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, lsqr
 
 from .errors import DegenerateSubspace, InvalidData
-from .labels import LabelVector, as_matrix
+from .labels import LabelVector, as_matrix, encode_labels
 from .matrix import CenteredMatrixView, check_dense_size
-from .scatter import scatter_matrices
 
 logger = logging.getLogger(__name__)
 
@@ -25,7 +27,6 @@ logger = logging.getLogger(__name__)
 class Subspace:
     matrix: np.ndarray           # d x c coefficient matrix
     origin: str                  # RK | LSQR | PINV | ULDA
-    rank_tol: float | None = None
     converged: bool | None = None       # LSQR's stopping test; None where none applies
     iterations_run: int | None = None   # RK's steps, or LSQR's most over the columns
     excluded_rows: int | None = None    # RK only, as is the trace: zero-norm rows, never sampled
@@ -91,6 +92,16 @@ def solve_lsqr(
                     iterations_run=iterations)
 
 
+def _truncated_svd(X: np.ndarray, rank_tol: float | None):
+    """Thin SVD of X cut to its numerical range: (U, s, Vt) with s > rank_tol,
+    by default default_rank_tol(X, s_max)."""
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    if rank_tol is None:
+        rank_tol = default_rank_tol(X, s[0] if len(s) else 0.0)
+    keep = s > rank_tol
+    return U[:, keep], s[keep], Vt[keep]
+
+
 def pinv_oracle(
     X_small: np.ndarray,
     Y,
@@ -106,12 +117,8 @@ def pinv_oracle(
     Ym = as_matrix(Y)
     if Ym.shape[0] != X.shape[0]:
         raise InvalidData(f"Y has {Ym.shape[0]} rows, data has {X.shape[0]}")
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(X, s[0] if len(s) else 0.0)
-    keep = s > rank_tol
-    W = Vt[keep].T @ ((U[:, keep].T @ Ym) / s[keep, None])
-    return Subspace(matrix=W, origin="PINV", rank_tol=rank_tol)
+    U, s, Vt = _truncated_svd(X, rank_tol)
+    return Subspace(matrix=Vt.T @ ((U.T @ Ym) / s[:, None]), origin="PINV")
 
 
 def ulda_oracle(
@@ -121,47 +128,39 @@ def ulda_oracle(
 ) -> Subspace:
     """Eigenvectors of pinv(S_t) S_b with nonzero eigenvalues (at most g-1).
 
-    Computed through the symmetric reduction B = S_t^{-1/2} S_b S_t^{-1/2}
-    restricted to the range of S_t, which shares those eigenvectors.
+    X is the raw observations; Xc = U S V^T is its centered thin SVD, so
+    S_t = V S^2 V^T / n, and Xc^T Y Y^T Xc = n^2 S_b for the indicator Y.
+    Then S_t^{-1/2} S_b S_t^{-1/2} = V (U^T Y Y^T U / n) V^T, whose
+    eigenvectors are V P with P the left singular vectors of U^T Y, and
+    G = S_t^{-1/2} V P = sqrt(n) V S^{-1} P.  ``rank_tol`` cuts the singular
+    values of Xc, as in ``pinv_oracle``.  P's cutoff scales with
+    ||Y||_2 = sqrt(n), not with U^T Y's largest singular value, so it is
+    independent of the data's scale and identical class means leave no
+    column.
     """
     X = np.asarray(X_small, dtype=np.float64)
     check_dense_size(X.size, "ulda_oracle's input")
-    scatter = scatter_matrices(X, labels)
-    St, Sb = scatter.s_t, scatter.s_b
-
-    evals_t, evecs_t = np.linalg.eigh(St)
-    order = np.argsort(evals_t)[::-1]
-    evals_t, evecs_t = evals_t[order], evecs_t[:, order]
-    if rank_tol is None:
-        rank_tol = default_rank_tol(St, float(evals_t[0]) if len(evals_t) else 0.0)
-    keep_t = evals_t > rank_tol
-    if not np.any(keep_t):
+    n = X.shape[0]
+    if n != labels.n:
+        raise InvalidData(f"{n} observations vs {labels.n} labels")
+    U, s, Vt = _truncated_svd(X - X.mean(axis=0), rank_tol)
+    if not len(s):
         raise DegenerateSubspace("total scatter is numerically zero")
-    U1 = evecs_t[:, keep_t]
-    inv_sqrt = 1.0 / np.sqrt(evals_t[keep_t])
-
-    B = (U1 * inv_sqrt).T @ Sb @ (U1 * inv_sqrt)
-    B = 0.5 * (B + B.T)
-    evals_b, P = np.linalg.eigh(B)
-    order = np.argsort(evals_b)[::-1]
-    evals_b, P = evals_b[order], P[:, order]
-    keep_b = evals_b > max(rank_tol, default_rank_tol(B, float(abs(evals_b[0]))))
-    if not np.any(keep_b):
+    UtY = U.T @ encode_labels(labels).matrix
+    P, sy, _ = np.linalg.svd(UtY, full_matrices=False)
+    keep = sy > default_rank_tol(UtY, np.sqrt(n))
+    if not np.any(keep):
         raise DegenerateSubspace("between-class scatter is numerically zero")
-    G = (U1 * inv_sqrt) @ P[:, keep_b]
-    return Subspace(matrix=G, origin="ULDA", rank_tol=rank_tol)
+    return Subspace(matrix=np.sqrt(n) * Vt.T @ (P[:, keep] / s[:, None]), origin="ULDA")
 
 
 def orthonormal_basis(subspace: Subspace) -> np.ndarray:
-    """Orthonormal basis of range(matrix) after numerical rank truncation."""
-    U, s, _ = np.linalg.svd(subspace.matrix, full_matrices=False)
-    tol = subspace.rank_tol
-    if tol is None:
-        tol = default_rank_tol(subspace.matrix, s[0] if len(s) else 0.0)
-    keep = s > tol
-    if not np.any(keep):
+    """Orthonormal basis of range(matrix) after numerical rank truncation,
+    relative to the matrix's own largest singular value."""
+    U, _, _ = _truncated_svd(subspace.matrix, None)
+    if not U.shape[1]:
         raise DegenerateSubspace(f"{subspace.origin} subspace has numerical rank 0")
-    return U[:, keep]
+    return U
 
 
 def principal_angles(A: Subspace, B: Subspace) -> np.ndarray:

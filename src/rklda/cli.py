@@ -32,7 +32,6 @@ from .evaluation import KNOWN_METHODS, ExperimentConfig, fit_subspace, project, 
 from .io import (
     FORMAT_VERSION,
     atomic_write_text,
-    format_float,
     load_matrix,
     read_labels_file,
     read_rkm1,

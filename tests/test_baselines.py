@@ -130,14 +130,17 @@ def test_ulda_identical_means_degenerate():
 
 
 def test_ulda_at_most_g_minus_1_columns():
+    # n = d + 1: the centered rows span all of 1-perp, so S_t^{-1/2} S_b
+    # S_t^{-1/2} has g - 1 equal eigenvalues and the rest exactly zero
     rng = np.random.default_rng(10)
-    for g in (2, 3, 5):
-        toks = [f"c{i % g}" for i in range(40)]
-        X = rng.standard_normal((40, 12)) + 4.0 * rng.standard_normal((g, 12))[
-            [i % g for i in range(40)]
-        ]
-        sub = ulda_oracle(X, index_labels(toks))
-        assert sub.matrix.shape[1] <= g - 1
+    for n, d in ((40, 12), (11, 10)):
+        for g in (2, 3, 5):
+            toks = [f"c{i % g}" for i in range(n)]
+            X = rng.standard_normal((n, d)) + 4.0 * rng.standard_normal((g, d))[
+                [i % g for i in range(n)]
+            ]
+            sub = ulda_oracle(X, index_labels(toks))
+            assert sub.matrix.shape[1] <= g - 1
 
 
 def test_ulda_eigenvector_property():
@@ -158,6 +161,9 @@ def test_ulda_eigenvector_property():
         lam = col @ image / (col @ col)
         assert lam > 1e-10
         assert np.allclose(image, lam * col, atol=1e-8 * max(1.0, abs(lam)))
+    # ULDA's columns are S_t-orthonormal
+    G = sub.matrix
+    assert np.allclose(G.T @ ss.s_t @ G, np.eye(G.shape[1]), atol=1e-10)
 
 
 def test_principal_angles_identical_and_orthogonal():
@@ -227,17 +233,19 @@ def test_lsqr_pinv_agree_including_inconsistent():
 
 
 def test_subspace_equivalence_linearly_independent_observations():
-    rng = np.random.default_rng(29)
-    for _ in range(5):
-        n = int(rng.integers(6, 16))
-        d = n + int(rng.integers(2, 30))
-        g = int(rng.integers(2, 4))
-        toks = [f"c{i % g}" for i in range(n)]
-        X = rng.standard_normal((n, d))
-        lv = index_labels(toks)
-        Y = encode_labels(lv)
-        Xc = to_dense_centered(build_centered_view(X))
-        w_ln = pinv_oracle(Xc, Y)
-        g_u = ulda_oracle(X, lv)
-        angles = principal_angles(w_ln, g_u)
-        assert np.all(angles < 1e-8)
+    # every rank cutoff is relative, so the data's scale changes nothing
+    for scale in (1.0, 1e6, 1e8):
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            n = int(rng.integers(6, 16))
+            d = n + int(rng.integers(2, 30))
+            g = int(rng.integers(2, 4))
+            toks = [f"c{i % g}" for i in range(n)]
+            X = scale * rng.standard_normal((n, d))
+            lv = index_labels(toks)
+            Y = encode_labels(lv)
+            Xc = to_dense_centered(build_centered_view(X))
+            w_ln = pinv_oracle(Xc, Y)
+            g_u = ulda_oracle(X, lv)
+            angles = principal_angles(w_ln, g_u)
+            assert np.all(angles < 1e-8), f"scale {scale}: angles {angles}"

@@ -205,6 +205,34 @@ def test_scatter_sparse_dense_guard(tmp_path, capsys):
     assert out["trace_b"] == pytest.approx(0.1)
 
 
+def test_ulda_on_wide_sparse_input(tmp_path):
+    # 60 x 1500: the d x d scatter route would need n*d^2 = 1.35e8 work,
+    # past SCATTER_GUARD, while the dense copy (9e4 elements) is within the
+    # dense guard; ULDA's thin-SVD route serves this d > n shape as pinv does
+    rng = np.random.default_rng(12)
+    n, d, g = 60, 1500, 4
+    assign = np.arange(n) % g
+    X = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.02)
+    X[np.arange(n), 10 * assign] += 1.0  # one marker column per class
+    data, labels = tmp_path / "X.mtx", tmp_path / "y.txt"
+    scipy.io.mmwrite(str(data), sp.csr_array(X), precision=17)
+    labels.write_text("".join(f"c{a}\n" for a in assign))
+    outs = {}
+    for method in ("pinv", "ulda"):
+        out = tmp_path / f"W_{method}.rkm1"
+        assert dispatch(["solve", "--method", method, "--data", str(data),
+                         "--labels", str(labels), "--out", str(out)]) == 0
+        outs[method] = Subspace(read_rkm1(out), method.upper())
+    assert outs["ulda"].dim == g - 1
+    assert principal_angles(outs["pinv"], outs["ulda"]).max() < 1e-8
+    report = tmp_path / "report.json"
+    assert dispatch(["experiment", "--data", str(data), "--labels", str(labels),
+                     "--methods", "pinv,ulda", "--replicates", "2", "--knn", "1",
+                     "--timing", "none", "--out", str(report)]) == 0
+    methods = json.loads(report.read_text())["methods"]
+    assert {m: methods[m]["failures"] for m in ("pinv", "ulda")} == {"pinv": 0, "ulda": 0}
+
+
 @pytest.mark.parametrize("subcommand", [
     ["solve", "--method", "pinv"],
     ["scatter"],
