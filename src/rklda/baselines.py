@@ -29,8 +29,7 @@ class Subspace:
     origin: str                  # RK | LSQR | PINV | ULDA
     converged: bool | None = None       # LSQR's stopping test; None where none applies
     iterations_run: int | None = None   # RK's steps, or LSQR's most over the columns
-    excluded_rows: int | None = None    # RK only, as is the trace: zero-norm rows, never sampled
-    trace: tuple | None = None          # rk.TraceEntry per checkpoint
+    excluded_rows: int | None = None    # RK only: zero-norm rows, never sampled
 
     def __post_init__(self):
         if self.matrix.ndim != 2 or self.matrix.shape[1] < 1:

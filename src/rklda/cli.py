@@ -194,11 +194,13 @@ def _cmd_solve(args) -> int:
         eps, eps0, kappa = args.iters_from_kappa
         iters = max(1, iterations_for_tolerance(eps, eps0, kappa))
         print(f"iterations from condition number: {iters}", file=sys.stderr)
+    trace = []  # the CSV rows: (k, ||W_k||_F, sampled-row residual)
+    record = (lambda k, W, r: trace.append((k, np.linalg.norm(W), r))) if args.trace_out else None
     subspace = fit_subspace(
         args.method, view, encode_labels(lv), lv, seed=args.seed,
         rk_iters=iters, rk_tail_average=args.tail_average,
-        checkpoint_every=args.checkpoint_every if args.trace_out else 0, lsqr_tol=args.tol,
-        lsqr_max_iters=args.max_iters, rank_tol=args.rank_tol,
+        checkpoint_every=args.checkpoint_every if args.trace_out else 0, on_checkpoint=record,
+        lsqr_tol=args.tol, lsqr_max_iters=args.max_iters, rank_tol=args.rank_tol,
     )
     run.results.update({f: v for f in STATUS_FIELDS
                         if (v := getattr(subspace, f)) is not None})
@@ -209,11 +211,7 @@ def _cmd_solve(args) -> int:
         write_rkm1(args.means_out, view.column_means.reshape(1, -1))
         run.track_output(args.means_out)
     if args.trace_out:
-        write_csv_rows(
-            args.trace_out,
-            ["iteration", "w_frob", "sampled_row_residual"],
-            [(e.iteration, e.w_frob, e.sampled_row_residual) for e in subspace.trace],
-        )
+        write_csv_rows(args.trace_out, ["iteration", "w_frob", "sampled_row_residual"], trace)
         run.track_output(args.trace_out)
     run.write_manifest(args.out)
     return EXIT_OK

@@ -101,6 +101,8 @@ def iterations_for_tolerance(eps: float, eps0: float, kappa: float) -> int:
     Returns 0 when eps already exceeds eps0, and 1 when kappa <= 1 (a single
     projection annihilates the error term).
     """
+    if not all(map(math.isfinite, (eps, eps0, kappa))):
+        raise InvalidData(f"eps, eps0 and kappa must be finite, got {eps}, {eps0}, {kappa}")
     if eps <= 0.0 or eps0 <= 0.0:
         raise InvalidData("tolerances must be positive")
     if eps >= eps0:
@@ -175,24 +177,19 @@ def run_convergence_study(
 
     cadence = config.checkpoint_every if config.checkpoint_every > 0 else config.max_iters
     ks = sorted({0, config.max_iters} | set(range(cadence, config.max_iters, cadence)))
-    k_pos = {k: j for j, k in enumerate(ks)}
     dist = build_sampler(view)
     seeds = [derive_seed(ss) for ss in np.random.SeedSequence(config.seed).spawn(trials)]
 
-    def one_trial(seed: int) -> np.ndarray:
-        errs = np.empty(len(ks))
-
-        def record(k, Wk):
-            if k in k_pos:
-                errs[k_pos[k]] = np.linalg.norm(Wk - w_star) ** 2
-
+    def one_trial(seed: int) -> list[float]:
+        errs = []  # one per checkpoint, in the order of ks
         trial_cfg = SolverConfig(
             max_iters=config.max_iters,
             seed=seed,
             checkpoint_every=cadence,
             w0=config.w0,
         )
-        solve_rk(view, Ym, trial_cfg, dist=dist, on_checkpoint=record)
+        solve_rk(view, Ym, trial_cfg, dist=dist,
+                 on_checkpoint=lambda k, Wk, _: errs.append(np.linalg.norm(Wk - w_star) ** 2))
         return errs
 
     errors = np.vstack([one_trial(s) for s in seeds])  # trials x checkpoints

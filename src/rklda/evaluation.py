@@ -52,6 +52,11 @@ class ExperimentConfig:
             raise InvalidData(f"rk_iters must be >= 1, got {self.rk_iters}")
         if not self.knn_ks or any(k < 1 for k in self.knn_ks):
             raise InvalidData("every kNN k must be >= 1")
+        if not self.methods:
+            raise InvalidData(f"no methods; choose from {KNOWN_METHODS}")
+        for name, values in (("methods", self.methods), ("kNN k values", self.knn_ks)):
+            if len(set(values)) != len(values):
+                raise InvalidData(f"repeated {name} in {list(values)}")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise InvalidData(f"unknown methods {unknown}; choose from {KNOWN_METHODS}")
@@ -198,16 +203,16 @@ def accuracy(predicted, truth) -> float:
 
 def fit_subspace(method: str, view, Y, labels: LabelVector, *, seed: int,
                  rk_iters: int | None = None, rk_tail_average: float | None = None,
-                 checkpoint_every: int = 0, lsqr_tol: float = 1e-12,
+                 checkpoint_every: int = 0, on_checkpoint=None, lsqr_tol: float = 1e-12,
                  lsqr_max_iters: int | None = None,
                  rank_tol: float | None = None) -> Subspace | None:
     """The subspace of ``method`` (one of KNOWN_METHODS) fit on the centered
     ``view`` with indicator ``Y`` of ``labels``; None for ``full``.
 
-    An RK fit (default 20 iterations per row) carries its iterations_run,
-    excluded_rows and checkpoint trace; an LSQR fit whether every column
-    converged and the most iterations a column took.  ``pinv`` and ``ulda``
-    densify within the dense guard.
+    An RK fit (default 20 iterations per row) carries its iterations_run
+    and excluded_rows, and passes ``on_checkpoint`` to ``solve_rk``; an
+    LSQR fit whether every column converged and the most iterations a
+    column took.  ``pinv`` and ``ulda`` densify within the dense guard.
     """
     if method == "full":
         return None
@@ -218,9 +223,9 @@ def fit_subspace(method: str, view, Y, labels: LabelVector, *, seed: int,
             checkpoint_every=checkpoint_every,
             tail_average=rk_tail_average,
         )
-        result = solve_rk(view, Y, config)
+        result = solve_rk(view, Y, config, on_checkpoint=on_checkpoint)
         return Subspace(matrix=result.W, origin="RK", iterations_run=result.iterations_run,
-                        excluded_rows=result.excluded_rows, trace=result.trace)
+                        excluded_rows=result.excluded_rows)
     if method == "lsqr":
         return solve_lsqr(view, Y, tol=lsqr_tol, max_iters=lsqr_max_iters)
     if method == "pinv":

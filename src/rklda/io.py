@@ -86,6 +86,8 @@ def read_csv_matrix(path, header: bool = False, label_column=None):
     for lineno, row in enumerate(rows, start=2 if header else 1):
         cells = [c.strip() for c in row]
         if labels is not None:
+            if label_idx >= len(cells):
+                raise InvalidData(f"{path}:{lineno}: no label column {label_idx} in this row")
             labels.append(cells[label_idx])
             cells = cells[:label_idx] + cells[label_idx + 1 :]
         try:

@@ -11,7 +11,9 @@ solve toward the least-norm solution without explicit regularization.
 
 The steps run in stretches of a drawn block: ``solve_rk`` cuts each block
 at checkpoints only, and the iterate writes each step's coefficient c into a
-row of a block-sized buffer.
+row of a block-sized buffer.  A checkpoint's one output is the caller's
+``on_checkpoint(k, W, sampled_row_residual)``, the residual being that of
+the last step's row before the step.
 
 Dense bases run a stretch as forward substitution on the Gram matrix of
 its rows, which is Kaczmarz read as Gauss-Seidel on Xc Xc^T (Bjorck and
@@ -104,7 +106,7 @@ GRAM_CHUNK_MIN = 8
 class SolverConfig:
     max_iters: int
     seed: int
-    checkpoint_every: int = 0          # 0 disables the trace
+    checkpoint_every: int = 0          # 0: checkpoints at k = 0 and K only
     tail_average: float | None = None  # burn-in fraction in [0, 1)
     w0: np.ndarray | None = None       # must lie in the row space of Xc; zero always does
 
@@ -120,17 +122,9 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class TraceEntry:
-    iteration: int
-    w_frob: float
-    sampled_row_residual: float  # ||y_i^T - x_i^T W|| before the recorded step
-
-
-@dataclass(frozen=True)
 class SolveResult:
     W: np.ndarray
     iterations_run: int
-    trace: tuple[TraceEntry, ...] | None
     excluded_rows: int = 0  # zero-norm centered rows never sampled
 
     def __post_init__(self):
@@ -320,10 +314,14 @@ def solve_rk(
 ) -> SolveResult:
     """Run ``config.max_iters`` randomized projection steps from W0.
 
-    ``on_checkpoint(k, W)`` is invoked at k = 0, every ``checkpoint_every``
-    iterations, and at the final iterate (W may be the live array; callers
-    must copy if they keep it).  With ``tail_average`` set, the returned W is
-    the uniform average of the iterates after the burn-in point.
+    ``on_checkpoint(k, W, sampled_row_residual)`` is the one checkpoint
+    output.  It is invoked at k = 0, every ``checkpoint_every`` iterations,
+    and at the final iterate (W may be the live array; callers must copy if
+    they keep it).  ``sampled_row_residual`` is ||y_i - W_{k-1}^T x_i||, the
+    residual of the row step k sampled, before that step: c ||x_i||^2 from
+    its coefficient c; nan at k = 0.  With ``tail_average`` set, the
+    returned W is the uniform average of the iterates after the burn-in
+    point; the checkpoints see the raw iterates.
     """
     Ym = as_matrix(Y)
     n, d = view.shape
@@ -352,26 +350,12 @@ def solve_rk(
     Z = np.zeros((n, g)) if burn is not None else None
 
     cadence = config.checkpoint_every
-    trace: list[TraceEntry] | None = [] if cadence > 0 else None
-
     caller_errstate = np.geterr()
 
     def checkpoint(k: int, last_residual: float) -> None:
-        if trace is None and on_checkpoint is None:
-            return
-        W = iterate.current()
-        if trace is not None:
-            flat = W.ravel()  # np.linalg.norm(W) in the same bits, without its overhead
-            trace.append(
-                TraceEntry(
-                    iteration=k,
-                    w_frob=math.sqrt(flat.dot(flat)),
-                    sampled_row_residual=last_residual,
-                )
-            )
         if on_checkpoint is not None:
             with np.errstate(**caller_errstate):
-                on_checkpoint(k, W)
+                on_checkpoint(k, iterate.current(), last_residual)
 
     checkpoint(0, float("nan"))
     norms_sq = view.centered_row_norms_sq
@@ -404,9 +388,4 @@ def solve_rk(
     W = iterate.current()
     if Z is not None:
         W = W - _centered_product(view, Z) / (K - burn)
-    return SolveResult(
-        W=W,
-        iterations_run=K,
-        trace=tuple(trace) if trace is not None else None,
-        excluded_rows=n - len(dist.active_rows),
-    )
+    return SolveResult(W=W, iterations_run=K, excluded_rows=n - len(dist.active_rows))

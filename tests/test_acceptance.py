@@ -208,7 +208,7 @@ def test_c07_row_space_confinement():
                 view, Y,
                 SolverConfig(max_iters=200, seed=int(rng.integers(0, 2**32)),
                              checkpoint_every=25),
-                on_checkpoint=lambda k, W: seen.append(W.copy()),
+                on_checkpoint=lambda k, W, _: seen.append(W.copy()),
             )
             assert len(seen) == 9
             for Wk in seen:

@@ -326,6 +326,37 @@ def test_zero_iteration_budget_is_data_error(dataset, tmp_path, subcommand):
     assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
 
 
+@pytest.mark.parametrize("kappa_args", [
+    ["0.01", "1", "nan"], ["0.01", "1", "inf"], ["0.01", "inf", "4"],
+], ids=["kappa-nan", "kappa-inf", "eps0-inf"])
+def test_non_finite_iters_from_kappa_is_data_error(dataset, tmp_path, kappa_args):
+    data, labels, _, _ = dataset
+    code = dispatch(["solve", "--method", "rk", "--data", str(data), "--labels", str(labels),
+                     "--iters-from-kappa", *kappa_args, "--out", str(tmp_path / "W.rkm1")])
+    assert code == 2
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
+
+
+@pytest.mark.parametrize("lists", [
+    ["--methods", ","], ["--methods", "rk,rk"], ["--methods", "rk", "--knn", "1,1"],
+], ids=["no-methods", "repeated-method", "repeated-k"])
+def test_experiment_method_and_k_lists_must_be_distinct(dataset, tmp_path, lists):
+    data, labels, _, _ = dataset
+    code = dispatch(["experiment", *lists, "--replicates", "2", "--data", str(data),
+                     "--labels", str(labels), "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
+
+
+def test_ragged_csv_label_column_is_data_error(tmp_path, capsys):
+    data = tmp_path / "X.csv"
+    data.write_text("1,2,a\n3,4\n5,6,b\n")
+    code = dispatch(["solve", "--method", "rk", "--data", str(data), "--label-column", "2",
+                     "--out", str(tmp_path / "W.rkm1")])
+    assert code == 2
+    assert "X.csv:2" in capsys.readouterr().err
+
+
 def test_iters_from_kappa(dataset, tmp_path, capsys):
     data, labels, _, _ = dataset
     out = tmp_path / "W.rkm1"
@@ -347,6 +378,7 @@ def test_solve_trace_output(dataset, tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == "iteration,w_frob,sampled_row_residual"
     assert [int(l.split(",")[0]) for l in lines[1:]] == [0, 50, 100]
+    assert float(lines[-1].split(",")[1]) == np.linalg.norm(read_rkm1(out))
 
 
 @pytest.mark.parametrize("flags", [
@@ -369,13 +401,13 @@ def test_checkpoints_without_trace_out_build_no_trace(dataset, tmp_path, monkeyp
     cadences = []
     solve_rk = evaluation.solve_rk
 
-    def recording_solve_rk(view, Y, config):
-        cadences.append(config.checkpoint_every)
-        return solve_rk(view, Y, config)
+    def recording_solve_rk(view, Y, config, on_checkpoint=None):
+        cadences.append((config.checkpoint_every, on_checkpoint))
+        return solve_rk(view, Y, config, on_checkpoint=on_checkpoint)
 
     monkeypatch.setattr(evaluation, "solve_rk", recording_solve_rk)
     data, labels, _, _ = dataset
     assert dispatch(["solve", "--method", "rk", "--data", str(data), "--labels", str(labels),
                      "--iters", "100", "--checkpoint-every", "50",
                      "--out", str(tmp_path / "W.rkm1")]) == 0
-    assert cadences == [0]
+    assert cadences == [(0, None)]

@@ -91,6 +91,15 @@ def test_iterations_for_tolerance_examples():
         iterations_for_tolerance(0.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("eps, eps0, kappa", [
+    (0.01, 1.0, math.nan), (0.01, 1.0, math.inf), (0.01, math.inf, 4.0),
+    (math.nan, 1.0, 4.0), (0.01, math.nan, 4.0),
+])
+def test_iterations_for_tolerance_rejects_non_finite(eps, eps0, kappa):
+    with pytest.raises(InvalidData, match="finite"):
+        iterations_for_tolerance(eps, eps0, kappa)
+
+
 def test_iterations_bound_is_sufficient():
     # after the returned k, the contraction term really is below eps
     for kappa in (1.5, 3.0, 42.0):

@@ -413,6 +413,12 @@ def test_config_validation():
     with pytest.raises(InvalidData):
         ExperimentConfig(methods=("bogus",))
     with pytest.raises(InvalidData):
+        ExperimentConfig(methods=())
+    with pytest.raises(InvalidData, match="repeated methods"):
+        ExperimentConfig(methods=("rk", "lsqr", "rk"))
+    with pytest.raises(InvalidData):
         ExperimentConfig(knn_ks=())
+    with pytest.raises(InvalidData, match="repeated kNN k values"):
+        ExperimentConfig(knn_ks=(1, 5, 1))
     with pytest.raises(InvalidData):
         ExperimentConfig(timing="fast")

@@ -68,6 +68,13 @@ def test_csv_header_and_label_column(tmp_path):
     assert np.array_equal(X2, X)
 
 
+def test_csv_row_short_of_the_label_column(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1,2,a\n3,4\n5,6,b\n")
+    with pytest.raises(InvalidData, match=r"m\.csv:2: no label column 2"):
+        read_csv_matrix(path, label_column=2)
+
+
 def test_csv_non_numeric(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,oops\n")

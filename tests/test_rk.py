@@ -58,7 +58,7 @@ def largest_iterate(solve, view, Y, config):
     """max_k ||W_k||_F over the trajectory of ``solve``, W_0 included."""
     norms = []
     solve(view, Y, replace(config, checkpoint_every=1),
-          on_checkpoint=lambda k, W: norms.append(np.linalg.norm(W)))
+          on_checkpoint=lambda k, W, *_: norms.append(np.linalg.norm(W)))
     return max(norms)
 
 
@@ -131,9 +131,10 @@ def lazy_sparse_solve(view, Y, config, dist=None, on_checkpoint=None):
 
 
 def recorder():
-    """An on_checkpoint callback that keeps copies, and the list it fills."""
+    """An on_checkpoint callback that keeps copies, and the list it fills;
+    reference_solve and lazy_sparse_solve pass no residual."""
     seen = []
-    return seen, lambda k, W: seen.append((k, W.copy()))
+    return seen, lambda k, W, *_: seen.append((k, W.copy()))
 
 
 def assert_same_checkpoints(a, b):
@@ -317,6 +318,35 @@ def test_dense_near_reference_across_groups(d, tail_average):
     assert solve_rk(view, Y, cfg).W.tobytes() == W.tobytes()
 
 
+@pytest.mark.filterwarnings("ignore:sparse centering ratio")
+@pytest.mark.parametrize("cadence", [1, 7])
+def test_checkpoint_residual_is_the_sampled_rows(cadence):
+    # the residual at checkpoint k is ||Y[i_k] - Xc[i_k] W_{k-1}||, with i_k
+    # the row step k drew and W_{k-1} the iterate before it; at cadence 7
+    # it comes from the last step of a longer stretch
+    rng = np.random.default_rng(44)
+    X = rng.standard_normal((9, 5)) + 100.0
+    X[rng.random(X.shape) < 0.3] = 0.0
+    Y = rng.standard_normal((9, 2))
+    cfg = SolverConfig(max_iters=60, seed=7, checkpoint_every=cadence, tail_average=0.5)
+    for view in both_storages(X):
+        dist = build_sampler(view)
+        got = []
+        solve_rk(view, Y, cfg, dist=dist, on_checkpoint=lambda k, W, r: got.append((k, r)))
+        iterates, record = recorder()
+        reference_solve(view, Y, replace(cfg, checkpoint_every=1), dist=dist,
+                        on_checkpoint=record)
+        rng_ref, Xc = make_rng(cfg.seed), to_dense_centered(view)
+        rows = [sample_row(dist, rng_ref) for _ in range(cfg.max_iters)]
+        # a residual sees the iterate's gap through one row
+        tol = reference_tolerance(view, Y, cfg) * math.sqrt(view.centered_row_norms_sq.max())
+        assert got[0][0] == 0 and math.isnan(got[0][1])
+        assert [k for k, _ in got[1:]] == [*range(cadence, cfg.max_iters, cadence), cfg.max_iters]
+        for k, r in got[1:]:
+            i, W_before = rows[k - 1], iterates[k - 1][1]
+            assert abs(r - np.linalg.norm(Y[i] - Xc[i] @ W_before)) <= tol
+
+
 @pytest.mark.parametrize("d", [10, 3000])
 def test_fixed_seed_same_bytes(d):
     # at d = 3000 the chunk's products are large enough for a threaded BLAS
@@ -326,11 +356,11 @@ def test_fixed_seed_same_bytes(d):
     Y = rng.standard_normal((50, 4))
     view = build_centered_view(X)
     cfg = SolverConfig(max_iters=1000, seed=12, checkpoint_every=300, tail_average=0.5)
-    a, b = solve_rk(view, Y, cfg), solve_rk(view, Y, cfg)
+    traces = [[], []]
+    a, b = (solve_rk(view, Y, cfg, on_checkpoint=lambda k, W, r, t=t: t.append(
+        (np.linalg.norm(W), r))) for t in traces)
     assert a.W.tobytes() == b.W.tobytes()
-    trace_bytes = [np.array([(t.w_frob, t.sampled_row_residual) for t in r.trace]).tobytes()
-                   for r in (a, b)]
-    assert trace_bytes[0] == trace_bytes[1]
+    assert np.array(traces[0]).tobytes() == np.array(traces[1]).tobytes()
 
 
 def test_k0_forbidden():
@@ -354,10 +384,11 @@ def test_determinism_bit_identical():
         for tail_average in (None, 0.5):
             cfg = SolverConfig(max_iters=500, seed=77, checkpoint_every=100,
                                tail_average=tail_average)
-            a = solve_rk(view, Y, cfg)
-            b = solve_rk(view, Y, cfg)
+            norms = [[], []]
+            a, b = (solve_rk(view, Y, cfg, on_checkpoint=lambda k, W, _, f=f: f.append(
+                np.linalg.norm(W))) for f in norms)
             assert a.W.tobytes() == b.W.tobytes()
-            assert [t.w_frob for t in a.trace] == [t.w_frob for t in b.trace]
+            assert norms[0] == norms[1]
 
 
 def test_seed_changes_trajectory():
@@ -484,7 +515,7 @@ def test_divergence_names_the_first_non_finite_step(storage, step, cadence, tail
     seen = []
     with pytest.raises(NumericalDivergence) as err:
         solve_rk(view, Y, cfg, dist=dist,
-                 on_checkpoint=lambda k, W: seen.append((k, bool(np.isfinite(W).all()))))
+                 on_checkpoint=lambda k, W, _: seen.append((k, bool(np.isfinite(W).all()))))
     assert err.value.iteration == step + 1
     assert seen == [(k, True) for k in range(0, step + 1, cadence or step + 1)]
 
@@ -494,8 +525,10 @@ def test_trace_cadence_and_final_checkpoint():
     X = rng.standard_normal((5, 8))
     Y = rng.standard_normal((5, 1))
     view = build_centered_view(X)
-    res = solve_rk(view, Y, SolverConfig(max_iters=25, seed=0, checkpoint_every=10))
-    assert [t.iteration for t in res.trace] == [0, 10, 20, 25]
+    seen = []
+    solve_rk(view, Y, SolverConfig(max_iters=25, seed=0, checkpoint_every=10),
+             on_checkpoint=lambda k, W, _: seen.append(k))
+    assert seen == [0, 10, 20, 25]
 
 
 def test_w0_must_match_shape():
@@ -604,15 +637,14 @@ def test_checkpoints_see_the_same_iterate_on_both_storages():
     dist = build_sampler(dense)
     cfg = SolverConfig(max_iters=90, seed=4, checkpoint_every=20, tail_average=0.5)
     seen = {"dense": [], "sparse": []}
-    runs = {}
     for name, view in (("dense", dense), ("sparse", sparse)):
-        runs[name] = solve_rk(view, Y, cfg, dist=dist,
-                              on_checkpoint=lambda k, W, calls=seen[name]: calls.append((k, W.copy())))
+        # the live W's norm, as the CLI's trace takes it, beside a copy
+        solve_rk(view, Y, cfg, dist=dist, on_checkpoint=lambda k, W, _, calls=seen[name]:
+                 calls.append((k, W.copy(), np.linalg.norm(W))))
     tol = agreement_tolerance(sparse, cfg.max_iters)
-    assert [k for k, _ in seen["dense"]] == [k for k, _ in seen["sparse"]] == [0, 20, 40, 60, 80, 90]
-    for (_, Wd), (_, Ws), td, ts in zip(seen["dense"], seen["sparse"],
-                                        runs["dense"].trace, runs["sparse"].trace):
+    assert [c[0] for c in seen["dense"]] == [c[0] for c in seen["sparse"]] == [0, 20, 40, 60, 80, 90]
+    for (_, Wd, fd), (_, Ws, fs) in zip(seen["dense"], seen["sparse"]):
         scale = max(np.linalg.norm(Wd), 1e-300)
         assert np.linalg.norm(Ws - Wd) <= tol * scale
-        assert td.w_frob == np.linalg.norm(Wd) and ts.w_frob == np.linalg.norm(Ws)
-        assert ts.w_frob == pytest.approx(td.w_frob, rel=tol, abs=tol)
+        assert fd == np.linalg.norm(Wd) and fs == np.linalg.norm(Ws)
+        assert fs == pytest.approx(fd, rel=tol, abs=tol)
