@@ -17,7 +17,6 @@ import sys
 import numpy as np
 
 from rklda.diagnostics import condition_profile, run_convergence_study
-from rklda.matrix import to_dense_centered
 from rklda.rk import SolverConfig
 from rklda.synthetic import planted_consistent, planted_inconsistent
 
@@ -54,7 +53,7 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
 
     view, Y, _ = planted_consistent(args.n, args.d, args.g, rng)
-    kappa = condition_profile(to_dense_centered(view)).kappa
+    kappa = condition_profile(view).kappa
     K = int(math.ceil(kappa * math.log(1e4)))
     report = run_convergence_study(
         view, Y, trials=args.trials,
@@ -66,7 +65,7 @@ def main() -> int:
 
     view_i, Y_i = planted_inconsistent(args.n, args.d, args.g,
                                        rank=max(args.n // 2, 2), rng=rng)
-    kappa_i = condition_profile(to_dense_centered(view_i)).kappa
+    kappa_i = condition_profile(view_i).kappa
     K_i = 2 * int(math.ceil(kappa_i * math.log(200.0)))
     report_i = run_convergence_study(
         view_i, Y_i, trials=args.trials,

@@ -9,6 +9,7 @@ Example:
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -60,10 +61,8 @@ def main() -> int:
         if stats["failures"]:
             print(f"{method:8s} failed replicates: {stats['failures']}")
     if args.out:
-        payload = {"config": report.config, "methods": report.methods,
-                   "rows": [list(r) for r in report.rows]}
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(asdict(report), fh, indent=2, sort_keys=True)
         print(f"report written to {args.out}")
     return 0
 

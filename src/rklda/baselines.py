@@ -3,7 +3,8 @@
 ``solve_lsqr`` is the scalable comparator: an operator-form bidiagonalization
 least-squares solve per column that touches the data only through products
 with Xc and Xc^T.  ``pinv_oracle`` and ``ulda_oracle`` are dense small-scale
-oracles guarded against large instances.  Both take the thin SVD
+oracles: both take the centered view, densify Xc through
+``to_dense_centered`` (the one dense-size guard), take its thin SVD
 Xc = U S V^T cut to its numerical range and form no d x d matrix: the
 least-norm solution is V S^{-1} U^T Y, and ULDA's is sqrt(n) V S^{-1} P with
 P from the r x g matrix U^T Y.
@@ -17,8 +18,8 @@ import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, lsqr
 
 from .errors import DegenerateSubspace, InvalidData
-from .labels import LabelVector, as_matrix, encode_labels
-from .matrix import CenteredMatrixView, check_dense_size
+from .labels import as_matrix
+from .matrix import CenteredMatrixView, to_dense_centered
 
 logger = logging.getLogger(__name__)
 
@@ -91,72 +92,57 @@ def solve_lsqr(
                     iterations_run=iterations)
 
 
-def _truncated_svd(X: np.ndarray, rank_tol: float | None):
-    """Thin SVD of X cut to its numerical range: (U, s, Vt) with s > rank_tol,
-    by default default_rank_tol(X, s_max)."""
+def _truncated_svd(X: np.ndarray):
+    """Thin SVD of X cut to its numerical range: (U, s, Vt) with
+    s > default_rank_tol(X, s_max)."""
     U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(X, s[0] if len(s) else 0.0)
-    keep = s > rank_tol
+    keep = s > default_rank_tol(X, s[0] if len(s) else 0.0)
     return U[:, keep], s[keep], Vt[keep]
 
 
-def pinv_oracle(
-    X_small: np.ndarray,
-    Y,
-    rank_tol: float | None = None,
-) -> Subspace:
-    """Least-norm solution via dense SVD: sum over nonzero singular triplets
-    of (1/s_j) v_j u_j^T Y.  The matrix is used exactly as given (callers
-    center it first when needed)."""
-    X = np.asarray(X_small, dtype=np.float64)
-    if X.ndim != 2:
-        raise InvalidData("pinv_oracle expects a dense 2-d matrix")
-    check_dense_size(X.size, "pinv_oracle's input")
+def _centered_svd(view: CenteredMatrixView, Y):
+    """(U, s, Vt) of the dense Xc cut by ``_truncated_svd``, and Y as a
+    matrix with one row per observation."""
     Ym = as_matrix(Y)
-    if Ym.shape[0] != X.shape[0]:
-        raise InvalidData(f"Y has {Ym.shape[0]} rows, data has {X.shape[0]}")
-    U, s, Vt = _truncated_svd(X, rank_tol)
+    if Ym.shape[0] != view.n:
+        raise InvalidData(f"Y has {Ym.shape[0]} rows, data has {view.n}")
+    return (*_truncated_svd(to_dense_centered(view)), Ym)
+
+
+def pinv_oracle(view: CenteredMatrixView, Y) -> Subspace:
+    """Least-norm solution of Xc W = Y via the dense SVD: sum over nonzero
+    singular triplets of (1/s_j) v_j u_j^T Y."""
+    U, s, Vt, Ym = _centered_svd(view, Y)
     return Subspace(matrix=Vt.T @ ((U.T @ Ym) / s[:, None]), origin="PINV")
 
 
-def ulda_oracle(
-    X_small: np.ndarray,
-    labels: LabelVector,
-    rank_tol: float | None = None,
-) -> Subspace:
+def ulda_oracle(view: CenteredMatrixView, Y) -> Subspace:
     """Eigenvectors of pinv(S_t) S_b with nonzero eigenvalues (at most g-1).
 
-    X is the raw observations; Xc = U S V^T is its centered thin SVD, so
-    S_t = V S^2 V^T / n, and Xc^T Y Y^T Xc = n^2 S_b for the indicator Y.
-    Then S_t^{-1/2} S_b S_t^{-1/2} = V (U^T Y Y^T U / n) V^T, whose
-    eigenvectors are V P with P the left singular vectors of U^T Y, and
-    G = S_t^{-1/2} V P = sqrt(n) V S^{-1} P.  ``rank_tol`` cuts the singular
-    values of Xc, as in ``pinv_oracle``.  P's cutoff scales with
+    ``Y`` is the class indicator of the view's rows.  With Xc = U S V^T,
+    S_t = V S^2 V^T / n, and Xc^T Y Y^T Xc = n^2 S_b.  Then
+    S_t^{-1/2} S_b S_t^{-1/2} = V (U^T Y Y^T U / n) V^T, whose eigenvectors
+    are V P with P the left singular vectors of U^T Y, and
+    G = S_t^{-1/2} V P = sqrt(n) V S^{-1} P.  P's cutoff scales with
     ||Y||_2 = sqrt(n), not with U^T Y's largest singular value, so it is
     independent of the data's scale and identical class means leave no
     column.
     """
-    X = np.asarray(X_small, dtype=np.float64)
-    check_dense_size(X.size, "ulda_oracle's input")
-    n = X.shape[0]
-    if n != labels.n:
-        raise InvalidData(f"{n} observations vs {labels.n} labels")
-    U, s, Vt = _truncated_svd(X - X.mean(axis=0), rank_tol)
+    U, s, Vt, Ym = _centered_svd(view, Y)
     if not len(s):
         raise DegenerateSubspace("total scatter is numerically zero")
-    UtY = U.T @ encode_labels(labels).matrix
+    UtY = U.T @ Ym
     P, sy, _ = np.linalg.svd(UtY, full_matrices=False)
-    keep = sy > default_rank_tol(UtY, np.sqrt(n))
+    keep = sy > default_rank_tol(UtY, np.sqrt(view.n))
     if not np.any(keep):
         raise DegenerateSubspace("between-class scatter is numerically zero")
-    return Subspace(matrix=np.sqrt(n) * Vt.T @ (P[:, keep] / s[:, None]), origin="ULDA")
+    return Subspace(matrix=np.sqrt(view.n) * Vt.T @ (P[:, keep] / s[:, None]), origin="ULDA")
 
 
 def orthonormal_basis(subspace: Subspace) -> np.ndarray:
     """Orthonormal basis of range(matrix) after numerical rank truncation,
     relative to the matrix's own largest singular value."""
-    U, _, _ = _truncated_svd(subspace.matrix, None)
+    U, _, _ = _truncated_svd(subspace.matrix)
     if not U.shape[1]:
         raise DegenerateSubspace(f"{subspace.origin} subspace has numerical rank 0")
     return U

@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -60,6 +61,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type of a count that may be zero; a negative one is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _digest(path) -> str:
@@ -182,8 +191,6 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.checkpoint_every < 0:
-        raise _UsageError("--checkpoint-every must be >= 0")
     if args.trace_out and (args.method != "rk" or args.checkpoint_every == 0):
         raise _UsageError("--trace-out needs --method rk and --checkpoint-every C > 0")
     run = _Run("solve", args)
@@ -197,10 +204,10 @@ def _cmd_solve(args) -> int:
     trace = []  # the CSV rows: (k, ||W_k||_F, sampled-row residual)
     record = (lambda k, W, r: trace.append((k, np.linalg.norm(W), r))) if args.trace_out else None
     subspace = fit_subspace(
-        args.method, view, encode_labels(lv), lv, seed=args.seed,
+        args.method, view, encode_labels(lv), seed=args.seed,
         rk_iters=iters, rk_tail_average=args.tail_average,
         checkpoint_every=args.checkpoint_every if args.trace_out else 0, on_checkpoint=record,
-        lsqr_tol=args.tol, lsqr_max_iters=args.max_iters, rank_tol=args.rank_tol,
+        lsqr_tol=args.tol, lsqr_max_iters=args.max_iters,
     )
     run.results.update({f: v for f in STATUS_FIELDS
                         if (v := getattr(subspace, f)) is not None})
@@ -278,25 +285,7 @@ def _cmd_diagnose(args) -> int:
     cadence = args.checkpoint_every or max(1, args.iters // 20)
     config = SolverConfig(max_iters=args.iters, seed=args.seed, checkpoint_every=cadence)
     report = run_convergence_study(view, encode_labels(lv), trials=args.trials, config=config)
-    payload = {
-        "trials": report.trials,
-        "kappa": report.kappa,
-        "beta": report.beta,
-        "initial_sq_error": report.initial_sq_error,
-        "residual_floor": report.residual_floor,
-        "consistent": report.consistent,
-        "relative_residual": report.relative_residual,
-        "checkpoints": [
-            {
-                "iteration": c.iteration,
-                "empirical_mse": c.empirical_mse,
-                "bound": c.bound,
-                "std_error": c.std_error,
-            }
-            for c in report.checkpoints
-        ],
-    }
-    atomic_write_text(args.out, _json_text(payload))
+    atomic_write_text(args.out, _json_text(asdict(report)))
     run.track_output(args.out)
     csv_path = args.csv_out or str(Path(args.out).with_suffix(".csv"))
     write_csv_rows(
@@ -325,12 +314,7 @@ def _cmd_experiment(args) -> int:
         timing=args.timing,
     )
     report = run_experiment(data, tokens, config)
-    payload = {
-        "config": report.config,
-        "methods": report.methods,
-        "rows": [list(r) for r in report.rows],
-    }
-    atomic_write_text(args.out, _json_text(payload))
+    atomic_write_text(args.out, _json_text(asdict(report)))
     run.track_output(args.out)
     csv_path = args.csv_out or str(Path(args.out).with_suffix(".csv"))
     write_csv_rows(
@@ -370,7 +354,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tail-average", type=float,
                    help="burn-in fraction; average the iterates after it")
-    p.add_argument("--checkpoint-every", type=int, default=0)
+    p.add_argument("--checkpoint-every", type=non_negative_int, default=0)
     p.add_argument("--trace-out", help="CSV of checkpoint summaries")
     p.add_argument("--iters-from-kappa", nargs=3, type=float,
                    metavar=("EPS", "EPS0", "KAPPA"),
@@ -380,7 +364,6 @@ def build_parser() -> _Parser:
     p.add_argument("--means-out", help="write training column means (1 x d RKM1)")
     p.add_argument("--tol", type=float, default=1e-12, help="lsqr stopping tolerance")
     p.add_argument("--max-iters", type=int, help="lsqr iteration cap")
-    p.add_argument("--rank-tol", type=float, help="pinv/ulda rank cutoff")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("transform", help="project data through a subspace")
@@ -402,7 +385,7 @@ def build_parser() -> _Parser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--checkpoint-every", type=int, default=0)
+    p.add_argument("--checkpoint-every", type=non_negative_int, default=0)
     p.add_argument("--pre-centered", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out")

@@ -64,14 +64,12 @@ class ConvergenceReport:
     trials: int
 
 
-def condition_profile(X_small: np.ndarray) -> ConditionProfile:
-    """kappa, smallest nonzero singular value, and squared Frobenius norm.
-
-    The matrix is used exactly as given (no internal centering).
-    """
-    X = np.asarray(X_small, dtype=np.float64)
-    s = np.linalg.svd(X, compute_uv=False)
-    nonzero = s[s > default_rank_tol(X, s[0] if len(s) else 0.0)]
+def condition_profile(view: CenteredMatrixView) -> ConditionProfile:
+    """kappa, smallest nonzero singular value, and squared Frobenius norm
+    of the view's centered matrix Xc, densified within the dense guard."""
+    Xc = to_dense_centered(view)
+    s = np.linalg.svd(Xc, compute_uv=False)
+    nonzero = s[s > default_rank_tol(Xc, s[0] if len(s) else 0.0)]
     if len(nonzero) == 0:
         raise DegenerateMatrix("matrix has numerical rank 0")
     frob_sq = float(np.sum(s**2))
@@ -99,7 +97,9 @@ def iterations_for_tolerance(eps: float, eps0: float, kappa: float) -> int:
         k >= (log eps - log eps0) / log(1 - 1/kappa).
 
     Returns 0 when eps already exceeds eps0, and 1 when kappa <= 1 (a single
-    projection annihilates the error term).
+    projection annihilates the error term).  The denominator is taken as
+    log1p(-1/kappa), which stays nonzero and accurate for large kappa; a
+    count past the int64 range raises InvalidData.
     """
     if not all(map(math.isfinite, (eps, eps0, kappa))):
         raise InvalidData(f"eps, eps0 and kappa must be finite, got {eps}, {eps0}, {kappa}")
@@ -109,7 +109,10 @@ def iterations_for_tolerance(eps: float, eps0: float, kappa: float) -> int:
         return 0
     if kappa <= 1.0:
         return 1
-    return int(math.ceil((math.log(eps) - math.log(eps0)) / math.log(1.0 - 1.0 / kappa)))
+    steps = (math.log(eps) - math.log(eps0)) / math.log1p(-1.0 / kappa)
+    if not steps < 2.0**63:
+        raise InvalidData(f"{steps:.3g} iterations for kappa = {kappa:g} exceed the int64 range")
+    return math.ceil(steps)
 
 
 def residual_at(W, view: CenteredMatrixView, Y) -> tuple[float, float]:
@@ -166,9 +169,8 @@ def run_convergence_study(
     if trials < 1:
         raise InvalidData("trials must be >= 1")
     Ym = as_matrix(Y)
-    Xc = to_dense_centered(view)
-    profile = condition_profile(Xc)
-    w_star = pinv_oracle(Xc, Ym).matrix
+    profile = condition_profile(view)
+    w_star = pinv_oracle(view, Ym).matrix
     resid_frob, resid_rel = residual_at(w_star, view, Ym)
     resid_sq = resid_frob**2
 

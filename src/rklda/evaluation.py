@@ -13,14 +13,14 @@ every timing is 0.0, so reports are byte-reproducible.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .baselines import Subspace, pinv_oracle, solve_lsqr, ulda_oracle
 from .errors import ClassCoverageError, InvalidData, RkldaError
-from .labels import LabelVector, encode_labels, index_labels
-from .matrix import build_centered_view, densify, to_dense_centered
+from .labels import encode_labels, index_labels
+from .matrix import build_centered_view, densify
 from .rk import SolverConfig, default_iterations, derive_seed, solve_rk
 
 KNOWN_METHODS = ("full", "rk", "lsqr", "pinv", "ulda")
@@ -201,13 +201,12 @@ def accuracy(predicted, truth) -> float:
     return float(np.mean(predicted == truth))
 
 
-def fit_subspace(method: str, view, Y, labels: LabelVector, *, seed: int,
+def fit_subspace(method: str, view, Y, *, seed: int,
                  rk_iters: int | None = None, rk_tail_average: float | None = None,
                  checkpoint_every: int = 0, on_checkpoint=None, lsqr_tol: float = 1e-12,
-                 lsqr_max_iters: int | None = None,
-                 rank_tol: float | None = None) -> Subspace | None:
+                 lsqr_max_iters: int | None = None) -> Subspace | None:
     """The subspace of ``method`` (one of KNOWN_METHODS) fit on the centered
-    ``view`` with indicator ``Y`` of ``labels``; None for ``full``.
+    ``view`` with the class indicator ``Y`` of its rows; None for ``full``.
 
     An RK fit (default 20 iterations per row) carries its iterations_run
     and excluded_rows, and passes ``on_checkpoint`` to ``solve_rk``; an
@@ -229,9 +228,9 @@ def fit_subspace(method: str, view, Y, labels: LabelVector, *, seed: int,
     if method == "lsqr":
         return solve_lsqr(view, Y, tol=lsqr_tol, max_iters=lsqr_max_iters)
     if method == "pinv":
-        return pinv_oracle(to_dense_centered(view), Y, rank_tol=rank_tol)
+        return pinv_oracle(view, Y)
     if method == "ulda":
-        return ulda_oracle(densify(view.base), labels, rank_tol=rank_tol)
+        return ulda_oracle(view, Y)
     raise InvalidData(f"unknown method {method!r}")
 
 
@@ -263,7 +262,7 @@ def _replicate(data, tokens, class_indices: np.ndarray, config: ExperimentConfig
         m_seed = derive_seed(children[1 + m_pos])
         try:
             t0 = clock()
-            B = fit_subspace(method, view, Y, labels_tr, seed=m_seed,
+            B = fit_subspace(method, view, Y, seed=m_seed,
                              rk_iters=config.rk_iters,
                              rk_tail_average=config.rk_tail_average,
                              lsqr_tol=config.lsqr_tol)
@@ -332,15 +331,4 @@ def run_experiment(data, tokens, config: ExperimentConfig) -> ExperimentReport:
             "knn_seconds_median": float(medians[2]),
         }
 
-    config_dict = {
-        "methods": list(config.methods),
-        "replicates": config.replicates,
-        "train_fraction": config.train_fraction,
-        "knn_ks": list(config.knn_ks),
-        "seed": config.seed,
-        "rk_iters": config.rk_iters,
-        "rk_tail_average": config.rk_tail_average,
-        "lsqr_tol": config.lsqr_tol,
-        "timing": config.timing,
-    }
-    return ExperimentReport(methods=methods_summary, rows=tuple(rows), config=config_dict)
+    return ExperimentReport(methods=methods_summary, rows=tuple(rows), config=asdict(config))

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from .baselines import default_rank_tol
 from .matrix import build_centered_view, to_dense_centered
 
 
@@ -46,7 +47,7 @@ def planted_inconsistent(n: int, d: int, g: int, rank: int,
     Xc = to_dense_centered(view)
     W_bar = Xc.T @ rng.standard_normal((n, g))
     U, s, _ = np.linalg.svd(Xc, full_matrices=True)
-    r = int(np.sum(s > max(Xc.shape) * np.finfo(np.float64).eps * s[0]))
+    r = int(np.sum(s > default_rank_tol(Xc, s[0])))
     noise = rng.standard_normal((n, g))
     perp = U[:, r:] @ (U[:, r:].T @ noise)
     Y = Xc @ W_bar + resid_scale * perp

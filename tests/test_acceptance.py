@@ -107,7 +107,7 @@ def test_c03_least_norm_agreement():
             Y = rng.standard_normal((n, g))
             view = build_centered_view(X)
             a = solve_lsqr(view, Y).matrix
-            b = pinv_oracle(to_dense_centered(view), Y).matrix
+            b = pinv_oracle(view, Y).matrix
             scale = max(np.linalg.norm(b), 1e-12)
             assert np.linalg.norm(a - b) <= 1e-6 * scale, f"trial {trial} kind {kind}"
 
@@ -116,10 +116,9 @@ def test_c04_rk_convergence_consistent():
     with criterion(4, "RK convergence on a consistent instance", budget_s=60.0):
         rng = np.random.default_rng(404)
         view, Y, _ = planted_consistent(40, 200, 3, rng)
-        Xc = to_dense_centered(view)
-        w_star = pinv_oracle(Xc, Y).matrix
+        w_star = pinv_oracle(view, Y).matrix
         eps0 = float(np.linalg.norm(w_star) ** 2)
-        kappa = condition_profile(Xc).kappa
+        kappa = condition_profile(view).kappa
         K = iterations_for_tolerance(1e-6 * eps0, eps0, kappa)
         seeds = [int(s.generate_state(1, dtype=np.uint64)[0])
                  for s in np.random.SeedSequence(40404).spawn(100)]
@@ -136,7 +135,7 @@ def test_c05_error_bound_and_floor():
         rng = np.random.default_rng(505)
 
         view, Y, _ = planted_consistent(40, 200, 3, rng)
-        kappa = condition_profile(to_dense_centered(view)).kappa
+        kappa = condition_profile(view).kappa
         eps0_scale = 1.0  # bound is relative; any scale works
         K = iterations_for_tolerance(1e-4 * eps0_scale, eps0_scale, kappa)
         report = run_convergence_study(
@@ -149,7 +148,7 @@ def test_c05_error_bound_and_floor():
             assert cp.empirical_mse <= cp.bound + slack, f"k={cp.iteration}"
 
         view_i, Y_i = planted_inconsistent(40, 200, 3, rank=20, rng=rng)
-        kappa_i = condition_profile(to_dense_centered(view_i)).kappa
+        kappa_i = condition_profile(view_i).kappa
         K_i = int(math.ceil(kappa_i * math.log(200.0))) * 2
         report_i = run_convergence_study(
             view_i, Y_i, trials=200,
@@ -228,8 +227,9 @@ def test_c08_subspace_equivalence():
             X = rng.standard_normal((n, d))  # rows independent w.p. 1
             lv = index_labels([f"c{a}" for a in assign])
             Y = encode_labels(lv)
-            w_ln = pinv_oracle(to_dense_centered(build_centered_view(X)), Y)
-            g_u = ulda_oracle(X, lv)
+            view = build_centered_view(X)
+            w_ln = pinv_oracle(view, Y)
+            g_u = ulda_oracle(view, Y)
             angles = principal_angles(w_ln, g_u)
             assert np.all(angles < 1e-8), f"angles {angles}"
 

@@ -45,7 +45,7 @@ def test_lsqr_agrees_with_pinv_planted():
     Xc = to_dense_centered(view)
     Y = Xc @ (Xc.T @ rng.standard_normal((30, 3)))
     a = solve_lsqr(view, Y).matrix
-    b = pinv_oracle(Xc, Y).matrix
+    b = pinv_oracle(view, Y).matrix
     assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(b)
 
 
@@ -73,31 +73,36 @@ def test_lsqr_iterations_are_the_most_over_columns():
 
 def test_pinv_identity():
     Y = np.array([[1.0, 2.0], [3.0, 4.0]])
-    sub = pinv_oracle(np.eye(2), Y)
+    sub = pinv_oracle(precentered(np.eye(2)), Y)
     assert np.allclose(sub.matrix, Y)
     assert sub.origin == "PINV"
 
 
 def test_pinv_single_row():
-    sub = pinv_oracle(np.array([[1.0, 1.0]]), np.array([[2.0]]))
+    sub = pinv_oracle(precentered([[1.0, 1.0]]), np.array([[2.0]]))
     assert np.allclose(sub.matrix, [[1.0], [1.0]])
 
 
 def test_pinv_rank_truncation():
     X = np.array([[1.0, 0.0], [0.0, 0.0]])
-    sub = pinv_oracle(X, np.array([[1.0], [1.0]]))
+    sub = pinv_oracle(precentered(X), np.array([[1.0], [1.0]]))
     assert np.allclose(sub.matrix, [[1.0], [0.0]])
 
 
 def test_pinv_guard():
     with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 99), \
             pytest.raises(TooLarge, match="10000 elements"):
-        pinv_oracle(np.eye(100), np.ones((100, 1)))
+        pinv_oracle(precentered(np.eye(100)), np.ones((100, 1)))
 
 
 def test_pinv_rejects_y_row_count_mismatch():
     with pytest.raises(InvalidData, match="Y has 10 rows, data has 12"):
-        pinv_oracle(np.ones((12, 3)), np.ones((10, 2)))
+        pinv_oracle(precentered(np.ones((12, 3))), np.ones((10, 2)))
+
+
+def test_ulda_rejects_y_row_count_mismatch():
+    with pytest.raises(InvalidData, match="Y has 3 rows, data has 4"):
+        ulda_oracle(build_centered_view(FOUR_POINT_X), np.eye(3)[:, :2])
 
 
 def test_pinv_matches_numpy_pinv():
@@ -105,11 +110,11 @@ def test_pinv_matches_numpy_pinv():
     for n, d in [(10, 25), (25, 10), (12, 12)]:
         X = rng.standard_normal((n, d))
         Y = rng.standard_normal((n, 2))
-        assert np.allclose(pinv_oracle(X, Y).matrix, np.linalg.pinv(X) @ Y, atol=1e-10)
+        assert np.allclose(pinv_oracle(precentered(X), Y).matrix, np.linalg.pinv(X) @ Y, atol=1e-10)
 
 
 def test_ulda_four_point():
-    sub = ulda_oracle(FOUR_POINT_X, FOUR_POINT_LABELS)
+    sub = ulda_oracle(build_centered_view(FOUR_POINT_X), encode_labels(FOUR_POINT_LABELS))
     assert sub.matrix.shape[1] == 1
     direction = sub.matrix[:, 0] / np.linalg.norm(sub.matrix[:, 0])
     assert abs(direction[1]) == pytest.approx(1.0, abs=1e-12)
@@ -118,7 +123,7 @@ def test_ulda_four_point():
 
 def test_ulda_one_dimensional():
     X = np.array([[0.0], [0.1], [5.0], [5.1]])
-    sub = ulda_oracle(X, index_labels(["a", "a", "b", "b"]))
+    sub = ulda_oracle(build_centered_view(X), encode_labels(index_labels(["a", "a", "b", "b"])))
     assert sub.matrix.shape == (1, 1)
 
 
@@ -126,7 +131,7 @@ def test_ulda_identical_means_degenerate():
     X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     labels = index_labels(["a", "a", "b", "b"])  # both class means at origin
     with pytest.raises(DegenerateSubspace):
-        ulda_oracle(X, labels)
+        ulda_oracle(build_centered_view(X), encode_labels(labels))
 
 
 def test_ulda_at_most_g_minus_1_columns():
@@ -139,7 +144,7 @@ def test_ulda_at_most_g_minus_1_columns():
             X = rng.standard_normal((n, d)) + 4.0 * rng.standard_normal((g, d))[
                 [i % g for i in range(n)]
             ]
-            sub = ulda_oracle(X, index_labels(toks))
+            sub = ulda_oracle(build_centered_view(X), encode_labels(index_labels(toks)))
             assert sub.matrix.shape[1] <= g - 1
 
 
@@ -153,7 +158,7 @@ def test_ulda_eigenvector_property():
     centers = 3.0 * rng.standard_normal((g, 8))
     X = centers[[i % g for i in range(30)]] + rng.standard_normal((30, 8))
     lv = index_labels(toks)
-    sub = ulda_oracle(X, lv)
+    sub = ulda_oracle(build_centered_view(X), encode_labels(lv))
     ss = scatter_matrices(X, lv)
     M = np.linalg.pinv(ss.s_t) @ ss.s_b
     for col in sub.matrix.T:
@@ -181,8 +186,8 @@ def test_principal_angles_four_point_equivalence():
     assert np.allclose(
         Xc.T @ Y.matrix, [[0.0, 0.0], [-2.8284271247461903, 2.8284271247461903]]
     )
-    w_ln = pinv_oracle(Xc, Y)
-    g_u = ulda_oracle(FOUR_POINT_X, FOUR_POINT_LABELS)
+    w_ln = pinv_oracle(view, Y)
+    g_u = ulda_oracle(view, Y)
     angles = principal_angles(w_ln, g_u)
     assert np.all(angles < 1e-8)
 
@@ -205,7 +210,7 @@ def test_least_norm_minimality():
     rng = np.random.default_rng(17)
     X = rng.standard_normal((8, 20))
     Y = X @ (X.T @ rng.standard_normal((8, 2)))
-    W = pinv_oracle(X, Y).matrix
+    W = pinv_oracle(precentered(X), Y).matrix
     _, s, Vt = np.linalg.svd(X, full_matrices=True)
     null = Vt[8:].T  # basis of the null space
     for _ in range(10):
@@ -226,9 +231,8 @@ def test_lsqr_pinv_agree_including_inconsistent():
             X = rng.standard_normal((n, d))
         Y = rng.standard_normal((n, 2))
         view = build_centered_view(X)
-        Xc = to_dense_centered(view)
         a = solve_lsqr(view, Y).matrix
-        b = pinv_oracle(Xc, Y).matrix
+        b = pinv_oracle(view, Y).matrix
         assert np.linalg.norm(a - b) <= 1e-6 * max(np.linalg.norm(b), 1e-12)
 
 
@@ -244,8 +248,8 @@ def test_subspace_equivalence_linearly_independent_observations():
             X = scale * rng.standard_normal((n, d))
             lv = index_labels(toks)
             Y = encode_labels(lv)
-            Xc = to_dense_centered(build_centered_view(X))
-            w_ln = pinv_oracle(Xc, Y)
-            g_u = ulda_oracle(X, lv)
+            view = build_centered_view(X)
+            w_ln = pinv_oracle(view, Y)
+            g_u = ulda_oracle(view, Y)
             angles = principal_angles(w_ln, g_u)
             assert np.all(angles < 1e-8), f"scale {scale}: angles {angles}"

@@ -68,12 +68,16 @@ def test_solve_missing_labels_usage_error(dataset, tmp_path, capsys):
 
 def test_unknown_flag_usage_error(dataset, tmp_path, capsys):
     data, labels, _, _ = dataset
-    code = dispatch(["solve", "--method", "rk", "--data", str(data),
-                     "--labels", str(labels), "--out", str(tmp_path / "W.rkm1"),
-                     "--bogus-flag", "1"])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "usage" in err.lower()
+    io = ["--data", str(data), "--labels", str(labels), "--out", str(tmp_path / "W.rkm1")]
+    # unknown flags (no subcommand takes --rank-tol) and a refused flag value
+    for argv in (["solve", "--method", "rk", *io, "--bogus-flag", "1"],
+                 ["solve", "--method", "pinv", *io, "--rank-tol", "1e-8"],
+                 ["diagnose", "--trials", "2", "--iters", "10", *io, "--checkpoint-every", "-1"]):
+        code = dispatch(argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage" in err.lower()
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
 
 
 def test_single_class_data_error(dataset, tmp_path, capsys):
@@ -103,7 +107,7 @@ def test_solve_all_methods_agree_on_consistent(dataset, tmp_path):
         assert dispatch(argv) == 0
         outs[method] = read_rkm1(out)
         # the CLI is fit_subspace plus file output
-        direct = fit_subspace(method, view, Y, lv, seed=1, rk_iters=20000)
+        direct = fit_subspace(method, view, Y, seed=1, rk_iters=20000)
         assert np.array_equal(outs[method], direct.matrix)
         manifest = json.loads((tmp_path / f"W_{method}.rkm1.manifest.json").read_text())
         if method == "lsqr":
@@ -327,8 +331,8 @@ def test_zero_iteration_budget_is_data_error(dataset, tmp_path, subcommand):
 
 
 @pytest.mark.parametrize("kappa_args", [
-    ["0.01", "1", "nan"], ["0.01", "1", "inf"], ["0.01", "inf", "4"],
-], ids=["kappa-nan", "kappa-inf", "eps0-inf"])
+    ["0.01", "1", "nan"], ["0.01", "1", "inf"], ["0.01", "inf", "4"], ["0.01", "1", "1e300"],
+], ids=["kappa-nan", "kappa-inf", "eps0-inf", "count-past-int64"])
 def test_non_finite_iters_from_kappa_is_data_error(dataset, tmp_path, kappa_args):
     data, labels, _, _ = dataset
     code = dispatch(["solve", "--method", "rk", "--data", str(data), "--labels", str(labels),

@@ -20,7 +20,7 @@ from rklda.synthetic import planted_consistent, planted_inconsistent
 
 
 def test_condition_profile_diag():
-    p = condition_profile(np.diag([2.0, 1.0]))
+    p = condition_profile(build_centered_view(np.diag([2.0, 1.0]), assume_centered=True))
     assert p.frob_norm_sq == pytest.approx(5.0)
     assert p.sigma_plus_min == pytest.approx(1.0)
     assert p.kappa == pytest.approx(5.0)
@@ -29,32 +29,32 @@ def test_condition_profile_diag():
 
 def test_condition_profile_identity():
     for n in (2, 5, 9):
-        assert condition_profile(np.eye(n)).kappa == pytest.approx(n)
+        assert condition_profile(build_centered_view(np.eye(n), assume_centered=True)).kappa == pytest.approx(n)
 
 
 def test_condition_profile_rank_one():
     u = np.array([[1.0], [2.0], [-1.0]])
     v = np.array([[3.0, 0.5, -2.0, 1.0]])
-    p = condition_profile(u @ v)
+    p = condition_profile(build_centered_view(u @ v, assume_centered=True))
     assert p.kappa == pytest.approx(1.0)
 
 
 def test_condition_profile_zero_matrix():
     with pytest.raises(DegenerateMatrix):
-        condition_profile(np.zeros((3, 3)))
+        condition_profile(build_centered_view(np.zeros((3, 3)), assume_centered=True))
 
 
 def test_condition_profile_kappa_at_least_rank():
     rng = np.random.default_rng(0)
     for _ in range(10):
         X = rng.standard_normal((6, 9))
-        p = condition_profile(X)
+        p = condition_profile(build_centered_view(X, assume_centered=True))
         rank = np.linalg.matrix_rank(X)
         assert p.kappa >= rank - 1e-9
 
 
 def test_error_bound_values():
-    p = condition_profile(np.diag([1.0, 1.0]))  # kappa = 2
+    p = condition_profile(build_centered_view(np.diag([1.0, 1.0]), assume_centered=True))  # kappa = 2
     assert error_bound(p, eps0=1.0, resid_norm_sq=0.0, k=3) == pytest.approx(0.125)
     assert error_bound(p, eps0=4.0, resid_norm_sq=2.0, k=0) == pytest.approx(
         4.0 + p.beta * 2.0
@@ -64,7 +64,7 @@ def test_error_bound_values():
 def test_error_bound_kappa_one():
     u = np.array([[1.0], [0.0]])
     v = np.array([[2.0, 0.0]])
-    p = condition_profile(u @ v)  # single nonzero singular value
+    p = condition_profile(build_centered_view(u @ v, assume_centered=True))  # single nonzero singular value
     assert p.kappa == pytest.approx(1.0)
     floor = p.beta * 3.0
     assert error_bound(p, eps0=9.0, resid_norm_sq=3.0, k=0) == pytest.approx(9.0 + floor)
@@ -73,7 +73,7 @@ def test_error_bound_kappa_one():
 
 
 def test_error_bound_monotone_to_floor():
-    p = condition_profile(np.diag([3.0, 1.0, 0.5]))
+    p = condition_profile(build_centered_view(np.diag([3.0, 1.0, 0.5]), assume_centered=True))
     floor = p.beta * 0.7
     values = [error_bound(p, 2.0, 0.7, k) for k in range(0, 4000, 20)]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
@@ -82,6 +82,10 @@ def test_error_bound_monotone_to_floor():
 
 def test_iterations_for_tolerance_examples():
     assert iterations_for_tolerance(0.01, 1.0, 2.0) == 7
+    # 1 - 1/kappa rounds to 1.0 at 1e17; the count is still kappa * log(eps0 / eps)
+    for kappa in (1e15, 1e17):
+        assert iterations_for_tolerance(0.01, 1.0, kappa) == pytest.approx(
+            kappa * math.log(100.0), rel=1e-12)
     assert iterations_for_tolerance(1.0, 1.0, 2.0) == 0
     assert iterations_for_tolerance(2.0, 1.0, 2.0) == 0
     assert iterations_for_tolerance(math.exp(-1), 1.0, 100.0) == 100
@@ -158,7 +162,7 @@ def test_expected_step_matches_singular_expansion():
     Y = rng.standard_normal((8, 2))
     view = build_centered_view(X)
     Xc = to_dense_centered(view)
-    w_star = pinv_oracle(Xc, Y).matrix
+    w_star = pinv_oracle(view, Y).matrix
     W = w_star + Xc.T @ rng.standard_normal((8, 2))  # perturb inside the row space
     _, ana, _ = expected_step_check(view, Y, W, m=1, rng=make_rng(4))
     U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
@@ -197,7 +201,7 @@ def test_study_consistent_bound_holds():
 def test_study_inconsistent_plateau():
     rng = np.random.default_rng(19)
     view, Y = planted_inconsistent(20, 60, 2, rank=8, rng=rng)
-    profile = condition_profile(to_dense_centered(view))
+    profile = condition_profile(view)
     iters = iterations_for_tolerance(0.05, 1.0, profile.kappa) * 3
     config = SolverConfig(max_iters=max(iters, 200), seed=9, checkpoint_every=max(iters // 8, 25))
     report = run_convergence_study(view, Y, trials=40, config=config)

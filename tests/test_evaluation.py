@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from rklda import evaluation, matrix
 from rklda.baselines import pinv_oracle
-from rklda.diagnostics import residual_at
+from rklda.diagnostics import condition_profile, residual_at, run_convergence_study
 from rklda.errors import ClassCoverageError, InvalidData, TooLarge
 from rklda.evaluation import (
     ExperimentConfig,
@@ -26,7 +26,7 @@ from rklda.evaluation import (
 )
 from rklda.labels import encode_labels, index_labels
 from rklda.matrix import build_centered_view, densify, to_dense_centered
-from rklda.rk import make_rng
+from rklda.rk import SolverConfig, make_rng
 from rklda.synthetic import two_gaussians
 
 
@@ -91,7 +91,7 @@ def test_project_consistent_with_residual_at():
     toks = ["a", "b", "c"] * 5
     Y = encode_labels(index_labels(toks))
     view = build_centered_view(X)
-    W = pinv_oracle(to_dense_centered(view), Y).matrix
+    W = pinv_oracle(view, Y).matrix
     Z = project(X, W, view.column_means)
     frob, _ = residual_at(W, view, Y)
     assert np.linalg.norm(Y.matrix - Z) == pytest.approx(frob, abs=1e-10)
@@ -357,7 +357,9 @@ def test_every_dense_path_reads_the_one_guard():
     calls = [partial(project, Xs, None, np.zeros(8)), partial(densify, Xs)]
     for view in (build_centered_view(X), build_centered_view(Xs)):
         calls.append(partial(to_dense_centered, view))
-        calls += [partial(fit_subspace, m, view, Y, labels, seed=0) for m in ("pinv", "ulda")]
+        calls += [partial(fit_subspace, m, view, Y, seed=0) for m in ("pinv", "ulda")]
+        calls += [partial(condition_profile, view),
+                  partial(run_convergence_study, view, Y, 1, SolverConfig(max_iters=10, seed=0))]
 
     for call in calls:
         call()
