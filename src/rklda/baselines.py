@@ -112,7 +112,11 @@ def _centered_svd(view: CenteredMatrixView, Y):
 def pinv_oracle(view: CenteredMatrixView, Y) -> Subspace:
     """Least-norm solution of Xc W = Y via the dense SVD: sum over nonzero
     singular triplets of (1/s_j) v_j u_j^T Y."""
-    U, s, Vt, Ym = _centered_svd(view, Y)
+    return _least_norm(*_centered_svd(view, Y))
+
+
+def _least_norm(U, s, Vt, Ym) -> Subspace:
+    """``pinv_oracle``'s solution from the spectrum ``_centered_svd`` returns."""
     return Subspace(matrix=Vt.T @ ((U.T @ Ym) / s[:, None]), origin="PINV")
 
 

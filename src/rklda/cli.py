@@ -13,12 +13,20 @@ version, and timestamps, so an artifact can be reproduced from its manifest.
 Output files are written to a temp file and renamed into place; a failing
 run leaves no partial outputs.
 
+``dispatch`` may be called repeatedly in one process. It builds the parser
+once (``build_parser`` is cached) and looks up the handler of each call by
+its subcommand name, ``_cmd_<subcommand>`` in this module, when the call
+runs, so a handler replaced after the first call is the one that runs. Each
+call parses into a fresh namespace, so no flag value crosses calls.
+
 The only environment override is the platform temp directory.
 """
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -93,10 +101,7 @@ class _Run:
 
     def __init__(self, subcommand: str, args: argparse.Namespace):
         self.subcommand = subcommand
-        self.flags = {
-            k: v for k, v in sorted(vars(args).items())
-            if k != "func" and v is not None
-        }
+        self.flags = {k: v for k, v in sorted(vars(args).items()) if v is not None}
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
         self.results: dict = {}  # what the run did, e.g. the solver's status
@@ -202,11 +207,16 @@ def _cmd_solve(args) -> int:
         iters = max(1, iterations_for_tolerance(eps, eps0, kappa))
         print(f"iterations from condition number: {iters}", file=sys.stderr)
     trace = []  # the CSV rows: (k, ||W_k||_F, sampled-row residual)
-    record = (lambda k, W, r: trace.append((k, np.linalg.norm(W), r))) if args.trace_out else None
+
+    def record(k, W, r):
+        flat = W.ravel(order="K")  # np.linalg.norm's arithmetic, without its per-call cost
+        trace.append((k, math.sqrt(flat.dot(flat)), r))
+
     subspace = fit_subspace(
         args.method, view, encode_labels(lv), seed=args.seed,
         rk_iters=iters, rk_tail_average=args.tail_average,
-        checkpoint_every=args.checkpoint_every if args.trace_out else 0, on_checkpoint=record,
+        checkpoint_every=args.checkpoint_every if args.trace_out else 0,
+        on_checkpoint=record if args.trace_out else None,
         lsqr_tol=args.tol, lsqr_max_iters=args.max_iters,
     )
     run.results.update({f: v for f in STATUS_FIELDS
@@ -327,6 +337,7 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="rklda", description=__doc__)
     parser.add_argument(
@@ -343,7 +354,6 @@ def build_parser() -> _Parser:
     p.add_argument("--format", default="auto", choices=["auto", "rkm1", "mtx", "csv"])
     p.add_argument("--out", required=True)
     p.add_argument("--classes-out", help="also write the class map as JSON")
-    p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("solve", help="compute a reduced-dimension subspace")
     _add_data_flags(p)
@@ -364,7 +374,6 @@ def build_parser() -> _Parser:
     p.add_argument("--means-out", help="write training column means (1 x d RKM1)")
     p.add_argument("--tol", type=float, default=1e-12, help="lsqr stopping tolerance")
     p.add_argument("--max-iters", type=int, help="lsqr iteration cap")
-    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("transform", help="project data through a subspace")
     _add_data_flags(p, with_labels=False)
@@ -372,13 +381,11 @@ def build_parser() -> _Parser:
     p.add_argument("--means", help="1 x d RKM1 of training column means")
     p.add_argument("--no-center", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("scatter", help="scatter matrices / traces as JSON")
     _add_data_flags(p)
     p.add_argument("--traces-only", action="store_true")
     p.add_argument("--out", help="JSON path (stdout when omitted)")
-    p.set_defaults(func=_cmd_scatter)
 
     p = sub.add_parser("diagnose", help="empirical error decay vs the theory bound")
     _add_data_flags(p)
@@ -389,7 +396,6 @@ def build_parser() -> _Parser:
     p.add_argument("--pre-centered", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out")
-    p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("experiment", help="split/fit/project/classify protocol")
     _add_data_flags(p)
@@ -406,11 +412,11 @@ def build_parser() -> _Parser:
                    help="'none' writes zero seconds for byte-reproducible reports")
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out")
-    p.set_defaults(func=_cmd_experiment)
     return parser
 
 
 def dispatch(argv) -> int:
+    """Run one rklda command line (without the program name); returns the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -421,7 +427,7 @@ def dispatch(argv) -> int:
     except SystemExit as exc:  # --version / --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()[f"_cmd_{args.subcommand}"](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

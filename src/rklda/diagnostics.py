@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import Subspace, default_rank_tol, pinv_oracle
+from .baselines import Subspace, _centered_svd, _least_norm, default_rank_tol
 from .errors import DegenerateMatrix, InvalidData
 from .labels import as_matrix
 from .matrix import CenteredMatrixView, to_dense_centered
@@ -69,11 +69,17 @@ def condition_profile(view: CenteredMatrixView) -> ConditionProfile:
     of the view's centered matrix Xc, densified within the dense guard."""
     Xc = to_dense_centered(view)
     s = np.linalg.svd(Xc, compute_uv=False)
-    nonzero = s[s > default_rank_tol(Xc, s[0] if len(s) else 0.0)]
-    if len(nonzero) == 0:
+    return _spectrum_profile(s[s > default_rank_tol(Xc, s[0] if len(s) else 0.0)])
+
+
+def _spectrum_profile(s: np.ndarray) -> ConditionProfile:
+    """The profile of Xc from its singular values above the rank cutoff, in
+    descending order; the ones below the cutoff would change frob_norm_sq by
+    less than min(n, d) (max(n, d) eps)^2 relative."""
+    if len(s) == 0:
         raise DegenerateMatrix("matrix has numerical rank 0")
     frob_sq = float(np.sum(s**2))
-    sigma_min = float(nonzero[-1])
+    sigma_min = float(s[-1])
     return ConditionProfile(
         kappa=frob_sq / sigma_min**2,
         sigma_plus_min=sigma_min,
@@ -168,9 +174,9 @@ def run_convergence_study(
     with the theoretical bound at every checkpoint."""
     if trials < 1:
         raise InvalidData("trials must be >= 1")
-    Ym = as_matrix(Y)
-    profile = condition_profile(view)
-    w_star = pinv_oracle(view, Ym).matrix
+    U, s, Vt, Ym = _centered_svd(view, Y)  # one spectrum for the profile and W*
+    profile = _spectrum_profile(s)
+    w_star = _least_norm(U, s, Vt, Ym).matrix
     resid_frob, resid_rel = residual_at(w_star, view, Ym)
     resid_sq = resid_frob**2
 

@@ -415,3 +415,60 @@ def test_checkpoints_without_trace_out_build_no_trace(dataset, tmp_path, monkeyp
                      "--iters", "100", "--checkpoint-every", "50",
                      "--out", str(tmp_path / "W.rkm1")]) == 0
     assert cadences == [(0, None)]
+
+
+def test_dispatch_builds_the_parser_once(dataset, tmp_path, monkeypatch):
+    import rklda.cli as cli
+
+    builds = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "rklda":  # the subcommand parsers are "rklda <name>"
+            builds.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    data, labels, _, _ = dataset
+    for seed in ("1", "2"):
+        assert dispatch(["solve", "--method", "rk", "--data", str(data), "--labels", str(labels),
+                         "--iters", "50", "--seed", seed, "--out", str(tmp_path / "W.rkm1")]) == 0
+    assert builds == ["rklda"]
+
+
+def test_dispatch_keeps_no_state_across_calls(dataset, tmp_path, capsys):
+    from rklda.cli import build_parser
+
+    data, labels, _, _ = dataset
+    io = ["--data", str(data), "--labels", str(labels)]
+    W, report = str(tmp_path / "W.rkm1"), str(tmp_path / "report.json")
+    commands = [
+        ["solve", "--method", "rk", *io, "--bogus-flag", "--out", W],
+        ["--version"],
+        ["solve", "--method", "rk", *io, "--pre-centered", "--iters", "200", "--seed", "3",
+         "--checkpoint-every", "50", "--trace-out", str(tmp_path / "trace.csv"), "--out", W],
+        ["solve", "--method", "rk", *io, "--iters", "200", "--seed", "3", "--out", W],
+        ["solve", "--method", "lsqr", *io, "--out", W],
+        ["experiment", *io, "--replicates", "2", "--timing", "none", "--out", report],
+    ]
+
+    def run(argv):
+        """Exit code, captured output, the bytes written and the manifest flags."""
+        code = dispatch(argv)
+        outputs = sorted(p for p in tmp_path.iterdir() if p not in (data, labels))
+        written = {p.name: p.read_bytes() for p in outputs
+                   if not p.name.endswith(".manifest.json")}
+        flags = {p.name: json.loads(p.read_text())["flags"] for p in outputs
+                 if p.name.endswith(".manifest.json")}
+        for p in outputs:
+            p.unlink()
+        return code, tuple(capsys.readouterr()), written, flags
+
+    in_one_process = [run(argv) for argv in commands]
+    assert [code for code, *_ in in_one_process] == [1, 0, 0, 0, 0, 0]
+    assert [sorted(written) for _, _, written, _ in in_one_process] == [
+        [], [], ["W.rkm1", "trace.csv"], ["W.rkm1"], ["W.rkm1"], ["report.csv", "report.json"]]
+    for argv, seen in zip(commands, in_one_process):
+        build_parser.cache_clear()  # the command on its own, with a parser of its own
+        assert run(argv) == seen

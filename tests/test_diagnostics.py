@@ -246,3 +246,23 @@ def test_study_deterministic():
     a = run_convergence_study(view, Y, trials=8, config=cfg)
     b = run_convergence_study(view, Y, trials=8, config=cfg)
     assert [c.empirical_mse for c in a.checkpoints] == [c.empirical_mse for c in b.checkpoints]
+
+
+def test_study_takes_one_svd(monkeypatch):
+    rng = np.random.default_rng(37)
+    view, Y = planted_inconsistent(20, 50, 2, rank=8, rng=rng)
+    profile = condition_profile(view)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = run_convergence_study(
+        view, Y, trials=3, config=SolverConfig(max_iters=60, seed=4, checkpoint_every=30)
+    )
+    assert len(calls) == 1  # the profile and W* share one spectrum
+    assert report.kappa == pytest.approx(profile.kappa, rel=1e-12)
+    assert report.beta == pytest.approx(profile.beta, rel=1e-12)
