@@ -3,15 +3,18 @@
 Subcommands: encode, solve, transform, scatter, diagnose, experiment.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 
-Every file-producing run also writes ``<out>.manifest.json`` recording the
-subcommand, resolved flags, 64-bit input/output content digests, seed, tool
-version, and timestamps, so an artifact can be reproduced from its manifest.
-``solve`` adds the fitted subspace's status: ``iterations_run`` and
-``excluded_rows`` (rows with zero centered norm, never sampled) for ``rk``,
-``converged`` (every column met LSQR's stopping test) and ``iterations_run``
-(the most any column took) for ``lsqr``.
-Output files are written to a temp file and renamed into place; a failing
-run leaves no partial outputs.
+A handler stages its output files in memory and returns them.  ``dispatch``
+then writes them with ``<out>.manifest.json``, which records the
+subcommand, resolved flags, 64-bit content digests of the inputs and of the
+staged outputs, seed, tool version, and timestamps, so an artifact can be
+reproduced from its manifest.  ``solve`` adds the fitted subspace's status:
+``iterations_run`` and ``excluded_rows`` (rows with zero centered norm,
+never sampled) for ``rk``, ``converged`` (every column met LSQR's stopping
+test) and ``iterations_run`` (the most any column took) for ``lsqr``.
+All of a run's files are written or none (``io.write_files``), so a failing
+run leaves no output; only a rename failing part-way, after every file is
+written, can leave some.  Files get the mode ``open(path, "wb")`` gives
+under the process umask.
 
 ``dispatch`` may be called repeatedly in one process. It builds the parser
 once (``build_parser`` is cached) and looks up the handler of each call by
@@ -36,16 +39,16 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import iterations_for_tolerance, run_convergence_study
-from .errors import DataError, InvalidData, NumericalError, RkldaError
+from .errors import DataError, InvalidData, NumericalError
 from .evaluation import KNOWN_METHODS, ExperimentConfig, fit_subspace, project, run_experiment
 from .io import (
     FORMAT_VERSION,
-    atomic_write_text,
+    encode_csv,
+    encode_rkm1,
     load_matrix,
     read_labels_file,
     read_rkm1,
-    write_csv_rows,
-    write_rkm1,
+    write_files,
 )
 from .labels import encode_labels, index_labels
 from .matrix import build_centered_view, densify
@@ -79,6 +82,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def knn_list(text: str) -> str:
+    """argparse type of a comma list of ints, kept as text for the manifest."""
+    for k in filter(str.strip, text.split(",")):
+        int(k)  # a ValueError is a usage error
+    return text
+
+
 def _digest(path) -> str:
     """First 64 bits of the SHA-256 of the file contents, as 16 hex chars."""
     h = hashlib.sha256()
@@ -97,13 +107,13 @@ def _json_text(obj) -> str:
 
 
 class _Run:
-    """Tracks inputs/outputs of one subcommand for the manifest."""
+    """One subcommand's inputs and staged outputs, which ``dispatch`` writes
+    with the manifest ``<--out>.manifest.json``."""
 
-    def __init__(self, subcommand: str, args: argparse.Namespace):
-        self.subcommand = subcommand
+    def __init__(self, args: argparse.Namespace):
         self.flags = {k: v for k, v in sorted(vars(args).items()) if v is not None}
         self.inputs: dict[str, str] = {}
-        self.outputs: list[str] = []
+        self.outputs: dict[str, bytes] = {}
         self.results: dict = {}  # what the run did, e.g. the solver's status
         self.started = _utc_now()
 
@@ -111,18 +121,17 @@ class _Run:
         if path is not None:
             self.inputs[str(path)] = _digest(path)
 
-    def track_output(self, path) -> None:
-        self.outputs.append(str(path))
+    def write(self, path, payload: bytes) -> None:
+        """Stage ``payload`` as the contents of ``path``."""
+        self.outputs[str(path)] = payload
 
-    def write_manifest(self, primary_out) -> None:
-        if primary_out is None:
-            return
+    def manifest(self) -> bytes:
         manifest = {
-            "subcommand": self.subcommand,
+            "subcommand": self.flags["subcommand"],
             "flags": {k: (list(v) if isinstance(v, tuple) else v)
                       for k, v in self.flags.items()},
             "inputs": self.inputs,
-            "outputs": {p: _digest(p) for p in self.outputs},
+            "outputs": {p: hashlib.sha256(b).hexdigest()[:16] for p, b in self.outputs.items()},
             "seed": self.flags.get("seed"),
             "tool_version": __version__,
             "format_version": FORMAT_VERSION,
@@ -130,7 +139,7 @@ class _Run:
             "finished_utc": _utc_now(),
             **self.results,
         }
-        atomic_write_text(str(primary_out) + ".manifest.json", _json_text(manifest))
+        return _json_text(manifest).encode()
 
 
 def _load_data(run: _Run, args) -> tuple:
@@ -173,32 +182,29 @@ def _add_data_flags(p: _Parser, with_labels: bool = True):
         p.add_argument("--labels", help="label file, one token per line")
 
 
-def _cmd_encode(args) -> int:
-    run = _Run("encode", args)
+def _cmd_encode(args) -> _Run:
+    run = _Run(args)
     csv_labels = None
     if args.data:
         _, csv_labels = _load_data(run, args)
     tokens = _load_tokens(run, args, csv_labels)
     lv = index_labels(tokens)
     Y = encode_labels(lv)
-    write_rkm1(args.out, Y.matrix)
-    run.track_output(args.out)
+    run.write(args.out, encode_rkm1(Y.matrix))
     if args.classes_out:
         classes = {
             "classes": [str(c) for c in lv.classes],
             "counts": [int(c) for c in lv.counts],
             "n": lv.n,
         }
-        atomic_write_text(args.classes_out, _json_text(classes))
-        run.track_output(args.classes_out)
-    run.write_manifest(args.out)
-    return EXIT_OK
+        run.write(args.classes_out, _json_text(classes).encode())
+    return run
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> _Run:
     if args.trace_out and (args.method != "rk" or args.checkpoint_every == 0):
         raise _UsageError("--trace-out needs --method rk and --checkpoint-every C > 0")
-    run = _Run("solve", args)
+    run = _Run(args)
     data, lv = _load_labeled(run, args)
     view = build_centered_view(data, assume_centered=args.pre_centered)
     iters = args.iters
@@ -222,20 +228,17 @@ def _cmd_solve(args) -> int:
     run.results.update({f: v for f in STATUS_FIELDS
                         if (v := getattr(subspace, f)) is not None})
 
-    write_rkm1(args.out, subspace.matrix)
-    run.track_output(args.out)
+    run.write(args.out, encode_rkm1(subspace.matrix))
     if args.means_out:
-        write_rkm1(args.means_out, view.column_means.reshape(1, -1))
-        run.track_output(args.means_out)
+        run.write(args.means_out, encode_rkm1(view.column_means))
     if args.trace_out:
-        write_csv_rows(args.trace_out, ["iteration", "w_frob", "sampled_row_residual"], trace)
-        run.track_output(args.trace_out)
-    run.write_manifest(args.out)
-    return EXIT_OK
+        run.write(args.trace_out,
+                  encode_csv(["iteration", "w_frob", "sampled_row_residual"], trace))
+    return run
 
 
-def _cmd_transform(args) -> int:
-    run = _Run("transform", args)
+def _cmd_transform(args) -> _Run:
+    run = _Run(args)
     data, _ = _load_data(run, args)
     run.track_input(args.subspace)
     W = read_rkm1(args.subspace)
@@ -250,15 +253,12 @@ def _cmd_transform(args) -> int:
         mu = build_centered_view(data).column_means
     if W.shape[0] != data.shape[1]:
         raise InvalidData(f"subspace rows {W.shape[0]} vs {data.shape[1]} data columns")
-    Z = project(data, W, mu)
-    write_rkm1(args.out, Z)
-    run.track_output(args.out)
-    run.write_manifest(args.out)
-    return EXIT_OK
+    run.write(args.out, encode_rkm1(project(data, W, mu)))
+    return run
 
 
-def _cmd_scatter(args) -> int:
-    run = _Run("scatter", args)
+def _cmd_scatter(args) -> _Run:
+    run = _Run(args)
     data, lv = _load_labeled(run, args)
     trace_w, trace_b = scatter_traces(data, lv)
     payload = {
@@ -280,36 +280,29 @@ def _cmd_scatter(args) -> int:
         )
     text = _json_text(payload)
     if args.out:
-        atomic_write_text(args.out, text)
-        run.track_output(args.out)
-        run.write_manifest(args.out)
+        run.write(args.out, text.encode())
     else:
         sys.stdout.write(text)
-    return EXIT_OK
+    return run
 
 
-def _cmd_diagnose(args) -> int:
-    run = _Run("diagnose", args)
+def _cmd_diagnose(args) -> _Run:
+    run = _Run(args)
     data, lv = _load_labeled(run, args)
     view = build_centered_view(data, assume_centered=args.pre_centered)
     cadence = args.checkpoint_every or max(1, args.iters // 20)
     config = SolverConfig(max_iters=args.iters, seed=args.seed, checkpoint_every=cadence)
     report = run_convergence_study(view, encode_labels(lv), trials=args.trials, config=config)
-    atomic_write_text(args.out, _json_text(asdict(report)))
-    run.track_output(args.out)
-    csv_path = args.csv_out or str(Path(args.out).with_suffix(".csv"))
-    write_csv_rows(
-        csv_path,
+    run.write(args.out, _json_text(asdict(report)).encode())
+    run.write(args.csv_out or Path(args.out).with_suffix(".csv"), encode_csv(
         ["k", "empirical", "bound"],
         [(c.iteration, c.empirical_mse, c.bound) for c in report.checkpoints],
-    )
-    run.track_output(csv_path)
-    run.write_manifest(args.out)
-    return EXIT_OK
+    ))
+    return run
 
 
-def _cmd_experiment(args) -> int:
-    run = _Run("experiment", args)
+def _cmd_experiment(args) -> _Run:
+    run = _Run(args)
     data, csv_labels = _load_data(run, args)
     tokens = _load_tokens(run, args, csv_labels)
     config = ExperimentConfig(
@@ -324,17 +317,10 @@ def _cmd_experiment(args) -> int:
         timing=args.timing,
     )
     report = run_experiment(data, tokens, config)
-    atomic_write_text(args.out, _json_text(asdict(report)))
-    run.track_output(args.out)
-    csv_path = args.csv_out or str(Path(args.out).with_suffix(".csv"))
-    write_csv_rows(
-        csv_path,
-        ["method", "replicate", "k", "accuracy", "seconds"],
-        [(m, r, k, acc, sec) for (m, r, k, acc, sec) in report.rows],
-    )
-    run.track_output(csv_path)
-    run.write_manifest(args.out)
-    return EXIT_OK
+    run.write(args.out, _json_text(asdict(report)).encode())
+    run.write(args.csv_out or Path(args.out).with_suffix(".csv"), encode_csv(
+        ["method", "replicate", "k", "accuracy", "seconds"], report.rows))
+    return run
 
 
 @functools.cache
@@ -403,7 +389,7 @@ def build_parser() -> _Parser:
                    help=f"comma list from {','.join(KNOWN_METHODS)}")
     p.add_argument("--replicates", type=int, default=30)
     p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--knn", default="1,5,10", help="comma list of k values")
+    p.add_argument("--knn", type=knn_list, default="1,5,10", help="comma list of k values")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rk-iters", type=int)
     p.add_argument("--rk-tail-average", type=float)
@@ -420,14 +406,12 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
+        run = globals()[f"_cmd_{args.subcommand}"](args)
+        if run.outputs:
+            write_files({**run.outputs, f"{args.out}.manifest.json": run.manifest()})
+        return EXIT_OK
     except SystemExit as exc:  # --version / --help
         return int(exc.code or 0)
-    try:
-        return globals()[f"_cmd_{args.subcommand}"](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -438,11 +422,8 @@ def dispatch(argv) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except RkldaError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"data error: missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # an input that cannot be read, an output that cannot be written
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

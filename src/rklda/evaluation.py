@@ -8,7 +8,9 @@ first k of them for every k.  A row's ``seconds`` is the shared fit +
 projection + neighbour search, plus that k's vote.  Each method's summary
 also carries the medians over replicates of the three phases
 (``fit_seconds_median``, ``project_seconds_median``, ``knn_seconds_median``,
-the last being the search plus every k's vote).  Under ``timing="none"``
+the last being the search plus every k's vote), and a method that failed
+on any replicate lists its distinct failure messages in
+``failure_messages``.  Under ``timing="none"``
 every timing is 0.0, so reports are byte-reproducible.
 """
 
@@ -67,7 +69,8 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ExperimentReport:
     methods: dict            # method -> {completed, failures, failed, per_k,
-                             #            fit/project/knn_seconds_median}
+                             #            fit/project/knn_seconds_median, and
+                             #            failure_messages when failures > 0}
     rows: tuple              # (method, replicate, k, accuracy, seconds)
     config: dict = field(default_factory=dict)
 
@@ -296,15 +299,15 @@ def run_experiment(data, tokens, config: ExperimentConfig) -> ExperimentReport:
 
     rows = []
     phases = {m: [] for m in config.methods}
-    fail_counts = {m: 0 for m in config.methods}
+    fail_messages = {m: [] for m in config.methods}
     for r in range(config.replicates):
         rep_rows, rep_phases, failures = _replicate(data, tokens, class_indices, config,
                                                     r, rep_seqs[r])
         rows.extend(rep_rows)
         for m, times in rep_phases.items():
             phases[m].append(times)
-        for m in failures:
-            fail_counts[m] += 1
+        for m, message in failures.items():
+            fail_messages[m].append(message)
 
     methods_summary = {}
     for method in config.methods:
@@ -319,16 +322,19 @@ def run_experiment(data, tokens, config: ExperimentConfig) -> ExperimentReport:
                     "seconds_median": float(np.median(secs)),
                     "seconds_std": float(np.std(secs, ddof=1)) if len(secs) > 1 else 0.0,
                 }
-        completed = config.replicates - fail_counts[method]
+        messages = fail_messages[method]
+        completed = config.replicates - len(messages)
         medians = np.median(phases[method], axis=0) if phases[method] else np.zeros(3)
         methods_summary[method] = {
             "completed": completed,
-            "failures": fail_counts[method],
+            "failures": len(messages),
             "failed": completed == 0,
             "per_k": per_k,
             "fit_seconds_median": float(medians[0]),
             "project_seconds_median": float(medians[1]),
             "knn_seconds_median": float(medians[2]),
         }
+        if messages:  # distinct, in order of first appearance
+            methods_summary[method]["failure_messages"] = list(dict.fromkeys(messages))
 
     return ExperimentReport(methods=methods_summary, rows=tuple(rows), config=asdict(config))

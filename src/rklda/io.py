@@ -9,6 +9,7 @@ RKM1 layout (dense, bit-exact interchange format):
 """
 
 import csv
+import errno
 import io as _io
 import os
 import struct
@@ -25,18 +26,22 @@ RKM1_MAGIC = b"RKM1"
 FORMAT_VERSION = "RKM1"
 
 
-def write_rkm1(path, matrix: np.ndarray) -> None:
+def encode_rkm1(matrix: np.ndarray) -> bytes:
+    """The RKM1 bytes of a 2-d matrix (a 1-d array is stored as one row)."""
     arr = np.ascontiguousarray(np.asarray(matrix, dtype=np.float64))
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise InvalidData(f"RKM1 stores 2-d matrices, got ndim={arr.ndim}")
-    payload = (
+    return (
         RKM1_MAGIC
         + struct.pack("<QQ", arr.shape[0], arr.shape[1])
         + arr.astype("<f8").tobytes(order="C")
     )
-    atomic_write_bytes(path, payload)
+
+
+def write_rkm1(path, matrix: np.ndarray) -> None:
+    write_files({path: encode_rkm1(matrix)})
 
 
 def read_rkm1(path) -> np.ndarray:
@@ -151,22 +156,34 @@ def load_matrix(path, fmt: str = "auto", csv_header: bool = False, label_column=
     raise InvalidData(f"unknown matrix format {fmt!r}")
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    """Write via a temp file in the destination directory, then rename."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+def write_files(payloads) -> None:
+    """Write each ``{path: bytes}`` payload through a temp file beside it, with
+    the mode ``open(path, "wb")`` gives under the umask.  The temp files are
+    renamed into place back to back once all are written, and removed on any
+    failure; an OSError while staging them names the destination path."""
+    umask = os.umask(0o077)
+    os.umask(umask)
+    staged = []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
+        for path, payload in payloads.items():
+            path = Path(path)
+            try:
+                if path.is_dir():  # which os.replace would refuse only mid-way
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+                fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+                staged.append((tmp, path))
+                with os.fdopen(fd, "wb") as fh:
+                    fh.write(payload)
+                os.chmod(tmp, 0o666 & ~umask)
+            except OSError as exc:
+                raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def format_float(x: float) -> str:
@@ -174,10 +191,11 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_csv_rows(path, header: list[str], rows) -> None:
+def encode_csv(header: list[str], rows) -> bytes:
+    """CSV bytes of a header and rows, floats in ``format_float`` form."""
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([format_float(c) if isinstance(c, float) else c for c in row])
-    atomic_write_text(path, buf.getvalue())
+    return buf.getvalue().encode("utf-8")

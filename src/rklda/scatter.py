@@ -7,8 +7,9 @@ All three use the 1/n scaling:
     S_t = (1/n) sum_i (x_i - c)(x_i - c)^T = S_w + S_b
 
 Inputs are raw (uncentered) observations; centroid subtraction happens
-inside, so grand-mean pre-centering is a harmless no-op.  The d x d forms
-sit behind a small-instance guard; the trace variants never form them.
+inside, so grand-mean pre-centering is a harmless no-op.  The three d x d
+forms sit behind the dense guard (3 d^2 elements); the trace variants
+never form them.
 
 The traces of sparse input come from the stored entries and the g x d
 centroids alone, through
@@ -26,11 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidData, TooLarge
+from .errors import InvalidData
 from .labels import LabelVector
-from .matrix import CENTERING_RATIO_WARN, validate_raw
-
-SCATTER_GUARD = 10**8  # limit on n * d^2
+from .matrix import CENTERING_RATIO_WARN, check_dense_size, validate_raw
 
 
 @dataclass(frozen=True)
@@ -40,13 +39,6 @@ class ScatterSet:
     s_t: np.ndarray
     centroids: np.ndarray       # g x d class means
     grand_centroid: np.ndarray  # length d
-
-
-def _check_guard(n: int, d: int) -> None:
-    if n * d * d > SCATTER_GUARD:
-        raise TooLarge(
-            f"scatter matrices need n*d^2 = {n * d * d} work (guard: {SCATTER_GUARD})"
-        )
 
 
 def _centroids(X: np.ndarray, labels: LabelVector) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +54,7 @@ def scatter_matrices(X_small, labels: LabelVector) -> ScatterSet:
     n, d = X.shape
     if n != labels.n:
         raise InvalidData(f"{n} observations vs {labels.n} labels")
-    _check_guard(n, d)
+    check_dense_size(3 * d * d, f"the three {d}x{d} scatter matrices")
     cents, grand = _centroids(X, labels)
 
     within_dev = X - cents[labels.indices]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -72,12 +73,52 @@ def test_unknown_flag_usage_error(dataset, tmp_path, capsys):
     # unknown flags (no subcommand takes --rank-tol) and a refused flag value
     for argv in (["solve", "--method", "rk", *io, "--bogus-flag", "1"],
                  ["solve", "--method", "pinv", *io, "--rank-tol", "1e-8"],
-                 ["diagnose", "--trials", "2", "--iters", "10", *io, "--checkpoint-every", "-1"]):
+                 ["diagnose", "--trials", "2", "--iters", "10", *io, "--checkpoint-every", "-1"],
+                 ["experiment", *io, "--knn", "1,x"],
+                 ["experiment", *io, "--knn", "1.5"]):
         code = dispatch(argv)
         assert code == 1
         err = capsys.readouterr().err
         assert "usage" in err.lower()
     assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
+
+
+@pytest.mark.parametrize("trace_name", ["missing/t.csv", "a_directory"])
+def test_unwritable_output_writes_nothing(dataset, tmp_path, capsys, trace_name):
+    data, labels, _, _ = dataset
+    (tmp_path / "a_directory").mkdir()
+    before = sorted(tmp_path.iterdir())
+    trace = tmp_path / trace_name
+    code = dispatch(["solve", "--method", "rk", "--data", str(data), "--labels", str(labels),
+                     "--means-out", str(tmp_path / "mu.rkm1"), "--checkpoint-every", "100",
+                     "--trace-out", str(trace), "--out", str(tmp_path / "W.rkm1")])
+    assert code == 2
+    assert str(trace) + "'" in capsys.readouterr().err  # the output path, not a temp file
+    assert sorted(tmp_path.iterdir()) == before  # no output, manifest or temp file
+    assert not any((tmp_path / "a_directory").iterdir())
+
+
+def test_manifest_digests_match_files(dataset, tmp_path):
+    data, labels, _, _ = dataset
+    io = ["--data", str(data), "--labels", str(labels)]
+    commands = {
+        "W.rkm1": ["solve", "--method", "rk", *io, "--iters", "200", "--checkpoint-every", "50",
+                   "--trace-out", str(tmp_path / "t.csv"), "--means-out", str(tmp_path / "mu.rkm1")],
+        "report.json": ["experiment", *io, "--replicates", "2", "--timing", "none"],
+        "diagnose.json": ["diagnose", *io, "--trials", "2", "--iters", "40"],
+        "Y.rkm1": ["encode", "--labels", str(labels), "--classes-out", str(tmp_path / "c.json")],
+    }
+    expected = {"W.rkm1": {"W.rkm1", "t.csv", "mu.rkm1"},
+                "report.json": {"report.json", "report.csv"},
+                "diagnose.json": {"diagnose.json", "diagnose.csv"},
+                "Y.rkm1": {"Y.rkm1", "c.json"}}
+    for out, argv in commands.items():
+        assert dispatch([*argv, "--out", str(tmp_path / out)]) == 0
+        manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+        assert {p.rsplit("/", 1)[-1] for p in manifest["outputs"]} == expected[out]
+        for path, digest in manifest["outputs"].items():
+            with open(path, "rb") as fh:
+                assert digest == hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
 def test_single_class_data_error(dataset, tmp_path, capsys):
@@ -210,9 +251,9 @@ def test_scatter_sparse_dense_guard(tmp_path, capsys):
 
 
 def test_ulda_on_wide_sparse_input(tmp_path):
-    # 60 x 1500: the d x d scatter route would need n*d^2 = 1.35e8 work,
-    # past SCATTER_GUARD, while the dense copy (9e4 elements) is within the
-    # dense guard; ULDA's thin-SVD route serves this d > n shape as pinv does
+    # 60 x 1500: the dense copy (9e4 elements) is within the dense guard, and
+    # ULDA's thin-SVD route serves this d > n shape as pinv does, forming no
+    # d x d scatter matrix
     rng = np.random.default_rng(12)
     n, d, g = 60, 1500, 4
     assign = np.arange(n) % g

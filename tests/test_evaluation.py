@@ -315,7 +315,10 @@ def test_run_experiment_method_failure_recorded():
         report = run_experiment(X, [str(t) for t in y], cfg)
     assert report.methods["pinv"]["failed"]
     assert report.methods["pinv"]["failures"] == 2
+    [message] = report.methods["pinv"]["failure_messages"]
+    assert message.startswith("TooLarge: ")
     assert not report.methods["full"]["failed"]
+    assert "failure_messages" not in report.methods["full"]
     assert all(r[0] != "pinv" for r in report.rows)
 
 

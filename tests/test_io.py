@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 
 import numpy as np
@@ -6,12 +8,13 @@ import scipy.sparse as sp
 
 from rklda.errors import InvalidData
 from rklda.io import (
+    encode_csv,
     load_matrix,
     read_csv_matrix,
     read_labels_file,
     read_matrix_market,
     read_rkm1,
-    write_csv_rows,
+    write_files,
     write_rkm1,
 )
 
@@ -116,10 +119,31 @@ def test_load_matrix_autodetect(tmp_path):
     assert np.array_equal(X2, np.eye(2))
 
 
-def test_write_csv_rows_deterministic(tmp_path):
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    rows = [("m", 0, 1, 0.1 + 0.2, 0.0)]
-    write_csv_rows(p1, ["method", "rep", "k", "acc", "sec"], rows)
-    write_csv_rows(p2, ["method", "rep", "k", "acc", "sec"], rows)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert "0.30000000000000004" in p1.read_text()
+def test_encode_csv_deterministic():
+    rows = [("m", 0, 1, 0.1 + 0.2, np.float64(0.0))]
+    a = encode_csv(["method", "rep", "k", "acc", "sec"], rows)
+    assert a == encode_csv(["method", "rep", "k", "acc", "sec"], rows)
+    assert a == b"method,rep,k,acc,sec\nm,0,1,0.30000000000000004,0.0\n"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_write_files_mode_follows_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        write_files({tmp_path / "a.bin": b"a", tmp_path / "b.bin": b"b"})
+    finally:
+        os.umask(old)
+    for name in ("a.bin", "b.bin"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+def test_write_files_all_or_none(tmp_path):
+    (tmp_path / "a.bin").write_bytes(b"old")
+    missing = tmp_path / "missing" / "c.bin"
+    with pytest.raises(FileNotFoundError) as err:
+        write_files({tmp_path / "a.bin": b"new", tmp_path / "b.bin": b"b", missing: b"c"})
+    assert err.value.filename == str(missing)  # the output, not its temp file
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
+    assert (tmp_path / "a.bin").read_bytes() == b"old"
+    write_files({tmp_path / "a.bin": b"new", tmp_path / "b.bin": b"b"})
+    assert [(tmp_path / n).read_bytes() for n in ("a.bin", "b.bin")] == [b"new", b"b"]

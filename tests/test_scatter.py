@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rklda import matrix
 from rklda.errors import InvalidData, TooLarge
 from rklda.labels import index_labels
 from rklda.scatter import scatter_matrices, scatter_traces
@@ -133,6 +134,12 @@ def test_guard():
     # traces still fine at this shape
     tw, tb = scatter_traces(X, labels)
     assert tw == 0.0 and tb == 0.0
+    # the one dense guard, on the 3 d^2 elements of the matrices, not on n
+    scatter_matrices(np.zeros((700, 400)), index_labels(["a", "b"] * 350))  # n d^2 = 1.1e8
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "DENSE_GUARD_ELEMENTS", 3 * 3000 * 3000 - 1)
+        with pytest.raises(TooLarge, match="27000000 elements"):
+            scatter_matrices(X, labels)
 
 
 @pytest.mark.parametrize("fn", [scatter_matrices, scatter_traces])
