@@ -64,14 +64,18 @@ STATUS_FIELDS = ("iterations_run", "excluded_rows", "converged")
 
 
 class _UsageError(Exception):
-    pass
+    """A usage error, printed with ``parser``'s usage, else the subcommand's."""
+
+    def __init__(self, message, parser=None):
+        super().__init__(message)
+        self.parser = parser
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse that raises instead of exiting, so dispatch controls codes."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise _UsageError(message, self)
 
 
 def non_negative_int(text: str) -> int:
@@ -143,18 +147,13 @@ class _Run:
 
 
 def _load_data(run: _Run, args) -> tuple:
-    """(matrix, labels-from-csv-or-None) honoring format flags."""
+    """(matrix, labels-from-csv-or-None), in the format its first bytes name."""
     run.track_input(args.data)
-    return load_matrix(
-        args.data,
-        fmt=getattr(args, "format", "auto"),
-        csv_header=getattr(args, "csv_header", False),
-        label_column=getattr(args, "label_column", None),
-    )
+    return load_matrix(args.data, csv_header=args.csv_header, label_column=args.label_column)
 
 
 def _load_tokens(run: _Run, args, csv_labels):
-    if getattr(args, "labels", None):
+    if args.labels:
         run.track_input(args.labels)
         return read_labels_file(args.labels)
     if csv_labels is not None:
@@ -172,8 +171,7 @@ def _load_labeled(run: _Run, args) -> tuple:
 
 
 def _add_data_flags(p: _Parser, with_labels: bool = True):
-    p.add_argument("--data", required=True, help="matrix file (.rkm1/.mtx/.csv)")
-    p.add_argument("--format", default="auto", choices=["auto", "rkm1", "mtx", "csv"])
+    p.add_argument("--data", required=True, help="matrix file: RKM1, Matrix Market or CSV")
     p.add_argument("--csv-header", action="store_true",
                    help="first CSV row is a header")
     p.add_argument("--label-column",
@@ -317,6 +315,10 @@ def _cmd_experiment(args) -> _Run:
         timing=args.timing,
     )
     report = run_experiment(data, tokens, config)
+    if not report.rows:
+        raise InvalidData("no method completed a replicate:" + "".join(
+            f"\n  {method}: {message}" for method, summary in report.methods.items()
+            for message in summary["failure_messages"]))
     run.write(args.out, _json_text(asdict(report)).encode())
     run.write(args.csv_out or Path(args.out).with_suffix(".csv"), encode_csv(
         ["method", "replicate", "k", "accuracy", "seconds"], report.rows))
@@ -331,13 +333,13 @@ def build_parser() -> _Parser:
         version=f"rklda {__version__} (matrix format {FORMAT_VERSION})",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices  # name -> subcommand parser
 
     p = sub.add_parser("encode", help="recode labels into the indicator matrix")
     p.add_argument("--labels", help="label file, one token per line")
     p.add_argument("--data", help="CSV holding the label column")
     p.add_argument("--label-column", help="CSV column with the labels")
     p.add_argument("--csv-header", action="store_true")
-    p.add_argument("--format", default="auto", choices=["auto", "rkm1", "mtx", "csv"])
     p.add_argument("--out", required=True)
     p.add_argument("--classes-out", help="also write the class map as JSON")
 
@@ -346,15 +348,16 @@ def build_parser() -> _Parser:
     p.add_argument("--method", required=True,
                    choices=[m for m in KNOWN_METHODS if m != "full"])
     p.add_argument("--out", required=True)
-    p.add_argument("--iters", type=int, help="RK iteration budget (default 20 per row)")
+    budget = p.add_mutually_exclusive_group()
+    budget.add_argument("--iters", type=int, help="RK iteration budget (default 20 per row)")
+    budget.add_argument("--iters-from-kappa", nargs=3, type=float,
+                        metavar=("EPS", "EPS0", "KAPPA"),
+                        help="derive the RK iteration count from a known condition number")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tail-average", type=float,
                    help="burn-in fraction; average the iterates after it")
     p.add_argument("--checkpoint-every", type=non_negative_int, default=0)
     p.add_argument("--trace-out", help="CSV of checkpoint summaries")
-    p.add_argument("--iters-from-kappa", nargs=3, type=float,
-                   metavar=("EPS", "EPS0", "KAPPA"),
-                   help="derive the RK iteration count from a known condition number")
     p.add_argument("--pre-centered", action="store_true",
                    help="treat the stored rows as already column-centered")
     p.add_argument("--means-out", help="write training column means (1 x d RKM1)")
@@ -364,8 +367,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("transform", help="project data through a subspace")
     _add_data_flags(p, with_labels=False)
     p.add_argument("--subspace", required=True, help="d x c RKM1 file")
-    p.add_argument("--means", help="1 x d RKM1 of training column means")
-    p.add_argument("--no-center", action="store_true")
+    centering = p.add_mutually_exclusive_group()
+    centering.add_argument("--means", help="1 x d RKM1 of training column means")
+    centering.add_argument("--no-center", action="store_true")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("scatter", help="scatter matrices / traces as JSON")
@@ -404,8 +408,12 @@ def build_parser() -> _Parser:
 def dispatch(argv) -> int:
     """Run one rklda command line (without the program name); returns the exit code."""
     parser = build_parser()
+    usage = parser  # whose usage a usage error prints: the subcommand's, once known
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        usage = parser.subcommands[args.subcommand]
+        if unknown:
+            usage.error(f"unrecognized arguments: {' '.join(unknown)}")
         run = globals()[f"_cmd_{args.subcommand}"](args)
         if run.outputs:
             write_files({**run.outputs, f"{args.out}.manifest.json": run.manifest()})
@@ -414,7 +422,7 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
+        (exc.parser or usage).print_usage(sys.stderr)
         return EXIT_USAGE
     except DataError as exc:
         print(f"data error: {type(exc).__name__}: {exc}", file=sys.stderr)

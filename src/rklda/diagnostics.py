@@ -19,7 +19,7 @@ direction error while staying in the row space of Xc.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,30 +183,21 @@ def run_convergence_study(
     w0 = config.w0 if config.w0 is not None else np.zeros_like(w_star)
     eps0 = float(np.linalg.norm(w0 - w_star) ** 2)
 
-    cadence = config.checkpoint_every if config.checkpoint_every > 0 else config.max_iters
-    ks = sorted({0, config.max_iters} | set(range(cadence, config.max_iters, cadence)))
     dist = build_sampler(view)
-    seeds = [derive_seed(ss) for ss in np.random.SeedSequence(config.seed).spawn(trials)]
+    errs: dict[int, list[float]] = {}  # checkpoint k -> squared error of each trial
 
-    def one_trial(seed: int) -> list[float]:
-        errs = []  # one per checkpoint, in the order of ks
-        trial_cfg = SolverConfig(
-            max_iters=config.max_iters,
-            seed=seed,
-            checkpoint_every=cadence,
-            w0=config.w0,
-        )
-        solve_rk(view, Ym, trial_cfg, dist=dist,
-                 on_checkpoint=lambda k, Wk, _: errs.append(np.linalg.norm(Wk - w_star) ** 2))
-        return errs
+    def record(k: int, Wk: np.ndarray, _) -> None:
+        errs.setdefault(k, []).append(np.linalg.norm(Wk - w_star) ** 2)
 
-    errors = np.vstack([one_trial(s) for s in seeds])  # trials x checkpoints
+    for ss in np.random.SeedSequence(config.seed).spawn(trials):
+        solve_rk(view, Ym, replace(config, seed=derive_seed(ss)), dist=dist, on_checkpoint=record)
+    errors = np.column_stack(list(errs.values()))  # trials x checkpoints
 
     means = errors.mean(axis=0)
     if trials > 1:
         stderr = errors.std(axis=0, ddof=1) / np.sqrt(trials)
     else:
-        stderr = np.zeros(len(ks))
+        stderr = np.zeros(len(errs))
     checkpoints = tuple(
         Checkpoint(
             iteration=k,
@@ -214,7 +205,7 @@ def run_convergence_study(
             bound=error_bound(profile, eps0, resid_sq, k),
             std_error=float(stderr[j]),
         )
-        for j, k in enumerate(ks)
+        for j, k in enumerate(errs)
     )
     return ConvergenceReport(
         checkpoints=checkpoints,

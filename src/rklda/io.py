@@ -1,5 +1,8 @@
 """File formats: RKM1 binary matrices, CSV, Matrix Market, label files.
 
+``load_matrix`` reads a file's format from its first bytes, never its name:
+the RKM1 magic, the ``%%MatrixMarket`` banner, or else UTF-8 CSV.
+
 RKM1 layout (dense, bit-exact interchange format):
 
     bytes 0..3    magic b"RKM1"
@@ -23,6 +26,7 @@ import scipy.sparse as sp
 from .errors import InvalidData
 
 RKM1_MAGIC = b"RKM1"
+MM_BANNER = b"%%MatrixMarket"
 FORMAT_VERSION = "RKM1"
 
 
@@ -45,7 +49,14 @@ def write_rkm1(path, matrix: np.ndarray) -> None:
 
 
 def read_rkm1(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
+    with open(path, "rb", buffering=0) as fh:
+        return _read_rkm1(fh, path)
+
+
+def _read_rkm1(fh, path) -> np.ndarray:
+    """The RKM1 matrix in the unbuffered file ``fh``, read from its start."""
+    fh.seek(0)
+    raw = fh.readall()
     if len(raw) < 20 or raw[:4] != RKM1_MAGIC:
         raise InvalidData(f"{path}: not an RKM1 file")
     n, d = struct.unpack("<QQ", raw[4:20])
@@ -56,6 +67,15 @@ def read_rkm1(path) -> np.ndarray:
     return data.reshape(n, d).astype(np.float64, copy=True)
 
 
+def _utf8_lines(path, newline=None) -> _io.StringIO:
+    """The text of a UTF-8 file, to iterate by line as ``open`` would; bytes
+    that do not decode are InvalidData."""
+    try:
+        return _io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise InvalidData(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def read_csv_matrix(path, header: bool = False, label_column=None):
     """Numeric CSV -> (matrix, labels or None).
 
@@ -63,8 +83,10 @@ def read_csv_matrix(path, header: bool = False, label_column=None):
     set, a column name; that column is returned as label tokens and
     excluded from the numeric matrix.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        rows = list(csv.reader(_utf8_lines(path, newline="")))
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        raise InvalidData(f"{path}: unreadable CSV ({exc})") from exc
     if not rows:
         raise InvalidData(f"{path}: empty CSV")
     names = None
@@ -116,44 +138,25 @@ def read_matrix_market(path) -> sp.csr_array:
 def read_labels_file(path) -> list[str]:
     """One label token per line, UTF-8; blank lines rejected."""
     tokens = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tok = line.strip()
-            if not tok:
-                raise InvalidData(f"{path}:{lineno}: blank label line")
-            tokens.append(tok)
+    for lineno, line in enumerate(_utf8_lines(path), start=1):
+        tok = line.strip()
+        if not tok:
+            raise InvalidData(f"{path}:{lineno}: blank label line")
+        tokens.append(tok)
     if not tokens:
         raise InvalidData(f"{path}: empty label file")
     return tokens
 
 
-def load_matrix(path, fmt: str = "auto", csv_header: bool = False, label_column=None):
-    """Dispatch on format: returns (RawMatrix, labels or None)."""
-    path = Path(path)
-    if fmt == "auto":
-        suffix = path.suffix.lower()
-        if suffix == ".rkm1":
-            fmt = "rkm1"
-        elif suffix in (".mtx", ".mm"):
-            fmt = "mtx"
-        elif suffix == ".csv":
-            fmt = "csv"
-        else:
-            with open(path, "rb") as fh:
-                head = fh.read(14)
-            if head[:4] == RKM1_MAGIC:
-                fmt = "rkm1"
-            elif head.startswith(b"%%MatrixMarket"):
-                fmt = "mtx"
-            else:
-                fmt = "csv"
-    if fmt == "rkm1":
-        return read_rkm1(path), None
-    if fmt == "mtx":
+def load_matrix(path, csv_header: bool = False, label_column=None):
+    """(matrix, labels or None), in the format the file's first bytes name."""
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(len(MM_BANNER))
+        if head.startswith(RKM1_MAGIC):
+            return _read_rkm1(fh, path), None
+    if head == MM_BANNER:
         return read_matrix_market(path), None
-    if fmt == "csv":
-        return read_csv_matrix(path, header=csv_header, label_column=label_column)
-    raise InvalidData(f"unknown matrix format {fmt!r}")
+    return read_csv_matrix(path, header=csv_header, label_column=label_column)
 
 
 def write_files(payloads) -> None:
@@ -186,16 +189,12 @@ def write_files(payloads) -> None:
         raise
 
 
-def format_float(x: float) -> str:
-    """Shortest round-trip decimal form; deterministic across runs."""
-    return repr(float(x))
-
-
 def encode_csv(header: list[str], rows) -> bytes:
-    """CSV bytes of a header and rows, floats in ``format_float`` form."""
+    """CSV bytes of a header and rows, floats in their shortest round-trip
+    form (``repr``), so equal values give equal bytes."""
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([format_float(c) if isinstance(c, float) else c for c in row])
+        writer.writerow([repr(float(c)) if isinstance(c, float) else c for c in row])
     return buf.getvalue().encode("utf-8")

@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import json
 import subprocess
@@ -70,16 +71,17 @@ def test_solve_missing_labels_usage_error(dataset, tmp_path, capsys):
 def test_unknown_flag_usage_error(dataset, tmp_path, capsys):
     data, labels, _, _ = dataset
     io = ["--data", str(data), "--labels", str(labels), "--out", str(tmp_path / "W.rkm1")]
-    # unknown flags (no subcommand takes --rank-tol) and a refused flag value
+    # unknown flags (no subcommand takes --rank-tol or --format) and a refused flag value
     for argv in (["solve", "--method", "rk", *io, "--bogus-flag", "1"],
                  ["solve", "--method", "pinv", *io, "--rank-tol", "1e-8"],
+                 ["solve", "--method", "rk", "--format", "rkm1", *io],
                  ["diagnose", "--trials", "2", "--iters", "10", *io, "--checkpoint-every", "-1"],
                  ["experiment", *io, "--knn", "1,x"],
                  ["experiment", *io, "--knn", "1.5"]):
         code = dispatch(argv)
         assert code == 1
         err = capsys.readouterr().err
-        assert "usage" in err.lower()
+        assert f"usage: rklda {argv[0]} " in err  # the failing subcommand's usage
     assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
 
 
@@ -192,6 +194,37 @@ def test_transform_roundtrip(dataset, tmp_path):
     W = read_rkm1(W_path)
     mu = read_rkm1(means_path).reshape(-1)
     assert np.allclose(Z, (X - mu) @ W)
+
+
+@pytest.mark.parametrize("conflict", ["iters-and-kappa", "no-center-and-means"])
+def test_conflicting_flags_usage_error(dataset, tmp_path, capsys, conflict):
+    data, labels, _, _ = dataset
+    argv = {
+        "iters-and-kappa": ["solve", "--method", "rk", "--labels", str(labels),
+                            "--iters", "5", "--iters-from-kappa", "0.01", "1", "10"],
+        "no-center-and-means": ["transform", "--subspace", str(data),
+                                "--no-center", "--means", str(data)],
+    }[conflict]
+    code = dispatch([*argv, "--data", str(data), "--out", str(tmp_path / "out.rkm1")])
+    assert code == 1
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
+
+
+@pytest.mark.parametrize("bad", ["data", "gzip-data", "labels"])
+def test_undecodable_text_is_data_error(dataset, tmp_path, capsys, bad):
+    data, labels, _, _ = dataset
+    junk = tmp_path / "junk.bin"
+    if bad == "gzip-data":  # a compressed Matrix Market file is not read as one
+        junk.write_bytes(gzip.compress(b"%%MatrixMarket matrix coordinate real general\n"))
+    else:
+        junk.write_bytes(b"\xff\xfe" + bytes(range(98)))  # neither RKM1, MM nor UTF-8
+    inputs = [data, junk] if bad == "labels" else [junk, labels]
+    code = dispatch(["solve", "--method", "rk", "--data", str(inputs[0]),
+                     "--labels", str(inputs[1]), "--out", str(tmp_path / "W.rkm1")])
+    assert code == 2
+    assert f"{junk}: not UTF-8 text" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels, junk])  # nothing written
 
 
 def test_transform_csv_with_label_column(tmp_path):
@@ -326,6 +359,48 @@ def test_experiment_subcommand_and_determinism(dataset, tmp_path):
     payload = json.loads(pairs[0][0])
     assert set(payload["methods"]) == {"full", "rk"}
     assert payload["config"]["seed"] == 11
+
+
+def test_experiment_without_any_accuracy_is_data_error(dataset, tmp_path, capsys):
+    data, labels, _, _ = dataset
+    # k = 2000 exceeds the training rows, so every method fails every replicate
+    code = dispatch(["experiment", "--data", str(data), "--labels", str(labels),
+                     "--replicates", "2", "--knn", "1,2000", "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no method completed a replicate" in err
+    for method in ("full", "rk", "lsqr"):
+        assert f"{method}: InvalidData: k must be in [1, " in err
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
+
+
+def test_lsqr_flags_reach_the_solver(dataset, tmp_path):
+    data, labels, _, _ = dataset
+    io = ["solve", "--method", "lsqr", "--data", str(data), "--labels", str(labels)]
+
+    def manifest(*flags):
+        out = tmp_path / "W.rkm1"
+        assert dispatch([*io, *flags, "--out", str(out)]) == 0
+        return json.loads((tmp_path / "W.rkm1.manifest.json").read_text())
+
+    capped = manifest("--max-iters", "1")
+    assert capped["converged"] is False
+    assert capped["iterations_run"] == 1
+    default, loose = manifest(), manifest("--tol", "1e-2")
+    assert default["converged"] is True
+    assert loose["converged"] is True
+    assert loose["iterations_run"] <= default["iterations_run"]
+
+
+def test_experiment_solver_flags_reach_the_report(dataset, tmp_path):
+    data, labels, _, _ = dataset
+    out = tmp_path / "report.json"
+    assert dispatch(["experiment", "--data", str(data), "--labels", str(labels),
+                     "--replicates", "2", "--lsqr-tol", "1e-3", "--rk-tail-average", "0.5",
+                     "--timing", "none", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["lsqr_tol"] == 1e-3
+    assert config["rk_tail_average"] == 0.5
 
 
 def test_version_via_subprocess():

@@ -1,3 +1,4 @@
+import csv
 import os
 import stat
 import struct
@@ -85,6 +86,13 @@ def test_csv_non_numeric(tmp_path):
         read_csv_matrix(path)
 
 
+def test_csv_field_past_the_size_limit(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1," + "2" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(InvalidData, match="unreadable CSV"):
+        read_csv_matrix(path)
+
+
 def test_matrix_market(tmp_path):
     path = tmp_path / "m.mtx"
     path.write_text(
@@ -107,16 +115,23 @@ def test_labels_file(tmp_path):
         read_labels_file(blank)
 
 
-def test_load_matrix_autodetect(tmp_path):
-    rk = tmp_path / "x.rkm1"
-    write_rkm1(rk, np.eye(2))
-    X, _ = load_matrix(rk)
-    assert np.array_equal(X, np.eye(2))
-    # detection by content when the extension is unhelpful
-    anon = tmp_path / "data.bin"
-    anon.write_bytes(rk.read_bytes())
-    X2, _ = load_matrix(anon)
-    assert np.array_equal(X2, np.eye(2))
+MM_TEXT = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1.0\n"
+
+
+@pytest.mark.parametrize("name, write", [
+    ("x.csv", lambda path: write_rkm1(path, np.eye(2))),
+    ("x.dat", lambda path: path.write_text(MM_TEXT)),
+    ("x.rkm1", lambda path: path.write_text("1,0\n0,1\n")),
+    ("x.mtx", lambda path: path.write_text("1,0\n0,1\n")),
+], ids=["rkm1-named-csv", "mtx-named-dat", "csv-named-rkm1", "csv-named-mtx"])
+def test_load_matrix_autodetect(tmp_path, name, write):
+    # the first bytes name the format; the file name plays no part
+    path = tmp_path / name
+    write(path)
+    X, labels = load_matrix(path)
+    assert labels is None
+    assert sp.issparse(X) == (name == "x.dat")
+    assert np.array_equal(X.toarray() if sp.issparse(X) else X, np.eye(2))
 
 
 def test_encode_csv_deterministic():
