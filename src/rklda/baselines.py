@@ -3,11 +3,11 @@
 ``solve_lsqr`` is the scalable comparator: an operator-form bidiagonalization
 least-squares solve per column that touches the data only through products
 with Xc and Xc^T.  ``pinv_oracle`` and ``ulda_oracle`` are dense small-scale
-oracles: both take the centered view, densify Xc through
-``to_dense_centered`` (the one dense-size guard), take its thin SVD
-Xc = U S V^T cut to its numerical range and form no d x d matrix: the
-least-norm solution is V S^{-1} U^T Y, and ULDA's is sqrt(n) V S^{-1} P with
-P from the r x g matrix U^T Y.
+oracles that form no d x d matrix.  Both start from ``centered_spectrum``:
+the thin SVD Xc = U S V^T of ``to_dense_centered`` (the one dense-size
+guard) cut to its numerical range.  The least-norm solution ``least_norm``
+is V S^{-1} U^T Y, and ULDA's is sqrt(n) V S^{-1} P with P from the r x g
+matrix U^T Y.  ``principal_angles`` compares two subspaces.
 """
 
 import logging
@@ -67,13 +67,16 @@ def solve_lsqr(
 
     Starting from zero, the bidiagonalization iterates stay in the row space
     of Xc, so the converged solution per column is the least-norm one.
+    ``tol`` must be finite and >= 0, and ``max_iters`` >= 1.
     """
-    Ym = as_matrix(Y)
     n, d = view.shape
-    if Ym.shape[0] != n:
-        raise InvalidData(f"Y has {Ym.shape[0]} rows, data has {n}")
+    Ym = as_matrix(Y, n)
+    if not 0.0 <= tol < np.inf:
+        raise InvalidData(f"lsqr tol must be finite and >= 0, got {tol}")
     if max_iters is None:
         max_iters = 10 * min(n, d) + 50
+    elif max_iters < 1:
+        raise InvalidData(f"lsqr max_iters must be >= 1, got {max_iters}")
     op = _centered_operator(view)
     cols = []
     converged = True
@@ -92,32 +95,25 @@ def solve_lsqr(
                     iterations_run=iterations)
 
 
-def _truncated_svd(X: np.ndarray):
-    """Thin SVD of X cut to its numerical range: (U, s, Vt) with
-    s > default_rank_tol(X, s_max)."""
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    keep = s > default_rank_tol(X, s[0] if len(s) else 0.0)
+def centered_spectrum(view: CenteredMatrixView):
+    """Thin SVD of the dense Xc cut to its numerical range: (U, s, Vt) with
+    s > default_rank_tol(Xc, s_max)."""
+    Xc = to_dense_centered(view)
+    U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
+    keep = s > default_rank_tol(Xc, s[0] if len(s) else 0.0)
     return U[:, keep], s[keep], Vt[keep]
 
 
-def _centered_svd(view: CenteredMatrixView, Y):
-    """(U, s, Vt) of the dense Xc cut by ``_truncated_svd``, and Y as a
-    matrix with one row per observation."""
-    Ym = as_matrix(Y)
-    if Ym.shape[0] != view.n:
-        raise InvalidData(f"Y has {Ym.shape[0]} rows, data has {view.n}")
-    return (*_truncated_svd(to_dense_centered(view)), Ym)
+def least_norm(U, s, Vt, Ym) -> Subspace:
+    """V S^{-1} U^T Y from the spectrum ``centered_spectrum`` returns."""
+    return Subspace(matrix=Vt.T @ ((U.T @ Ym) / s[:, None]), origin="PINV")
 
 
 def pinv_oracle(view: CenteredMatrixView, Y) -> Subspace:
     """Least-norm solution of Xc W = Y via the dense SVD: sum over nonzero
     singular triplets of (1/s_j) v_j u_j^T Y."""
-    return _least_norm(*_centered_svd(view, Y))
-
-
-def _least_norm(U, s, Vt, Ym) -> Subspace:
-    """``pinv_oracle``'s solution from the spectrum ``_centered_svd`` returns."""
-    return Subspace(matrix=Vt.T @ ((U.T @ Ym) / s[:, None]), origin="PINV")
+    Ym = as_matrix(Y, view.n)
+    return least_norm(*centered_spectrum(view), Ym)
 
 
 def ulda_oracle(view: CenteredMatrixView, Y) -> Subspace:
@@ -132,7 +128,8 @@ def ulda_oracle(view: CenteredMatrixView, Y) -> Subspace:
     independent of the data's scale and identical class means leave no
     column.
     """
-    U, s, Vt, Ym = _centered_svd(view, Y)
+    Ym = as_matrix(Y, view.n)
+    U, s, Vt = centered_spectrum(view)
     if not len(s):
         raise DegenerateSubspace("total scatter is numerically zero")
     UtY = U.T @ Ym
@@ -143,31 +140,22 @@ def ulda_oracle(view: CenteredMatrixView, Y) -> Subspace:
     return Subspace(matrix=np.sqrt(view.n) * Vt.T @ (P[:, keep] / s[:, None]), origin="ULDA")
 
 
-def orthonormal_basis(subspace: Subspace) -> np.ndarray:
-    """Orthonormal basis of range(matrix) after numerical rank truncation,
-    relative to the matrix's own largest singular value."""
-    U, _, _ = _truncated_svd(subspace.matrix)
-    if not U.shape[1]:
-        raise DegenerateSubspace(f"{subspace.origin} subspace has numerical rank 0")
-    return U
-
-
 def principal_angles(A: Subspace, B: Subspace) -> np.ndarray:
-    """Canonical angles (ascending, in [0, pi/2]) between the two ranges.
+    """Canonical angles (ascending, in [0, pi/2]) between the two ranges,
+    from ``scipy.linalg.subspace_angles``.
 
-    The cosines are the singular values of Qa^T Qb; tiny angles are
-    recovered through the sine-based companion formula because arccos alone
-    cannot resolve angles near sqrt(machine eps).  The number of angles is
-    the smaller of the two numerical ranks; all angles below 1e-8 rad means
-    the subspaces coincide up to padding and rotation.
+    SciPy cuts each range's orthonormal basis at ``default_rank_tol`` of the
+    matrix's own largest singular value, so only an all-zero matrix has
+    rank 0 (DegenerateSubspace).  The cosines are the singular values of
+    Qa^T Qb (Bjorck and Golub, 1973); tiny angles come from the sine-based
+    companion formula, because arccos alone cannot resolve angles near
+    sqrt(machine eps).  The number of angles is the smaller of the two
+    numerical ranks; all angles below 1e-8 rad means the subspaces coincide
+    up to padding and rotation.
     """
-    Qa = orthonormal_basis(A)
-    Qb = orthonormal_basis(B)
-    if Qa.shape[0] != Qb.shape[0]:
-        raise InvalidData(
-            f"ambient dimensions differ: {Qa.shape[0]} vs {Qb.shape[0]}"
-        )
-    if Qa.shape[1] > Qb.shape[1]:
-        Qa, Qb = Qb, Qa
-    angles = scipy.linalg.subspace_angles(Qa, Qb)
-    return np.sort(angles)
+    for sub in (A, B):
+        if not np.any(sub.matrix):
+            raise DegenerateSubspace(f"{sub.origin} subspace has numerical rank 0")
+    if len(A.matrix) != len(B.matrix):
+        raise InvalidData(f"ambient dimensions differ: {len(A.matrix)} vs {len(B.matrix)}")
+    return np.sort(scipy.linalg.subspace_angles(A.matrix, B.matrix))

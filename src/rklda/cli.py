@@ -14,7 +14,8 @@ test) and ``iterations_run`` (the most any column took) for ``lsqr``.
 All of a run's files are written or none (``io.write_files``), so a failing
 run leaves no output; only a rename failing part-way, after every file is
 written, can leave some.  Files get the mode ``open(path, "wb")`` gives
-under the process umask.
+under the process umask.  Each output needs its own path: one staged twice,
+or one at the manifest's path, is a usage error and nothing is written.
 
 ``dispatch`` may be called repeatedly in one process. It builds the parser
 once (``build_parser`` is cached) and looks up the handler of each call by
@@ -30,6 +31,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -126,14 +128,16 @@ class _Run:
             self.inputs[str(path)] = _digest(path)
 
     def write(self, path, payload: bytes) -> None:
-        """Stage ``payload`` as the contents of ``path``."""
+        """Stage ``payload`` as the contents of ``path``; a path already
+        staged, in any spelling, is a usage error."""
+        if os.path.abspath(path) in map(os.path.abspath, self.outputs):
+            raise _UsageError(f"two outputs share the path {path}")
         self.outputs[str(path)] = payload
 
     def manifest(self) -> bytes:
         manifest = {
             "subcommand": self.flags["subcommand"],
-            "flags": {k: (list(v) if isinstance(v, tuple) else v)
-                      for k, v in self.flags.items()},
+            "flags": self.flags,
             "inputs": self.inputs,
             "outputs": {p: hashlib.sha256(b).hexdigest()[:16] for p, b in self.outputs.items()},
             "seed": self.flags.get("seed"),
@@ -353,7 +357,7 @@ def build_parser() -> _Parser:
     budget.add_argument("--iters-from-kappa", nargs=3, type=float,
                         metavar=("EPS", "EPS0", "KAPPA"),
                         help="derive the RK iteration count from a known condition number")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--tail-average", type=float,
                    help="burn-in fraction; average the iterates after it")
     p.add_argument("--checkpoint-every", type=non_negative_int, default=0)
@@ -381,7 +385,7 @@ def build_parser() -> _Parser:
     _add_data_flags(p)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--checkpoint-every", type=non_negative_int, default=0)
     p.add_argument("--pre-centered", action="store_true")
     p.add_argument("--out", required=True)
@@ -394,7 +398,7 @@ def build_parser() -> _Parser:
     p.add_argument("--replicates", type=int, default=30)
     p.add_argument("--train-frac", type=float, default=0.7)
     p.add_argument("--knn", type=knn_list, default="1,5,10", help="comma list of k values")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--rk-iters", type=int)
     p.add_argument("--rk-tail-average", type=float)
     p.add_argument("--lsqr-tol", type=float, default=1e-12)
@@ -416,7 +420,8 @@ def dispatch(argv) -> int:
             usage.error(f"unrecognized arguments: {' '.join(unknown)}")
         run = globals()[f"_cmd_{args.subcommand}"](args)
         if run.outputs:
-            write_files({**run.outputs, f"{args.out}.manifest.json": run.manifest()})
+            run.write(f"{args.out}.manifest.json", run.manifest())
+            write_files(run.outputs)
         return EXIT_OK
     except SystemExit as exc:  # --version / --help
         return int(exc.code or 0)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import Subspace, _centered_svd, _least_norm, default_rank_tol
+from .baselines import Subspace, centered_spectrum, default_rank_tol, least_norm
 from .errors import DegenerateMatrix, InvalidData
 from .labels import as_matrix
 from .matrix import CenteredMatrixView, to_dense_centered
@@ -124,7 +124,7 @@ def iterations_for_tolerance(eps: float, eps0: float, kappa: float) -> int:
 def residual_at(W, view: CenteredMatrixView, Y) -> tuple[float, float]:
     """(||Y - Xc W||_F, relative to ||Y||_F) via streaming products."""
     Wm = W.matrix if isinstance(W, Subspace) else np.asarray(W, dtype=np.float64)
-    Ym = as_matrix(Y)
+    Ym = as_matrix(Y, view.n)
     R = Ym - view.matmul(Wm)
     frob = float(np.linalg.norm(R))
     y_norm = float(np.linalg.norm(Ym))
@@ -146,7 +146,7 @@ def expected_step_check(
     """
     if m < 1:
         raise InvalidData("sample count must be >= 1")
-    Ym = as_matrix(Y)
+    Ym = as_matrix(Y, view.n)
     Wm = np.asarray(W, dtype=np.float64)
     dist = build_sampler(view)
     idx = sample_rows(dist, rng, m)
@@ -174,9 +174,10 @@ def run_convergence_study(
     with the theoretical bound at every checkpoint."""
     if trials < 1:
         raise InvalidData("trials must be >= 1")
-    U, s, Vt, Ym = _centered_svd(view, Y)  # one spectrum for the profile and W*
+    Ym = as_matrix(Y, view.n)
+    U, s, Vt = centered_spectrum(view)  # one spectrum for the profile and W*
     profile = _spectrum_profile(s)
-    w_star = _least_norm(U, s, Vt, Ym).matrix
+    w_star = least_norm(U, s, Vt, Ym).matrix
     resid_frob, resid_rel = residual_at(w_star, view, Ym)
     resid_sq = resid_frob**2
 

@@ -50,6 +50,8 @@ class ExperimentConfig:
             raise InvalidData(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.replicates < 1:
             raise InvalidData("replicates must be >= 1")
+        if self.seed < 0:
+            raise InvalidData(f"seed must be >= 0, got {self.seed}")
         if self.rk_iters is not None and self.rk_iters < 1:
             raise InvalidData(f"rk_iters must be >= 1, got {self.rk_iters}")
         if not self.knn_ks or any(k < 1 for k in self.knn_ks):

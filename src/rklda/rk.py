@@ -113,6 +113,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidData(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.seed < 0:
+            raise InvalidData(f"seed must be >= 0, got {self.seed}")
         if self.tail_average is not None and not 0.0 <= self.tail_average < 1.0:
             raise InvalidData(
                 f"tail_average burn-in fraction must be in [0, 1), got {self.tail_average}"
@@ -323,10 +325,8 @@ def solve_rk(
     returned W is the uniform average of the iterates after the burn-in
     point; the checkpoints see the raw iterates.
     """
-    Ym = as_matrix(Y)
     n, d = view.shape
-    if Ym.shape[0] != n:
-        raise InvalidData(f"Y has {Ym.shape[0]} rows, data has {n}")
+    Ym = as_matrix(Y, n)
     g = Ym.shape[1]
 
     if dist is None:

@@ -6,7 +6,6 @@ import pytest
 from rklda import matrix
 from rklda.baselines import (
     Subspace,
-    orthonormal_basis,
     pinv_oracle,
     principal_angles,
     solve_lsqr,
@@ -87,6 +86,15 @@ def test_pinv_rank_truncation():
     X = np.array([[1.0, 0.0], [0.0, 0.0]])
     sub = pinv_oracle(precentered(X), np.array([[1.0], [1.0]]))
     assert np.allclose(sub.matrix, [[1.0], [0.0]])
+
+
+@pytest.mark.parametrize("settings", [
+    {"max_iters": 0}, {"max_iters": -5},
+    {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")},
+], ids=["cap-0", "cap-negative", "tol-nan", "tol-negative", "tol-inf"])
+def test_lsqr_rejects_a_cap_or_tolerance_that_does_nothing(settings):
+    with pytest.raises(InvalidData, match="lsqr"):
+        solve_lsqr(precentered(np.eye(2)), np.array([[3.0], [4.0]]), **settings)
 
 
 def test_pinv_guard():
@@ -199,11 +207,14 @@ def test_principal_angles_empty_subspace():
         principal_angles(zero, good)
 
 
-def test_orthonormal_basis_rank_truncates():
-    # second column is a sub-roundoff perturbation of the first: rank 1
+def test_principal_angles_rank_truncates():
+    # second column is a sub-roundoff perturbation of the first: rank 1, so
+    # against a rank-2 basis that holds its range there is one angle, 0
     M = np.array([[1.0, 1.0 + 1e-16], [1.0, 1.0], [0.0, 0.0]])
-    q = orthonormal_basis(Subspace(matrix=M, origin="PINV"))
-    assert q.shape[1] == 1
+    angles = principal_angles(Subspace(matrix=M, origin="PINV"),
+                              Subspace(matrix=np.eye(3)[:, :2], origin="ULDA"))
+    assert angles.shape == (1,)
+    assert angles[0] == 0.0
 
 
 def test_least_norm_minimality():

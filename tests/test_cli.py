@@ -100,6 +100,57 @@ def test_unwritable_output_writes_nothing(dataset, tmp_path, capsys, trace_name)
     assert not any((tmp_path / "a_directory").iterdir())
 
 
+@pytest.mark.parametrize("case", ["means-out", "trace-out", "csv-out", "manifest"])
+def test_two_outputs_on_one_path_usage_error(dataset, tmp_path, capsys, case):
+    data, labels, _, _ = dataset
+    io = ["--data", str(data), "--labels", str(labels)]
+    out = str(tmp_path / "W.rkm1")
+    argv = {
+        # the same path in another spelling
+        "means-out": ["solve", "--method", "rk", *io, "--means-out", f"{tmp_path}/./W.rkm1"],
+        "trace-out": ["solve", "--method", "rk", *io, "--checkpoint-every", "50",
+                      "--trace-out", out],
+        "csv-out": ["experiment", *io, "--replicates", "2", "--csv-out", out],
+        "manifest": ["solve", "--method", "rk", *io, "--means-out", out + ".manifest.json"],
+    }[case]
+    assert dispatch([*argv, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "two outputs share the path" in err and "W.rkm1" in err
+    assert f"usage: rklda {argv[0]} " in err
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
+
+
+@pytest.mark.parametrize("subcommand", [
+    ["solve", "--method", "rk"],
+    ["diagnose", "--trials", "2", "--iters", "10"],
+    ["experiment", "--replicates", "2"],
+], ids=["solve", "diagnose", "experiment"])
+def test_negative_seed_usage_error(dataset, tmp_path, capsys, subcommand):
+    data, labels, _, _ = dataset
+    code = dispatch([*subcommand, "--data", str(data), "--labels", str(labels),
+                     "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"usage: rklda {subcommand[0]} " in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
+
+
+@pytest.mark.parametrize("flags", [
+    ["solve", "--method", "lsqr", "--max-iters", "0"],
+    ["solve", "--method", "lsqr", "--max-iters", "-5"],
+    ["solve", "--method", "lsqr", "--tol", "nan"],
+    ["solve", "--method", "lsqr", "--tol", "-1"],
+    ["experiment", "--methods", "lsqr", "--replicates", "2", "--lsqr-tol", "nan"],
+], ids=["cap-0", "cap-negative", "tol-nan", "tol-negative", "experiment-tol-nan"])
+def test_lsqr_cap_or_tolerance_that_does_nothing_is_data_error(dataset, tmp_path, capsys,
+                                                                flags):
+    data, labels, _, _ = dataset
+    code = dispatch([*flags, "--data", str(data), "--labels", str(labels),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "InvalidData: lsqr " in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
+
+
 def test_manifest_digests_match_files(dataset, tmp_path):
     data, labels, _, _ = dataset
     io = ["--data", str(data), "--labels", str(labels)]
@@ -387,6 +438,7 @@ def test_lsqr_flags_reach_the_solver(dataset, tmp_path):
     assert capped["converged"] is False
     assert capped["iterations_run"] == 1
     default, loose = manifest(), manifest("--tol", "1e-2")
+    manifest("--tol", "0")  # a zero tolerance stays valid
     assert default["converged"] is True
     assert loose["converged"] is True
     assert loose["iterations_run"] <= default["iterations_run"]
@@ -485,6 +537,8 @@ def test_iters_from_kappa(dataset, tmp_path, capsys):
                      "--iters-from-kappa", "0.01", "1.0", "2.0"])
     assert code == 0
     assert "7" in capsys.readouterr().err  # ceil(log(0.01)/log(0.5))
+    manifest = json.loads((tmp_path / "W.rkm1.manifest.json").read_text())
+    assert manifest["flags"]["iters_from_kappa"] == [0.01, 1.0, 2.0]
 
 
 def test_solve_trace_output(dataset, tmp_path):

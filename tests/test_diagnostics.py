@@ -124,6 +124,15 @@ def test_residual_at_solution_and_zero():
     assert rel0 == pytest.approx(1.0)
 
 
+def test_residual_and_expected_step_check_y_row_count():
+    rng = np.random.default_rng(3)
+    view, Y, w_star = planted_consistent(12, 30, 2, rng)
+    with pytest.raises(InvalidData, match="Y has 11 rows, data has 12"):
+        residual_at(w_star, view, Y[:11])
+    with pytest.raises(InvalidData, match="Y has 11 rows, data has 12"):
+        expected_step_check(view, Y[:11], w_star, m=10, rng=make_rng(0))
+
+
 def test_expected_step_single_row_deterministic():
     view = build_centered_view(np.array([[3.0, 4.0]]), assume_centered=True)
     Y = np.array([[2.0, -1.0]])

@@ -427,3 +427,12 @@ def test_config_validation():
         ExperimentConfig(knn_ks=(1, 5, 1))
     with pytest.raises(InvalidData):
         ExperimentConfig(timing="fast")
+
+
+def test_negative_seed_is_invalid():
+    # SeedSequence refuses a negative seed; the configs say so first
+    with pytest.raises(InvalidData, match="seed must be >= 0, got -1"):
+        ExperimentConfig(seed=-1)
+    with pytest.raises(InvalidData, match="seed must be >= 0, got -1"):
+        SolverConfig(max_iters=10, seed=-1)
+    assert SolverConfig(max_iters=10, seed=0).seed == 0

@@ -25,7 +25,7 @@ def precentered(X):
 def reference_solve(view, Y, config, dist=None, on_checkpoint=None):
     """The solver loop without block draws or lazy centering: one sample_row
     call and one explicitly centered row per step."""
-    Ym = as_matrix(Y)
+    Ym = as_matrix(Y, view.n)
     dist = build_sampler(view) if dist is None else dist
     rng = make_rng(config.seed)
     Xc = to_dense_centered(view)
@@ -92,7 +92,7 @@ def assert_near_reference(view, Y, config, W, checkpoints=None):
 def lazy_sparse_solve(view, Y, config, dist=None, on_checkpoint=None):
     """The lazily centered sparse loop step by step, with a and p = mu^T V
     kept as separate vectors and the tail sums U, A apart."""
-    Ym = as_matrix(Y)
+    Ym = as_matrix(Y, view.n)
     dist = build_sampler(view) if dist is None else dist
     base, mu = view.base, view.column_means
     indptr, indices, data = base.indptr, base.indices, base.data
