@@ -14,8 +14,9 @@ test) and ``iterations_run`` (the most any column took) for ``lsqr``.
 All of a run's files are written or none (``io.write_files``), so a failing
 run leaves no output; only a rename failing part-way, after every file is
 written, can leave some.  Files get the mode ``open(path, "wb")`` gives
-under the process umask.  Each output needs its own path: one staged twice,
-or one at the manifest's path, is a usage error and nothing is written.
+under the process umask.  Two outputs on one path, in any spelling, and a
+``solve`` flag that only another method reads are usage errors, found from
+the flags before any input is read.
 
 ``dispatch`` may be called repeatedly in one process. It builds the parser
 once (``build_parser`` is cached) and looks up the handler of each call by
@@ -53,7 +54,7 @@ from .io import (
     write_files,
 )
 from .labels import encode_labels, index_labels
-from .matrix import build_centered_view, densify
+from .matrix import build_centered_view, validate_raw
 from .rk import SolverConfig
 from .scatter import scatter_matrices, scatter_traces
 
@@ -63,6 +64,11 @@ EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 # Subspace fields that ``solve`` records in its manifest when they are set.
 STATUS_FIELDS = ("iterations_run", "excluded_rows", "converged")
+# The ``solve`` flags that one method reads; the others are shared.
+SOLVE_METHOD_FLAGS = {
+    "rk": ("iters", "iters_from_kappa", "tail_average", "checkpoint_every", "trace_out"),
+    "lsqr": ("tol", "max_iters"),
+}
 
 
 class _UsageError(Exception):
@@ -119,20 +125,13 @@ class _Run:
     def __init__(self, args: argparse.Namespace):
         self.flags = {k: v for k, v in sorted(vars(args).items()) if v is not None}
         self.inputs: dict[str, str] = {}
-        self.outputs: dict[str, bytes] = {}
+        self.outputs: dict[str, bytes] = {}  # path -> staged contents
         self.results: dict = {}  # what the run did, e.g. the solver's status
         self.started = _utc_now()
 
     def track_input(self, path) -> None:
         if path is not None:
             self.inputs[str(path)] = _digest(path)
-
-    def write(self, path, payload: bytes) -> None:
-        """Stage ``payload`` as the contents of ``path``; a path already
-        staged, in any spelling, is a usage error."""
-        if os.path.abspath(path) in map(os.path.abspath, self.outputs):
-            raise _UsageError(f"two outputs share the path {path}")
-        self.outputs[str(path)] = payload
 
     def manifest(self) -> bytes:
         manifest = {
@@ -148,6 +147,32 @@ class _Run:
             **self.results,
         }
         return _json_text(manifest).encode()
+
+
+def _csv_path(args) -> str:
+    """``--csv-out``, else ``--out`` with the suffix ``.csv``."""
+    return args.csv_out or str(Path(args.out).with_suffix(".csv"))
+
+
+def _check_output_paths(args) -> None:
+    """Refuse two outputs on one path, in any spelling; scatter to stdout writes none."""
+    if args.out is not None:
+        paths = [args.out, f"{args.out}.manifest.json", "csv_out" in args and _csv_path(args),
+                 *(getattr(args, f, None) for f in ("means_out", "trace_out", "classes_out"))]
+        paths = [os.path.abspath(p) for p in paths if p]
+        if shared := next((p for p in paths if paths.count(p) > 1), None):
+            raise _UsageError(f"two outputs share the path {shared}")
+
+
+def _check_solve_flags(args) -> None:
+    """Refuse another method's flag set off its default, and a trace or a cadence alone."""
+    solve = build_parser().subcommands["solve"]
+    for method, flags in SOLVE_METHOD_FLAGS.items():
+        if given := [f for f in flags if method != args.method
+                     and getattr(args, f) != solve.get_default(f)]:
+            raise _UsageError(f"--{given[0].replace('_', '-')} is read by --method {method} only")
+    if bool(args.trace_out) != bool(args.checkpoint_every):
+        raise _UsageError("--trace-out and --checkpoint-every C > 0 go together")
 
 
 def _load_data(run: _Run, args) -> tuple:
@@ -192,20 +217,19 @@ def _cmd_encode(args) -> _Run:
     tokens = _load_tokens(run, args, csv_labels)
     lv = index_labels(tokens)
     Y = encode_labels(lv)
-    run.write(args.out, encode_rkm1(Y.matrix))
+    run.outputs[args.out] = encode_rkm1(Y.matrix)
     if args.classes_out:
         classes = {
             "classes": [str(c) for c in lv.classes],
             "counts": [int(c) for c in lv.counts],
             "n": lv.n,
         }
-        run.write(args.classes_out, _json_text(classes).encode())
+        run.outputs[args.classes_out] = _json_text(classes).encode()
     return run
 
 
 def _cmd_solve(args) -> _Run:
-    if args.trace_out and (args.method != "rk" or args.checkpoint_every == 0):
-        raise _UsageError("--trace-out needs --method rk and --checkpoint-every C > 0")
+    _check_solve_flags(args)
     run = _Run(args)
     data, lv = _load_labeled(run, args)
     view = build_centered_view(data, assume_centered=args.pre_centered)
@@ -223,25 +247,24 @@ def _cmd_solve(args) -> _Run:
     subspace = fit_subspace(
         args.method, view, encode_labels(lv), seed=args.seed,
         rk_iters=iters, rk_tail_average=args.tail_average,
-        checkpoint_every=args.checkpoint_every if args.trace_out else 0,
-        on_checkpoint=record if args.trace_out else None,
+        checkpoint_every=args.checkpoint_every, on_checkpoint=record if args.trace_out else None,
         lsqr_tol=args.tol, lsqr_max_iters=args.max_iters,
     )
     run.results.update({f: v for f in STATUS_FIELDS
                         if (v := getattr(subspace, f)) is not None})
 
-    run.write(args.out, encode_rkm1(subspace.matrix))
+    run.outputs[args.out] = encode_rkm1(subspace.matrix)
     if args.means_out:
-        run.write(args.means_out, encode_rkm1(view.column_means))
+        run.outputs[args.means_out] = encode_rkm1(view.column_means)
     if args.trace_out:
-        run.write(args.trace_out,
-                  encode_csv(["iteration", "w_frob", "sampled_row_residual"], trace))
+        run.outputs[args.trace_out] = encode_csv(
+            ["iteration", "w_frob", "sampled_row_residual"], trace)
     return run
 
 
 def _cmd_transform(args) -> _Run:
     run = _Run(args)
-    data, _ = _load_data(run, args)
+    data = validate_raw(_load_data(run, args)[0])
     run.track_input(args.subspace)
     W = read_rkm1(args.subspace)
     if args.no_center:
@@ -255,7 +278,7 @@ def _cmd_transform(args) -> _Run:
         mu = build_centered_view(data).column_means
     if W.shape[0] != data.shape[1]:
         raise InvalidData(f"subspace rows {W.shape[0]} vs {data.shape[1]} data columns")
-    run.write(args.out, encode_rkm1(project(data, W, mu)))
+    run.outputs[args.out] = encode_rkm1(project(data, W, mu))
     return run
 
 
@@ -272,7 +295,7 @@ def _cmd_scatter(args) -> _Run:
         "trace_t": trace_w + trace_b,
     }
     if not args.traces_only:
-        ss = scatter_matrices(densify(data), lv)
+        ss = scatter_matrices(data, lv)
         payload.update(
             s_w=ss.s_w.tolist(),
             s_b=ss.s_b.tolist(),
@@ -282,7 +305,7 @@ def _cmd_scatter(args) -> _Run:
         )
     text = _json_text(payload)
     if args.out:
-        run.write(args.out, text.encode())
+        run.outputs[args.out] = text.encode()
     else:
         sys.stdout.write(text)
     return run
@@ -295,11 +318,11 @@ def _cmd_diagnose(args) -> _Run:
     cadence = args.checkpoint_every or max(1, args.iters // 20)
     config = SolverConfig(max_iters=args.iters, seed=args.seed, checkpoint_every=cadence)
     report = run_convergence_study(view, encode_labels(lv), trials=args.trials, config=config)
-    run.write(args.out, _json_text(asdict(report)).encode())
-    run.write(args.csv_out or Path(args.out).with_suffix(".csv"), encode_csv(
+    run.outputs[args.out] = _json_text(asdict(report)).encode()
+    run.outputs[_csv_path(args)] = encode_csv(
         ["k", "empirical", "bound"],
         [(c.iteration, c.empirical_mse, c.bound) for c in report.checkpoints],
-    ))
+    )
     return run
 
 
@@ -323,9 +346,9 @@ def _cmd_experiment(args) -> _Run:
         raise InvalidData("no method completed a replicate:" + "".join(
             f"\n  {method}: {message}" for method, summary in report.methods.items()
             for message in summary["failure_messages"]))
-    run.write(args.out, _json_text(asdict(report)).encode())
-    run.write(args.csv_out or Path(args.out).with_suffix(".csv"), encode_csv(
-        ["method", "replicate", "k", "accuracy", "seconds"], report.rows))
+    run.outputs[args.out] = _json_text(asdict(report)).encode()
+    run.outputs[_csv_path(args)] = encode_csv(
+        ["method", "replicate", "k", "accuracy", "seconds"], report.rows)
     return run
 
 
@@ -418,9 +441,10 @@ def dispatch(argv) -> int:
         usage = parser.subcommands[args.subcommand]
         if unknown:
             usage.error(f"unrecognized arguments: {' '.join(unknown)}")
+        _check_output_paths(args)
         run = globals()[f"_cmd_{args.subcommand}"](args)
         if run.outputs:
-            run.write(f"{args.out}.manifest.json", run.manifest())
+            run.outputs[f"{args.out}.manifest.json"] = run.manifest()
             write_files(run.outputs)
         return EXIT_OK
     except SystemExit as exc:  # --version / --help

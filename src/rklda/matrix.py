@@ -96,8 +96,7 @@ class CenteredMatrixView:
     def matmul(self, v: np.ndarray) -> np.ndarray:
         """(X - 1 mu^T) @ v without densifying the base."""
         v = np.asarray(v, dtype=np.float64)
-        shift = self.column_means @ v
-        return self.base @ v - (shift if v.ndim == 1 else shift[None, :])
+        return self.base @ v - self.column_means @ v
 
     @cached_property
     def _base_t(self) -> RawMatrix:
@@ -126,10 +125,7 @@ class CenteredMatrixView:
     def rmatmul(self, u: np.ndarray) -> np.ndarray:
         """(X - 1 mu^T)^T @ u without densifying the base."""
         u = np.asarray(u, dtype=np.float64)
-        col_sums = u.sum(axis=0)
-        if u.ndim == 1:
-            return self._base_t @ u - self.column_means * col_sums
-        return self._base_t @ u - np.outer(self.column_means, col_sums)
+        return self._base_t @ u - np.multiply.outer(self.column_means, u.sum(axis=0))
 
 
 def build_centered_view(base, assume_centered: bool = False) -> CenteredMatrixView:
@@ -141,13 +137,7 @@ def build_centered_view(base, assume_centered: bool = False) -> CenteredMatrixVi
     mat = validate_raw(base)
     n, d = mat.shape
     sparse = sp.issparse(mat)
-
-    if assume_centered:
-        mu = np.zeros(d)
-    elif sparse:
-        mu = np.asarray(mat.sum(axis=0)).reshape(-1) / n
-    else:
-        mu = mat.mean(axis=0)
+    mu = np.zeros(d) if assume_centered else np.asarray(mat.sum(axis=0)).reshape(-1) / n
 
     cross = None
     if sparse:

@@ -30,15 +30,14 @@ and the chunk ends at W0 + Xc_S^T C.  The iterates are the per-step ones in
 exact arithmetic; only the rounding differs.  A chunk holds gram_chunk(d) =
 min(48, max(8, NORM_CHUNK_ELEMENTS // d)) rows: the Gram matrix costs s d
 flops per step against the step's own d g, so chunks shrink as d grows.
-Only Xc_S W0 depends on the chunks before, so a stretch's whole chunks go
-in groups of gram_group(d) rows that gather and center their rows, take
-their targets and form every chunk's Gram block (one batched product) at
-once; each chunk then costs one product for its residuals, the dtrsm and
-the W update.  A group's rows and its Gram blocks each hold at most
-NORM_CHUNK_ELEMENTS values, so past d of about 680 a group is one chunk.
-The rows left after a stretch's last whole chunk (the whole stretch, when
-it is shorter than a chunk) go as one short chunk.  A step's residual is
-c_j ||x_j||^2, formed only for the row a checkpoint reports.
+Only Xc_S W0 depends on the chunks before, so one method gathers and
+centers the rows of a group of chunks, takes their targets and forms every
+chunk's Gram block with one batched product; each chunk then costs one
+product for its residuals, the dtrsm and the W update.  A stretch's whole
+chunks go in groups of gram_group(d) rows, whose rows and Gram blocks each
+hold at most NORM_CHUNK_ELEMENTS values (one chunk past d of about 680);
+the rows after them go as one group of one shorter chunk.  A step's
+residual is c_j ||x_j||^2, formed only for the row a checkpoint reports.
 
 Sparse bases never form the d-length centered row.  The iterate is
 kept as W = V - mu a^T with the g-vector p = mu^T V, and cross_i = s_i^T mu
@@ -162,9 +161,9 @@ def derive_seed(seed_seq: np.random.SeedSequence) -> int:
 
 class _DenseIterate:
     """W stored as is; a stretch runs as forward substitution on the Gram
-    matrix of its rows, a chunk of ``gram_chunk(d)`` rows at a time, in
-    groups of ``gram_group(d)`` rows that share one gather and one batched
-    Gram product.  Rows short of a whole chunk go as one chunk."""
+    matrix of its rows in chunks of ``gram_chunk(d)`` rows, ``gram_group(d)``
+    rows to one gather and one batched Gram product; the rows after the last
+    whole chunk go the same way, as one group of one shorter chunk."""
 
     def __init__(self, view: CenteredMatrixView, Y: np.ndarray, W: np.ndarray):
         self.base = view.base
@@ -185,39 +184,26 @@ class _DenseIterate:
         e = len(rows) // b * b
         for lo in range(0, e, group):
             hi = min(e, lo + group)
-            self._group(rows[lo:hi], C[lo:hi])
+            self._group(rows[lo:hi], C[lo:hi], b)
         if e < len(rows):
-            self._chunk(rows[e:], C[e:])
+            self._group(rows[e:], C[e:], len(rows) - e)
 
-    def _gather(self, S: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """The centered rows S, in the row buffer; their targets into C."""
+    def _group(self, S: np.ndarray, C: np.ndarray, b: int) -> None:
+        """The rows S in chunks of b, their targets into C; every chunk's
+        Gram block comes from one batched product."""
+        full = len(S) // b
         X = self.X[:len(S)]
         self.base.take(S, axis=0, out=X)
         X -= self.mu
         self.Y.take(S, axis=0, out=C)
-        return X
-
-    def _group(self, S: np.ndarray, C: np.ndarray) -> None:
-        """Whole chunks, their Gram blocks formed by one batched product."""
-        b = self.b
-        full = len(S) // b
-        X = self._gather(S, C).reshape(full, b, -1)
         G = self.G[:full * b * b].reshape(full, b, b)
-        np.matmul(X, X.transpose(0, 2, 1), out=G)
+        if b > 1:  # a one-row block is its diagonal alone
+            blocks = X.reshape(full, b, -1)
+            np.matmul(blocks, blocks.transpose(0, 2, 1), out=G)
         # each step divides by the view's row norm, as a single step does
-        self.norms_sq.take(S.reshape(full, b), out=G.reshape(full, b * b)[:, ::b + 1])
-        for j in range(full):
-            self._solve(X[j], G[j], C[j * b:j * b + b])
-
-    def _chunk(self, S: np.ndarray, C: np.ndarray) -> None:
-        """Fewer rows than a chunk, as one chunk."""
-        X = self._gather(S, C)
-        s = len(S)
-        G = self.G[:s * s]
-        if s > 1:  # a one-row block is its diagonal alone
-            np.dot(X, X.T, out=G.reshape(s, s))
-        self.norms_sq.take(S, out=G[::s + 1])
-        self._solve(X, G.reshape(s, s), C)
+        G.reshape(full, b * b)[:, ::b + 1] = self.norms_sq[S].reshape(full, b)
+        for lo in range(0, len(S), b):
+            self._solve(X[lo:lo + b], G[lo // b], C[lo:lo + b])
 
     def _solve(self, X: np.ndarray, G: np.ndarray, c: np.ndarray) -> None:
         """Steps over the rows X from the targets in c, which end as the

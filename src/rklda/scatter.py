@@ -7,9 +7,10 @@ All three use the 1/n scaling:
     S_t = (1/n) sum_i (x_i - c)(x_i - c)^T = S_w + S_b
 
 Inputs are raw (uncentered) observations; centroid subtraction happens
-inside, so grand-mean pre-centering is a harmless no-op.  The three d x d
-forms sit behind the dense guard (3 d^2 elements); the trace variants
-never form them.
+inside, so grand-mean pre-centering is a harmless no-op.  Input passes
+``validate_raw``, so non-finite entries are refused on either storage.  The
+three d x d forms sit behind the dense guard (3 d^2 elements); the trace
+variants never form them.
 
 The traces of sparse input come from the stored entries and the g x d
 centroids alone, through
@@ -29,7 +30,7 @@ import scipy.sparse as sp
 
 from .errors import InvalidData
 from .labels import LabelVector
-from .matrix import CENTERING_RATIO_WARN, check_dense_size, validate_raw
+from .matrix import CENTERING_RATIO_WARN, check_dense_size, densify, validate_raw
 
 
 @dataclass(frozen=True)
@@ -41,16 +42,18 @@ class ScatterSet:
     grand_centroid: np.ndarray  # length d
 
 
-def _centroids(X: np.ndarray, labels: LabelVector) -> tuple[np.ndarray, np.ndarray]:
-    g, d = labels.g, X.shape[1]
-    cents = np.zeros((g, d))
-    np.add.at(cents, labels.indices, X)
-    cents /= labels.counts[:, None]
-    return cents, X.mean(axis=0)
+def _centroids(X, labels: LabelVector) -> tuple[np.ndarray, np.ndarray]:
+    """The g x d class means and the grand mean of dense or CSR X; the class
+    indicator's product sums each class's rows in row order."""
+    n = X.shape[0]
+    indicator = sp.csr_array((np.ones(n), (labels.indices, np.arange(n))), shape=(labels.g, n))
+    sums = indicator @ X
+    sums = sums.toarray() if sp.issparse(sums) else sums
+    return sums / labels.counts[:, None], np.asarray(X.sum(axis=0)).reshape(-1) / n
 
 
 def scatter_matrices(X_small, labels: LabelVector) -> ScatterSet:
-    X = np.asarray(X_small, dtype=np.float64)
+    X = validate_raw(densify(X_small))
     n, d = X.shape
     if n != labels.n:
         raise InvalidData(f"{n} observations vs {labels.n} labels")
@@ -74,15 +77,12 @@ def scatter_matrices(X_small, labels: LabelVector) -> ScatterSet:
 def scatter_traces(X, labels: LabelVector) -> tuple[float, float]:
     """(trace S_w, trace S_b) via the norm identities, no d x d matrices.
     Sparse X is never densified."""
+    X = validate_raw(X)
     n = X.shape[0]
     if n != labels.n:
         raise InvalidData(f"{n} observations vs {labels.n} labels")
+    cents, grand = _centroids(X, labels)
     if sp.issparse(X):
-        X = validate_raw(X)
-        indicator = sp.csr_array((np.ones(n), (labels.indices, np.arange(n))),
-                                 shape=(labels.g, n))
-        cents = (indicator @ X).toarray() / labels.counts[:, None]
-        grand = np.asarray(X.sum(axis=0)).reshape(-1) / n
         raw_sq = float(X.data @ X.data)
         within = raw_sq - float(labels.counts @ np.einsum("jk,jk->j", cents, cents))
         if raw_sq > CENTERING_RATIO_WARN * max(within, 0.0):
@@ -94,8 +94,6 @@ def scatter_traces(X, labels: LabelVector) -> tuple[float, float]:
             )
         trace_w = max(within, 0.0) / n
     else:
-        X = np.asarray(X, dtype=np.float64)
-        cents, grand = _centroids(X, labels)
         within_dev = X - cents[labels.indices]
         trace_w = float(np.einsum("ij,ij->", within_dev, within_dev)) / n
     diff = cents - grand

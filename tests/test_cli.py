@@ -120,6 +120,48 @@ def test_two_outputs_on_one_path_usage_error(dataset, tmp_path, capsys, case):
     assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "rk", "--iters", "3000000", "--means-out", "W.rkm1", "--out", "W.rkm1"],
+    ["experiment", "--out", "r.csv"],
+    ["diagnose", "--trials", "2", "--iters", "10", "--out", "d.csv"],
+    ["encode", "--classes-out", "y.rkm1", "--out", "y.rkm1"],
+], ids=["solve-means-out", "experiment-default-csv", "diagnose-default-csv", "encode"])
+def test_shared_output_path_refused_before_any_input_is_read(dataset, tmp_path, capsys,
+                                                             monkeypatch, argv):
+    import rklda.cli as cli
+
+    for loader in ("load_matrix", "read_labels_file"):
+        monkeypatch.setattr(cli, loader, lambda *a, **k: pytest.fail("input was read"))
+    data, labels, _, _ = dataset
+    argv = [str(tmp_path / a) if "." in a else a for a in argv]
+    assert dispatch([*argv, "--data", str(data), "--labels", str(labels)]) == 1
+    assert "two outputs share the path" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--means", "mu.rkm1"],
+    ["transform", "--no-center"],
+    ["scatter"],
+    ["scatter", "--traces-only"],
+], ids=["transform-means", "transform-no-center", "scatter", "scatter-traces-only"])
+def test_non_finite_data_is_data_error(tmp_path, capsys, argv):
+    data = tmp_path / "X.csv"
+    data.write_text("1,2\n3,nan\n5,6\n7,9\n")
+    labels = tmp_path / "y.txt"
+    labels.write_text("a\nb\na\nb\n")
+    write_rkm1(tmp_path / "W.rkm1", np.eye(2))
+    write_rkm1(tmp_path / "mu.rkm1", np.zeros((1, 2)))
+    before = sorted(tmp_path.iterdir())
+    argv = [str(tmp_path / a) if a.endswith(".rkm1") else a for a in argv]
+    code = dispatch([*argv, "--data", str(data), "--out", str(tmp_path / "out"),
+                     *(["--labels", str(labels)] if argv[0] == "scatter"
+                       else ["--subspace", str(tmp_path / "W.rkm1")])])
+    assert code == 2
+    assert "matrix contains non-finite entries" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before  # nothing written
+
+
 @pytest.mark.parametrize("subcommand", [
     ["solve", "--method", "rk"],
     ["diagnose", "--trials", "2", "--iters", "10"],
@@ -555,17 +597,29 @@ def test_solve_trace_output(dataset, tmp_path):
     assert float(lines[-1].split(",")[1]) == np.linalg.norm(read_rkm1(out))
 
 
-@pytest.mark.parametrize("flags", [
-    ["--method", "rk", "--trace-out", "trace.csv"],
-    ["--method", "lsqr", "--checkpoint-every", "50", "--trace-out", "trace.csv"],
-    ["--method", "rk", "--checkpoint-every", "-50"],
-], ids=["rk-without-checkpoints", "lsqr", "negative-cadence"])
-def test_solve_trace_flags_usage_error(dataset, tmp_path, flags):
+@pytest.mark.parametrize("flags, named", [
+    (["--method", "rk", "--trace-out", "trace.csv"], "--trace-out"),
+    (["--method", "lsqr", "--checkpoint-every", "50", "--trace-out", "trace.csv"],
+     "--checkpoint-every"),
+    (["--method", "rk", "--checkpoint-every", "-50"], "--checkpoint-every"),
+    (["--method", "rk", "--max-iters", "0", "--tol", "nan"], "--tol"),
+    (["--method", "lsqr", "--tail-average", "0.9", "--iters", "5"], "--iters"),
+    (["--method", "pinv", "--iters", "7"], "--iters"),
+    (["--method", "ulda", "--max-iters", "7"], "--max-iters"),
+    (["--method", "rk", "--checkpoint-every", "5"], "--checkpoint-every"),
+], ids=["rk-without-checkpoints", "lsqr", "negative-cadence", "rk-with-lsqr-flags",
+        "lsqr-with-rk-flags", "pinv-with-iters", "ulda-with-max-iters",
+        "rk-checkpoints-without-trace"])
+def test_solve_trace_flags_usage_error(dataset, tmp_path, capsys, monkeypatch, flags, named):
+    import rklda.cli as cli
+
+    monkeypatch.setattr(cli, "load_matrix", lambda *a, **k: pytest.fail("input was read"))
     data, labels, _, _ = dataset
     flags = [str(tmp_path / f) if f.endswith(".csv") else f for f in flags]
     code = dispatch(["solve", *flags, "--data", str(data), "--labels", str(labels),
                      "--out", str(tmp_path / "W.rkm1")])
     assert code == 1
+    assert named in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
 
 
@@ -581,9 +635,12 @@ def test_checkpoints_without_trace_out_build_no_trace(dataset, tmp_path, monkeyp
 
     monkeypatch.setattr(evaluation, "solve_rk", recording_solve_rk)
     data, labels, _, _ = dataset
-    assert dispatch(["solve", "--method", "rk", "--data", str(data), "--labels", str(labels),
-                     "--iters", "100", "--checkpoint-every", "50",
-                     "--out", str(tmp_path / "W.rkm1")]) == 0
+    argv = ["solve", "--method", "rk", "--data", str(data), "--labels", str(labels),
+            "--iters", "100", "--out", str(tmp_path / "W.rkm1")]
+    # a cadence without a trace is refused before the solve
+    assert dispatch([*argv, "--checkpoint-every", "50"]) == 1
+    assert cadences == []
+    assert dispatch(argv) == 0
     assert cadences == [(0, None)]
 
 

@@ -147,3 +147,11 @@ def test_label_count_mismatch_is_invalid_data(fn):
     labels = index_labels(["a", "b"] * 5)
     with pytest.raises(InvalidData, match="12 observations vs 10 labels"):
         fn(np.ones((12, 3)), labels)
+
+
+@pytest.mark.parametrize("fn", [scatter_matrices, scatter_traces])
+def test_non_finite_data_is_invalid_data(fn):
+    X = np.ones((4, 2))
+    X[1, 1] = np.nan
+    with pytest.raises(InvalidData, match="non-finite"):
+        fn(X, index_labels(["a", "b"] * 2))
