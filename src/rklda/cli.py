@@ -16,7 +16,8 @@ run leaves no output; only a rename failing part-way, after every file is
 written, can leave some.  Files get the mode ``open(path, "wb")`` gives
 under the process umask.  Two outputs on one path, in any spelling, and a
 ``solve`` flag that only another method reads are usage errors, found from
-the flags before any input is read.
+the flags before any input is read, and ``diagnose`` and ``experiment``
+check their settings before reading input too.
 
 ``dispatch`` may be called repeatedly in one process. It builds the parser
 once (``build_parser`` is cached) and looks up the handler of each call by
@@ -266,12 +267,12 @@ def _cmd_transform(args) -> _Run:
     run = _Run(args)
     data = validate_raw(_load_data(run, args)[0])
     run.track_input(args.subspace)
-    W = read_rkm1(args.subspace)
+    W = validate_raw(read_rkm1(args.subspace))
     if args.no_center:
         mu = np.zeros(data.shape[1])
     elif args.means:
         run.track_input(args.means)
-        mu = read_rkm1(args.means).reshape(-1)
+        mu = validate_raw(read_rkm1(args.means)).reshape(-1)
         if mu.shape[0] != data.shape[1]:
             raise InvalidData(f"means length {mu.shape[0]} vs {data.shape[1]} columns")
     else:
@@ -313,10 +314,10 @@ def _cmd_scatter(args) -> _Run:
 
 def _cmd_diagnose(args) -> _Run:
     run = _Run(args)
-    data, lv = _load_labeled(run, args)
-    view = build_centered_view(data, assume_centered=args.pre_centered)
     cadence = args.checkpoint_every or max(1, args.iters // 20)
     config = SolverConfig(max_iters=args.iters, seed=args.seed, checkpoint_every=cadence)
+    data, lv = _load_labeled(run, args)
+    view = build_centered_view(data, assume_centered=args.pre_centered)
     report = run_convergence_study(view, encode_labels(lv), trials=args.trials, config=config)
     run.outputs[args.out] = _json_text(asdict(report)).encode()
     run.outputs[_csv_path(args)] = encode_csv(
@@ -328,8 +329,6 @@ def _cmd_diagnose(args) -> _Run:
 
 def _cmd_experiment(args) -> _Run:
     run = _Run(args)
-    data, csv_labels = _load_data(run, args)
-    tokens = _load_tokens(run, args, csv_labels)
     config = ExperimentConfig(
         methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
         replicates=args.replicates,
@@ -341,6 +340,8 @@ def _cmd_experiment(args) -> _Run:
         lsqr_tol=args.lsqr_tol,
         timing=args.timing,
     )
+    data, csv_labels = _load_data(run, args)
+    tokens = _load_tokens(run, args, csv_labels)
     report = run_experiment(data, tokens, config)
     if not report.rows:
         raise InvalidData("no method completed a replicate:" + "".join(

@@ -23,10 +23,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import Subspace, centered_spectrum, default_rank_tol, least_norm
+from .baselines import Subspace, centered_spectrum, least_norm
 from .errors import DegenerateMatrix, InvalidData
 from .labels import as_matrix
-from .matrix import CenteredMatrixView, to_dense_centered
+from .matrix import CenteredMatrixView
 from .rk import SolverConfig, derive_seed, solve_rk
 from .sampling import build_sampler, sample_rows
 
@@ -66,10 +66,8 @@ class ConvergenceReport:
 
 def condition_profile(view: CenteredMatrixView) -> ConditionProfile:
     """kappa, smallest nonzero singular value, and squared Frobenius norm
-    of the view's centered matrix Xc, densified within the dense guard."""
-    Xc = to_dense_centered(view)
-    s = np.linalg.svd(Xc, compute_uv=False)
-    return _spectrum_profile(s[s > default_rank_tol(Xc, s[0] if len(s) else 0.0)])
+    of the view's centered matrix Xc, from ``centered_spectrum``."""
+    return _spectrum_profile(centered_spectrum(view)[1])
 
 
 def _spectrum_profile(s: np.ndarray) -> ConditionProfile:
@@ -180,9 +178,7 @@ def run_convergence_study(
     w_star = least_norm(U, s, Vt, Ym).matrix
     resid_frob, resid_rel = residual_at(w_star, view, Ym)
     resid_sq = resid_frob**2
-
-    w0 = config.w0 if config.w0 is not None else np.zeros_like(w_star)
-    eps0 = float(np.linalg.norm(w0 - w_star) ** 2)
+    eps0 = float(np.linalg.norm(w_star) ** 2)  # every solve starts at W0 = 0
 
     dist = build_sampler(view)
     errs: dict[int, list[float]] = {}  # checkpoint k -> squared error of each trial

@@ -6,8 +6,9 @@ that row's equation:
 
     W <- W + x_i c^T,   c = (y_i - W^T x_i) / ||x_i||^2,   x_i = s_i - mu
 
-With W0 = 0 every iterate remains in the row space of Xc, which steers the
-solve toward the least-norm solution without explicit regularization.
+Every solve starts at W0 = 0, so every iterate remains in the row space of
+Xc, which steers the solve toward the least-norm solution without explicit
+regularization.
 
 The steps run in stretches of a drawn block: ``solve_rk`` cuts each block
 at checkpoints only, and the iterate writes each step's coefficient c into a
@@ -103,11 +104,13 @@ GRAM_CHUNK_MIN = 8
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """An RK solve's settings; every solve starts at W0 = 0, in the row
+    space of Xc."""
+
     max_iters: int
     seed: int
     checkpoint_every: int = 0          # 0: checkpoints at k = 0 and K only
     tail_average: float | None = None  # burn-in fraction in [0, 1)
-    w0: np.ndarray | None = None       # must lie in the row space of Xc; zero always does
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -165,12 +168,12 @@ class _DenseIterate:
     rows to one gather and one batched Gram product; the rows after the last
     whole chunk go the same way, as one group of one shorter chunk."""
 
-    def __init__(self, view: CenteredMatrixView, Y: np.ndarray, W: np.ndarray):
+    def __init__(self, view: CenteredMatrixView, Y: np.ndarray):
         self.base = view.base
         self.mu = view.column_means
         self.norms_sq = view.centered_row_norms_sq
         self.Y = Y
-        self.W = W
+        self.W = W = np.zeros((view.d, Y.shape[1]))
         self.b = b = gram_chunk(view.d)
         self.group = group = gram_group(view.d)
         self.X = np.empty((group, view.d))  # the group's centered rows
@@ -225,18 +228,15 @@ class _SparseIterate:
     """W = V[:d] - mu a^T with a = V[d] and p = mu^T V[:d] = V[d + 1]; a step
     touches the row's columns and those two rows only."""
 
-    def __init__(self, view: CenteredMatrixView, Y: np.ndarray, W: np.ndarray):
-        d, g = view.d, W.shape[1]
+    def __init__(self, view: CenteredMatrixView, Y: np.ndarray):
         self.mu = mu = view.column_means
         self.cols, self.weights, self.indptr = view.augmented_rows
         self.weights_col = self.weights[:, None]
         self.shift = view.cross - float(mu @ mu)
         self.norms_sq = view.centered_row_norms_sq
         self.Y = Y
-        self.d = d
-        self.V = np.zeros((d + 2, g))
-        self.V[:d] = W
-        self.V[d + 1] = mu @ W
+        self.d = d = view.d
+        self.V = np.zeros((d + 2, Y.shape[1]))
         self.W = None  # current(), formed on demand until the next run
 
     def run(self, rows: np.ndarray, C: np.ndarray) -> None:
@@ -300,7 +300,7 @@ def solve_rk(
     dist: SamplingDistribution | None = None,
     on_checkpoint=None,
 ) -> SolveResult:
-    """Run ``config.max_iters`` randomized projection steps from W0.
+    """Run ``config.max_iters`` randomized projection steps from W0 = 0.
 
     ``on_checkpoint(k, W, sampled_row_residual)`` is the one checkpoint
     output.  It is invoked at k = 0, every ``checkpoint_every`` iterations,
@@ -311,7 +311,7 @@ def solve_rk(
     returned W is the uniform average of the iterates after the burn-in
     point; the checkpoints see the raw iterates.
     """
-    n, d = view.shape
+    n = view.n
     Ym = as_matrix(Y, n)
     g = Ym.shape[1]
 
@@ -321,16 +321,9 @@ def solve_rk(
         raise InvalidData(f"sampler covers {dist.n} rows, data has {n}")
     elif np.any(view.centered_row_norms_sq[dist.active_rows] <= 0.0):
         raise ZeroRowError("sampler draws rows with zero centered norm")
-    if config.w0 is None:
-        W = np.zeros((d, g))
-    else:
-        W = np.asarray(config.w0, dtype=np.float64).copy()
-        if W.shape != (d, g):
-            raise InvalidData(f"w0 must be {d}x{g}, got {W.shape}")
-
     rng = make_rng(config.seed)
     K = config.max_iters
-    iterate = (_SparseIterate if view.is_sparse else _DenseIterate)(view, Ym, W)
+    iterate = (_SparseIterate if view.is_sparse else _DenseIterate)(view, Ym)
     burn = int(math.floor(config.tail_average * K)) if config.tail_average is not None else None
     # Z[i] sums (k - burn) c_k over the steps k > burn on row i
     Z = np.zeros((n, g)) if burn is not None else None

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .baselines import default_rank_tol
+from .baselines import centered_spectrum
 from .matrix import build_centered_view, to_dense_centered
 
 
@@ -46,10 +46,9 @@ def planted_inconsistent(n: int, d: int, g: int, rank: int,
     view = build_centered_view(X)
     Xc = to_dense_centered(view)
     W_bar = Xc.T @ rng.standard_normal((n, g))
-    U, s, _ = np.linalg.svd(Xc, full_matrices=True)
-    r = int(np.sum(s > default_rank_tol(Xc, s[0])))
+    U = centered_spectrum(view)[0]
     noise = rng.standard_normal((n, g))
-    perp = U[:, r:] @ (U[:, r:].T @ noise)
+    perp = noise - U @ (U.T @ noise)
     Y = Xc @ W_bar + resid_scale * perp
     return view, Y
 

@@ -162,6 +162,45 @@ def test_non_finite_data_is_data_error(tmp_path, capsys, argv):
     assert sorted(tmp_path.iterdir()) == before  # nothing written
 
 
+@pytest.mark.parametrize("argv", [["--no-center"], ["--means", "mu.rkm1"]],
+                         ids=["nan-subspace", "inf-means"])
+def test_non_finite_subspace_or_means_is_data_error(tmp_path, capsys, argv):
+    data = tmp_path / "X.csv"
+    data.write_text("1,2,3\n4,5,6\n7,8,10\n1,0,2\n")
+    W, mu = np.ones((3, 1)), np.zeros((1, 3))
+    if argv[0] == "--no-center":
+        W[1, 0] = np.nan
+    else:
+        mu[0, 2] = np.inf
+    write_rkm1(tmp_path / "W.rkm1", W)
+    write_rkm1(tmp_path / "mu.rkm1", mu)
+    before = sorted(tmp_path.iterdir())
+    argv = [str(tmp_path / a) if a.endswith(".rkm1") else a for a in argv]
+    code = dispatch(["transform", *argv, "--data", str(data),
+                     "--subspace", str(tmp_path / "W.rkm1"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "matrix contains non-finite entries" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before  # nothing written
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["experiment", "--replicates", "0"], "replicates must be >= 1"),
+    (["experiment", "--knn", "0"], "every kNN k must be >= 1"),
+    (["diagnose", "--trials", "2", "--iters", "0"], "max_iters must be >= 1"),
+], ids=["experiment-replicates-0", "experiment-knn-0", "diagnose-iters-0"])
+def test_settings_refused_before_any_input_is_read(tmp_path, capsys, monkeypatch, argv, refusal):
+    # the input does not exist, so a run that reads it first reports the file
+    import rklda.cli as cli
+
+    for loader in ("load_matrix", "read_labels_file"):
+        monkeypatch.setattr(cli, loader, lambda *a, **k: pytest.fail("input was read"))
+    code = dispatch([*argv, "--data", str(tmp_path / "X.csv"), "--labels",
+                     str(tmp_path / "y.txt"), "--out", str(tmp_path / "out.json")])
+    assert code == 2
+    assert refusal in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
 @pytest.mark.parametrize("subcommand", [
     ["solve", "--method", "rk"],
     ["diagnose", "--trials", "2", "--iters", "10"],

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rklda.baselines import pinv_oracle
+from rklda import baselines, diagnostics, synthetic
+from rklda.baselines import pinv_oracle, ulda_oracle
 from rklda.diagnostics import (
     condition_profile,
     error_bound,
@@ -275,3 +276,31 @@ def test_study_takes_one_svd(monkeypatch):
     assert len(calls) == 1  # the profile and W* share one spectrum
     assert report.kappa == pytest.approx(profile.kappa, rel=1e-12)
     assert report.beta == pytest.approx(profile.beta, rel=1e-12)
+
+
+@pytest.mark.parametrize("job", [
+    "condition_profile", "pinv_oracle", "ulda_oracle", "run_convergence_study",
+    "planted_inconsistent",
+])
+def test_each_spectrum_comes_from_one_centered_spectrum_call(monkeypatch, job):
+    rng = np.random.default_rng(38)
+    view, Y = planted_inconsistent(12, 30, 3, rank=6, rng=rng)
+    calls = []
+    spectrum = baselines.centered_spectrum
+
+    def counting_spectrum(v):
+        calls.append(v)
+        return spectrum(v)
+
+    for module in (baselines, diagnostics, synthetic):
+        monkeypatch.setattr(module, "centered_spectrum", counting_spectrum, raising=False)
+    run = {
+        "condition_profile": lambda: condition_profile(view),
+        "pinv_oracle": lambda: pinv_oracle(view, Y),
+        "ulda_oracle": lambda: ulda_oracle(view, Y),
+        "run_convergence_study": lambda: run_convergence_study(
+            view, Y, trials=2, config=SolverConfig(max_iters=30, seed=1)),
+        "planted_inconsistent": lambda: planted_inconsistent(12, 30, 3, rank=6, rng=rng),
+    }[job]
+    run()
+    assert len(calls) == 1

@@ -29,10 +29,7 @@ def reference_solve(view, Y, config, dist=None, on_checkpoint=None):
     dist = build_sampler(view) if dist is None else dist
     rng = make_rng(config.seed)
     Xc = to_dense_centered(view)
-    if config.w0 is None:
-        W = np.zeros((view.d, Ym.shape[1]))
-    else:
-        W = np.array(config.w0, dtype=np.float64)
+    W = np.zeros((view.d, Ym.shape[1]))
     K = config.max_iters
     burn = math.floor(config.tail_average * K) if config.tail_average is not None else None
     cadence = config.checkpoint_every
@@ -98,8 +95,8 @@ def lazy_sparse_solve(view, Y, config, dist=None, on_checkpoint=None):
     indptr, indices, data = base.indptr, base.indices, base.data
     cross = np.asarray(base @ mu).reshape(-1)
     shift = cross - float(mu @ mu)
-    V = np.zeros((view.d, Ym.shape[1])) if config.w0 is None else np.array(config.w0)
-    a, p = np.zeros(V.shape[1]), mu @ V
+    V = np.zeros((view.d, Ym.shape[1]))
+    a, p = np.zeros(V.shape[1]), np.zeros(V.shape[1])
     K = config.max_iters
     burn = math.floor(config.tail_average * K) if config.tail_average is not None else None
     cadence = config.checkpoint_every
@@ -143,20 +140,14 @@ def assert_same_checkpoints(a, b):
         assert np.array_equal(Wa, Wb)
 
 
-def first_draw_seeds(view):
-    """A seed per active row whose first draw is that row."""
+def steps_from_zero(view, Y, rows):
+    """The solver's W after one step from zero on each of ``rows`` in turn,
+    from a seed whose first draws are those rows."""
     dist = build_sampler(view)
-    seeds = {}
     for seed in range(100_000):
-        seeds.setdefault(sample_row(dist, make_rng(seed)), seed)
-        if len(seeds) == len(dist.active_rows):
-            return seeds
-    raise AssertionError("some row is never drawn first")
-
-
-def step_on_row(view, Y, W, i, seeds):
-    """One solver step from W, on row i."""
-    return solve_rk(view, Y, SolverConfig(max_iters=1, seed=seeds[i], w0=W)).W
+        if sample_rows(dist, make_rng(seed), len(rows)).tolist() == list(rows):
+            return solve_rk(view, Y, SolverConfig(max_iters=len(rows), seed=seed)).W
+    raise AssertionError(f"no seed draws the rows {rows} first")
 
 
 def both_storages(X, **kwargs):
@@ -167,7 +158,7 @@ def both_storages(X, **kwargs):
 def test_step_from_zero():
     Y = np.array([[1.0, -1.0], [0.0, 0.0]])
     for view in both_storages([[2.0, 0.0], [0.0, 1.0]], assume_centered=True):
-        W1 = step_on_row(view, Y, np.zeros((2, 2)), 0, first_draw_seeds(view))
+        W1 = steps_from_zero(view, Y, [0])
         assert np.allclose(W1, [[0.5, -0.5], [0.0, 0.0]])
 
 
@@ -179,14 +170,17 @@ def test_step_satisfies_sampled_equation():
 
 
 def test_step_fixed_point():
+    # W* = x_0 t^T satisfies every equation of Y = Xc W*, and a step from
+    # zero on row 0 lands on it; the next step, on any row, leaves it there
     rng = np.random.default_rng(0)
     X = rng.standard_normal((4, 6)) + 3.0
     for view in both_storages(X):
-        W = rng.standard_normal((6, 2))
-        Y = to_dense_centered(view) @ W  # every equation already satisfied
-        seeds = first_draw_seeds(view)
+        Xc = to_dense_centered(view)
+        w_star = np.outer(Xc[0], rng.standard_normal(2))
+        Y = Xc @ w_star
+        assert np.allclose(steps_from_zero(view, Y, [0]), w_star, atol=1e-12)
         for i in range(4):
-            assert np.allclose(step_on_row(view, Y, W, i, seeds), W, atol=1e-12)
+            assert np.allclose(steps_from_zero(view, Y, [0, i]), w_star, atol=1e-12)
 
 
 def test_step_zero_row_error():
@@ -222,14 +216,12 @@ def test_k1_is_single_step():
 
 
 @pytest.mark.parametrize("tail_average", [None, 0.3])
-@pytest.mark.parametrize("with_w0", [False, True])
-def test_dense_matches_reference_loop(tail_average, with_w0):
+def test_dense_matches_reference_loop(tail_average):
     rng = np.random.default_rng(40)
     X = rng.standard_normal((12, 8)) * 2.0 + 50.0
     Y = rng.standard_normal((12, 3))
     view = build_centered_view(X)
-    w0 = to_dense_centered(view).T @ rng.standard_normal((12, 3)) if with_w0 else None
-    cfg = SolverConfig(max_iters=400, seed=9, tail_average=tail_average, w0=w0)
+    cfg = SolverConfig(max_iters=400, seed=9, tail_average=tail_average)
     assert_near_reference(view, Y, cfg, solve_rk(view, Y, cfg).W)
 
 
@@ -416,18 +408,18 @@ def test_monotone_non_expansiveness():
 
 
 def test_expected_one_step_contraction():
+    # from W1, where a step from zero on row 0 lands, one more step
+    # contracts the expected error by at least 1 - 1/kappa
     rng = np.random.default_rng(21)
     view, Y, w_star = planted_consistent(10, 40, 2, rng)
     Xc = to_dense_centered(view)
     s = np.linalg.svd(Xc, compute_uv=False)
     nonzero = s[s > max(Xc.shape) * EPS * s[0]]
     kappa = view.frob_norm_sq / nonzero[-1] ** 2
-    W = rng.standard_normal(w_star.shape) * 0.1
-    err = np.linalg.norm(W - w_star) ** 2
-    seeds = first_draw_seeds(view)
+    err = np.linalg.norm(steps_from_zero(view, Y, [0]) - w_star) ** 2
     # exact expectation over the sampling distribution
     expected = sum(
-        p * np.linalg.norm(step_on_row(view, Y, W, i, seeds) - w_star) ** 2
+        p * np.linalg.norm(steps_from_zero(view, Y, [0, i]) - w_star) ** 2
         for i, p in enumerate(build_sampler(view).probs)
     )
     assert expected <= (1.0 - 1.0 / kappa) * err + 1e-10 * err
@@ -448,6 +440,46 @@ def test_row_space_confinement():
     for _, Wk in seen:
         out_of_space = Wk - V @ (V.T @ Wk)
         assert np.linalg.norm(out_of_space) <= 1e-8 * max(1.0, np.linalg.norm(Wk))
+
+
+@pytest.mark.filterwarnings("ignore:sparse centering ratio")
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    d=st.integers(2, 12),
+    rank_frac=st.floats(0.0, 1.0),
+    empty_cols=st.floats(0.0, 0.5),
+    offset_exp=st.floats(0.0, 4.0),
+    K=st.integers(1, 150),
+    cadence=st.sampled_from([0, 1, 7]),
+    tail_average=st.sampled_from([None, 0.0, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+def test_row_space_confinement_property(n, d, rank_frac, empty_cols, offset_exp, K, cadence,
+                                        tail_average, seed):
+    # X = A B of rank r < min(n, d) on either side of n = d, some columns
+    # empty and the others offset by up to 1e4.  With r <= n - 1 the
+    # centered (I - 11^T/n) A keeps rank r, so Xc's row space is B's, of
+    # dimension rank(B): every checkpoint and the returned W must lie in the
+    # span of the top rank(B) right singular vectors of the explicitly
+    # centered X, on both storages.
+    rng = np.random.default_rng(seed)
+    r = 1 + int(rank_frac * (min(n, d) - 2))
+    B = rng.standard_normal((r, d))
+    B[:, 1:][:, rng.random(d - 1) < empty_cols] = 0.0
+    X = rng.standard_normal((n, r)) @ B
+    X += (B != 0).any(axis=0) * 10.0 ** offset_exp * rng.random(d)
+    Y = rng.standard_normal((n, 2))
+    cfg = SolverConfig(max_iters=K, seed=seed, checkpoint_every=cadence,
+                       tail_average=tail_average)
+    for view in both_storages(X):
+        _, _, Vt = np.linalg.svd(to_dense_centered(view))
+        V = Vt[:np.linalg.matrix_rank(B)].T
+        got, record = recorder()
+        W = solve_rk(view, Y, cfg, on_checkpoint=record).W
+        tol = agreement_tolerance(view, K) * largest_iterate(solve_rk, view, Y, cfg)
+        for Wk in [W, *(Wk for _, Wk in got)]:
+            assert np.linalg.norm(Wk - V @ (V.T @ Wk)) <= tol
 
 
 def test_tail_average_matches_manual_replay():
@@ -476,14 +508,15 @@ def test_zero_norm_rows_skipped_in_solve():
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_reports_iteration():
-    # an overflowing right-hand side poisons the per-step residual
-    Y = np.array([[1e308], [1e308]])
-    big_w0 = np.full((2, 1), -1e308)
-    for view in both_storages(np.eye(2), assume_centered=True):
+    # two copies of one row with targets +-1e308: a step on one copy lands
+    # at 1e308 along it, so the residual of the first step on the other
+    # copy, -+2e308, overflows
+    Y = np.array([[1e308], [-1e308]])
+    for view in both_storages([[1.0, 1.0], [1.0, 1.0]], assume_centered=True):
+        rows = sample_rows(build_sampler(view), make_rng(0), 10).tolist()
         with pytest.raises(NumericalDivergence) as err:
-            solve_rk(view, Y, SolverConfig(max_iters=10, seed=0, w0=big_w0))
-        assert err.value.iteration is not None
-        assert 1 <= err.value.iteration <= 10
+            solve_rk(view, Y, SolverConfig(max_iters=10, seed=0))
+        assert err.value.iteration == rows.index(1 - rows[0]) + 1
 
 
 def row_first_drawn_at(dist, seed, k):
@@ -531,12 +564,6 @@ def test_trace_cadence_and_final_checkpoint():
     assert seen == [0, 10, 20, 25]
 
 
-def test_w0_must_match_shape():
-    view = precentered(np.eye(3))
-    with pytest.raises(InvalidData):
-        solve_rk(view, np.ones((3, 2)), SolverConfig(max_iters=1, seed=0, w0=np.zeros((2, 2))))
-
-
 def test_scale_equivariance_of_sampling_through_solve():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((8, 12))
@@ -578,9 +605,8 @@ def test_sparse_matches_lazy_step_loop(seed, tail_average, cadence):
     X[seed % X.shape[0]] = 0.0  # an empty stored row, drawn for its -mu
     view = build_centered_view(sp.csr_array(X))
     Y = np.random.default_rng(seed).standard_normal((X.shape[0], 3))
-    w0 = to_dense_centered(view).T @ Y if seed == 8 else None
     cfg = SolverConfig(max_iters=SAMPLE_BLOCK + 37, seed=seed, tail_average=tail_average,
-                       checkpoint_every=cadence, w0=w0)
+                       checkpoint_every=cadence)
     (got, record_got), (want, record_want) = recorder(), recorder()
     W = solve_rk(view, Y, cfg, on_checkpoint=record_got).W
     W_lazy = lazy_sparse_solve(view, Y, cfg, on_checkpoint=record_want)
