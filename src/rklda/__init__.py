@@ -19,7 +19,6 @@ from .diagnostics import (
     ConvergenceReport,
     condition_profile,
     error_bound,
-    expected_step_check,
     iterations_for_tolerance,
     residual_at,
     run_convergence_study,

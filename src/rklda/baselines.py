@@ -22,6 +22,8 @@ from .labels import as_matrix
 from .matrix import CenteredMatrixView, to_dense_centered
 
 logger = logging.getLogger(__name__)
+# LSQR's default stopping tolerance (atol = btol) in every caller.
+LSQR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,10 +39,6 @@ class Subspace:
             raise InvalidData(f"subspace matrix must be d x c with c >= 1, got {self.matrix.shape}")
         if not np.all(np.isfinite(self.matrix)):
             raise InvalidData("subspace contains non-finite entries")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
 
 
 def default_rank_tol(matrix: np.ndarray, sigma_max: float) -> float:
@@ -60,7 +58,7 @@ def _centered_operator(view: CenteredMatrixView) -> LinearOperator:
 def solve_lsqr(
     view: CenteredMatrixView,
     Y,
-    tol: float = 1e-12,
+    tol: float = LSQR_TOL,
     max_iters: int | None = None,
 ) -> Subspace:
     """Least-norm least-squares solution, one column of Y at a time.

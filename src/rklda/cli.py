@@ -16,8 +16,9 @@ run leaves no output; only a rename failing part-way, after every file is
 written, can leave some.  Files get the mode ``open(path, "wb")`` gives
 under the process umask.  Two outputs on one path, in any spelling, and a
 ``solve`` flag that only another method reads are usage errors, found from
-the flags before any input is read, and ``diagnose`` and ``experiment``
-check their settings before reading input too.
+the flags before any input is read, as is a count below 1 or a negative
+seed, and ``diagnose`` and ``experiment`` check their settings before
+reading input too.
 
 ``dispatch`` may be called repeatedly in one process. It builds the parser
 once (``build_parser`` is cached) and looks up the handler of each call by
@@ -42,6 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .baselines import LSQR_TOL
 from .diagnostics import iterations_for_tolerance, run_convergence_study
 from .errors import DataError, InvalidData, NumericalError
 from .evaluation import KNOWN_METHODS, ExperimentConfig, fit_subspace, project, run_experiment
@@ -87,12 +89,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, self)
 
 
-def non_negative_int(text: str) -> int:
-    """argparse type of a count that may be zero; a negative one is a usage error."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def int_at_least(low: int):
+    """argparse type of an integer >= ``low``; a smaller one is a usage error."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return count
+
+
+non_negative_int, positive_int = int_at_least(0), int_at_least(1)
 
 
 def knn_list(text: str) -> str:
@@ -233,7 +240,7 @@ def _cmd_solve(args) -> _Run:
     _check_solve_flags(args)
     run = _Run(args)
     data, lv = _load_labeled(run, args)
-    view = build_centered_view(data, assume_centered=args.pre_centered)
+    view = build_centered_view(data)
     iters = args.iters
     if args.iters_from_kappa:
         eps, eps0, kappa = args.iters_from_kappa
@@ -317,7 +324,7 @@ def _cmd_diagnose(args) -> _Run:
     cadence = args.checkpoint_every or max(1, args.iters // 20)
     config = SolverConfig(max_iters=args.iters, seed=args.seed, checkpoint_every=cadence)
     data, lv = _load_labeled(run, args)
-    view = build_centered_view(data, assume_centered=args.pre_centered)
+    view = build_centered_view(data)
     report = run_convergence_study(view, encode_labels(lv), trials=args.trials, config=config)
     run.outputs[args.out] = _json_text(asdict(report)).encode()
     run.outputs[_csv_path(args)] = encode_csv(
@@ -377,7 +384,8 @@ def build_parser() -> _Parser:
                    choices=[m for m in KNOWN_METHODS if m != "full"])
     p.add_argument("--out", required=True)
     budget = p.add_mutually_exclusive_group()
-    budget.add_argument("--iters", type=int, help="RK iteration budget (default 20 per row)")
+    budget.add_argument("--iters", type=positive_int,
+                        help="RK iteration budget (default 20 per row)")
     budget.add_argument("--iters-from-kappa", nargs=3, type=float,
                         metavar=("EPS", "EPS0", "KAPPA"),
                         help="derive the RK iteration count from a known condition number")
@@ -386,11 +394,9 @@ def build_parser() -> _Parser:
                    help="burn-in fraction; average the iterates after it")
     p.add_argument("--checkpoint-every", type=non_negative_int, default=0)
     p.add_argument("--trace-out", help="CSV of checkpoint summaries")
-    p.add_argument("--pre-centered", action="store_true",
-                   help="treat the stored rows as already column-centered")
     p.add_argument("--means-out", help="write training column means (1 x d RKM1)")
-    p.add_argument("--tol", type=float, default=1e-12, help="lsqr stopping tolerance")
-    p.add_argument("--max-iters", type=int, help="lsqr iteration cap")
+    p.add_argument("--tol", type=float, default=LSQR_TOL, help="lsqr stopping tolerance")
+    p.add_argument("--max-iters", type=positive_int, help="lsqr iteration cap")
 
     p = sub.add_parser("transform", help="project data through a subspace")
     _add_data_flags(p, with_labels=False)
@@ -407,26 +413,27 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("diagnose", help="empirical error decay vs the theory bound")
     _add_data_flags(p)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--iters", type=int, required=True)
+    p.add_argument("--trials", type=positive_int, required=True)
+    p.add_argument("--iters", type=positive_int, required=True)
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--checkpoint-every", type=non_negative_int, default=0)
-    p.add_argument("--pre-centered", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out")
 
     p = sub.add_parser("experiment", help="split/fit/project/classify protocol")
     _add_data_flags(p)
-    p.add_argument("--methods", default="full,rk,lsqr",
+    defaults = ExperimentConfig()
+    p.add_argument("--methods", default=",".join(defaults.methods),
                    help=f"comma list from {','.join(KNOWN_METHODS)}")
-    p.add_argument("--replicates", type=int, default=30)
-    p.add_argument("--train-frac", type=float, default=0.7)
-    p.add_argument("--knn", type=knn_list, default="1,5,10", help="comma list of k values")
-    p.add_argument("--seed", type=non_negative_int, default=0)
-    p.add_argument("--rk-iters", type=int)
-    p.add_argument("--rk-tail-average", type=float)
-    p.add_argument("--lsqr-tol", type=float, default=1e-12)
-    p.add_argument("--timing", default="wall", choices=["wall", "none"],
+    p.add_argument("--replicates", type=positive_int, default=defaults.replicates)
+    p.add_argument("--train-frac", type=float, default=defaults.train_fraction)
+    p.add_argument("--knn", type=knn_list, default=",".join(map(str, defaults.knn_ks)),
+                   help="comma list of k values")
+    p.add_argument("--seed", type=non_negative_int, default=defaults.seed)
+    p.add_argument("--rk-iters", type=positive_int, default=defaults.rk_iters)
+    p.add_argument("--rk-tail-average", type=float, default=defaults.rk_tail_average)
+    p.add_argument("--lsqr-tol", type=float, default=defaults.lsqr_tol)
+    p.add_argument("--timing", default=defaults.timing, choices=["wall", "none"],
                    help="'none' writes zero seconds for byte-reproducible reports")
     p.add_argument("--out", required=True)
     p.add_argument("--csv-out")

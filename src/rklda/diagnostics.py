@@ -8,14 +8,6 @@ R* = Y - Xc W*, the expected squared error of the k-th iterate obeys
 with kappa = ||Xc||_F^2 / sigma_min_plus^2 a scaled condition number and
 beta = 1 / sigma_min_plus^2 the residual-floor coefficient.  When the system
 is consistent the floor vanishes and the decay is purely geometric.
-
-The one-step expectation identity
-
-    E[W_{k+1} - W_k | W_k] = -Xc^T (Xc W_k - Y) / ||Xc||_F^2
-
-shows the update is, on average, a gradient step weighted by squared
-singular values, i.e. the iterates preferentially remove large-singular-
-direction error while staying in the row space of Xc.
 """
 
 import math
@@ -28,7 +20,7 @@ from .errors import DegenerateMatrix, InvalidData
 from .labels import as_matrix
 from .matrix import CenteredMatrixView
 from .rk import SolverConfig, derive_seed, solve_rk
-from .sampling import build_sampler, sample_rows
+from .sampling import build_sampler
 
 CONSISTENCY_RTOL = 1e-10
 
@@ -127,39 +119,6 @@ def residual_at(W, view: CenteredMatrixView, Y) -> tuple[float, float]:
     frob = float(np.linalg.norm(R))
     y_norm = float(np.linalg.norm(Ym))
     return frob, frob / y_norm if y_norm > 0 else float("inf")
-
-
-def expected_step_check(
-    view: CenteredMatrixView,
-    Y,
-    W: np.ndarray,
-    m: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Average of m independent single steps from W versus the analytic
-    expectation -Xc^T (Xc W - Y) / ||Xc||_F^2.
-
-    Returns (empirical mean step, analytic step, Frobenius deviation); the
-    deviation shrinks as O(1/sqrt(m)).
-    """
-    if m < 1:
-        raise InvalidData("sample count must be >= 1")
-    Ym = as_matrix(Y, view.n)
-    Wm = np.asarray(W, dtype=np.float64)
-    dist = build_sampler(view)
-    idx = sample_rows(dist, rng, m)
-    counts = np.bincount(idx, minlength=view.n).astype(np.float64)
-
-    # mean of x_i r_i^T / ||x_i||^2 over draws, grouped by row index
-    R = Ym - view.matmul(Wm)
-    weights = np.zeros(view.n)
-    active = view.centered_row_norms_sq > 0
-    weights[active] = counts[active] / (m * view.centered_row_norms_sq[active])
-    empirical = view.rmatmul(weights[:, None] * R)
-
-    analytic = view.rmatmul(R) / view.frob_norm_sq
-    deviation = float(np.linalg.norm(empirical - analytic))
-    return empirical, analytic, deviation
 
 
 def run_convergence_study(

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .baselines import Subspace, pinv_oracle, solve_lsqr, ulda_oracle
+from .baselines import LSQR_TOL, Subspace, pinv_oracle, solve_lsqr, ulda_oracle
 from .errors import ClassCoverageError, InvalidData, RkldaError
 from .labels import encode_labels, index_labels
 from .matrix import build_centered_view, densify
@@ -42,7 +42,7 @@ class ExperimentConfig:
     seed: int = 0
     rk_iters: int | None = None        # default: 20 iterations per training row
     rk_tail_average: float | None = None
-    lsqr_tol: float = 1e-12
+    lsqr_tol: float = LSQR_TOL
     timing: str = "wall"               # "wall" | "none" (report zeros)
 
     def __post_init__(self):
@@ -208,7 +208,7 @@ def accuracy(predicted, truth) -> float:
 
 def fit_subspace(method: str, view, Y, *, seed: int,
                  rk_iters: int | None = None, rk_tail_average: float | None = None,
-                 checkpoint_every: int = 0, on_checkpoint=None, lsqr_tol: float = 1e-12,
+                 checkpoint_every: int = 0, on_checkpoint=None, lsqr_tol: float = LSQR_TOL,
                  lsqr_max_iters: int | None = None) -> Subspace | None:
     """The subspace of ``method`` (one of KNOWN_METHODS) fit on the centered
     ``view`` with the class indicator ``Y`` of its rows; None for ``full``.

@@ -12,7 +12,8 @@ a single pass over the stored entries, since any explicit form would
 densify the row.  The expansion cancels when the offset dominates the
 spread: its relative error is about eps * n ||mu||^2 / ||Xc||_F^2 (the
 view's ``centering_ratio``), and a RuntimeWarning is raised when that ratio
-exceeds CENTERING_RATIO_WARN.
+exceeds CENTERING_RATIO_WARN; ``solve_rk`` refuses a sparse view past
+CENTERING_RATIO_MAX.
 """
 
 import warnings
@@ -33,6 +34,8 @@ NORM_CHUNK_ELEMENTS = 1 << 16
 # Sparse centering ratio past which the norm expansion and the lazily
 # centered RK step lose more than about eps * 1e6 ~ 2e-10 relative accuracy.
 CENTERING_RATIO_WARN = 1e6
+# Sparse centering ratio past which solve_rk refuses the view (eps * 1e13 ~ 2e-3).
+CENTERING_RATIO_MAX = 1e13
 
 RawMatrix = Union[np.ndarray, sp.csr_matrix, sp.csr_array]
 

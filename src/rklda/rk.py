@@ -54,7 +54,8 @@ update and one scatter.  The residual is still summed in the order above:
 folding the shift into the same dot product loses the sparse/dense
 agreement near a degenerate centering.  The lazy form adds rounding of
 relative size about eps * n ||mu||^2 / ||Xc||_F^2
-(``CenteredMatrixView.centering_ratio``) to each step.
+(``CenteredMatrixView.centering_ratio``) to each step, so ``solve_rk``
+refuses a sparse view whose ratio exceeds CENTERING_RATIO_MAX.
 
 Tail averaging is one identity on either storage.  Step k (0-based) adds
 x_{i_k} c_k^T, so with b the burn-in the mean of the iterates after steps
@@ -91,7 +92,7 @@ from scipy.linalg.blas import dtrsm
 
 from .errors import InvalidData, NumericalDivergence, ZeroRowError
 from .labels import as_matrix
-from .matrix import NORM_CHUNK_ELEMENTS, CenteredMatrixView, centered_chunks
+from .matrix import CENTERING_RATIO_MAX, NORM_CHUNK_ELEMENTS, CenteredMatrixView, centered_chunks
 from .sampling import SamplingDistribution, build_sampler, sample_rows
 
 DEFAULT_ITERS_PER_ROW = 20
@@ -309,8 +310,13 @@ def solve_rk(
     residual of the row step k sampled, before that step: c ||x_i||^2 from
     its coefficient c; nan at k = 0.  With ``tail_average`` set, the
     returned W is the uniform average of the iterates after the burn-in
-    point; the checkpoints see the raw iterates.
+    point; the checkpoints see the raw iterates.  A sparse view whose
+    ``centering_ratio`` exceeds CENTERING_RATIO_MAX raises InvalidData.
     """
+    if view.is_sparse and (ratio := view.centering_ratio) > CENTERING_RATIO_MAX:
+        raise InvalidData(f"sparse centering ratio n*||mu||^2/||Xc||_F^2 = {ratio:.3g} exceeds "
+                          f"{CENTERING_RATIO_MAX:g}: lazily centered RK steps would lose about "
+                          f"eps * ratio = {ratio * np.finfo(float).eps:.1g} relative")
     n = view.n
     Ym = as_matrix(Y, n)
     g = Ym.shape[1]

@@ -1,9 +1,12 @@
-"""Synthetic instances used by the test suite and the benchmark scripts."""
+"""Synthetic instances and a Monte-Carlo check of the expected RK step,
+shared by the test modules."""
 
 import numpy as np
 
-from .baselines import centered_spectrum
-from .matrix import build_centered_view, to_dense_centered
+from rklda.baselines import centered_spectrum
+from rklda.labels import as_matrix
+from rklda.matrix import CenteredMatrixView, build_centered_view, to_dense_centered
+from rklda.sampling import build_sampler, sample_rows
 
 
 def two_gaussians(n: int = 200, d: int = 50, separation: float = 5.0,
@@ -52,3 +55,37 @@ def planted_inconsistent(n: int, d: int, g: int, rank: int,
     Y = Xc @ W_bar + resid_scale * perp
     return view, Y
 
+
+def expected_step_check(
+    view: CenteredMatrixView,
+    Y,
+    W: np.ndarray,
+    m: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Average of m independent single steps from W versus the analytic
+    expectation of one step,
+
+        E[W_{k+1} - W_k | W_k = W] = -Xc^T (Xc W - Y) / ||Xc||_F^2,
+
+    a gradient step weighted by squared singular values, so the iterates
+    remove large-singular-direction error first while staying in the row
+    space of Xc.  Returns (empirical mean step, analytic step, Frobenius deviation); the
+    deviation shrinks as O(1/sqrt(m)).
+    """
+    Ym = as_matrix(Y, view.n)
+    Wm = np.asarray(W, dtype=np.float64)
+    dist = build_sampler(view)
+    idx = sample_rows(dist, rng, m)
+    counts = np.bincount(idx, minlength=view.n).astype(np.float64)
+
+    # mean of x_i r_i^T / ||x_i||^2 over draws, grouped by row index
+    R = Ym - view.matmul(Wm)
+    weights = np.zeros(view.n)
+    active = view.centered_row_norms_sq > 0
+    weights[active] = counts[active] / (m * view.centered_row_norms_sq[active])
+    empirical = view.rmatmul(weights[:, None] * R)
+
+    analytic = view.rmatmul(R) / view.frob_norm_sq
+    deviation = float(np.linalg.norm(empirical - analytic))
+    return empirical, analytic, deviation

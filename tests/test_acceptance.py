@@ -15,11 +15,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from helpers import expected_step_check, planted_consistent, planted_inconsistent, two_gaussians
 from rklda.baselines import pinv_oracle, principal_angles, solve_lsqr, ulda_oracle
 from rklda.cli import dispatch
 from rklda.diagnostics import (
     condition_profile,
-    expected_step_check,
     iterations_for_tolerance,
     residual_at,
     run_convergence_study,
@@ -30,7 +30,6 @@ from rklda.labels import encode_labels, index_labels
 from rklda.matrix import build_centered_view, to_dense_centered
 from rklda.rk import SolverConfig, make_rng, solve_rk
 from rklda.scatter import scatter_matrices
-from rklda.synthetic import planted_consistent, planted_inconsistent, two_gaussians
 
 
 @contextmanager

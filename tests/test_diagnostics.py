@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from rklda import baselines, diagnostics, synthetic
+import helpers
+from helpers import expected_step_check, planted_consistent, planted_inconsistent
+from rklda import baselines, diagnostics
 from rklda.baselines import pinv_oracle, ulda_oracle
 from rklda.diagnostics import (
     condition_profile,
     error_bound,
-    expected_step_check,
     iterations_for_tolerance,
     residual_at,
     run_convergence_study,
@@ -17,7 +18,6 @@ from rklda.errors import DegenerateMatrix, InvalidData
 from rklda.labels import encode_labels, index_labels
 from rklda.matrix import build_centered_view, to_dense_centered
 from rklda.rk import SolverConfig, make_rng
-from rklda.synthetic import planted_consistent, planted_inconsistent
 
 
 def test_condition_profile_diag():
@@ -292,7 +292,7 @@ def test_each_spectrum_comes_from_one_centered_spectrum_call(monkeypatch, job):
         calls.append(v)
         return spectrum(v)
 
-    for module in (baselines, diagnostics, synthetic):
+    for module in (baselines, diagnostics, helpers):
         monkeypatch.setattr(module, "centered_spectrum", counting_spectrum, raising=False)
     run = {
         "condition_profile": lambda: condition_profile(view),

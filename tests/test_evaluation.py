@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import two_gaussians
 from rklda import evaluation, matrix
 from rklda.baselines import pinv_oracle
 from rklda.diagnostics import condition_profile, residual_at, run_convergence_study
@@ -27,7 +28,6 @@ from rklda.evaluation import (
 from rklda.labels import encode_labels, index_labels
 from rklda.matrix import build_centered_view, densify, to_dense_centered
 from rklda.rk import SolverConfig, make_rng
-from rklda.synthetic import two_gaussians
 
 
 def test_split_sizes_and_partition():

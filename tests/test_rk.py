@@ -1,19 +1,20 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import planted_consistent
 from rklda.errors import InvalidData, NumericalDivergence, ZeroRowError
 from rklda.labels import as_matrix
-from rklda.matrix import build_centered_view, to_dense_centered
+from rklda.matrix import CENTERING_RATIO_MAX, build_centered_view, to_dense_centered
 from rklda.rk import SAMPLE_BLOCK, SolverConfig, gram_chunk, gram_group, make_rng, solve_rk
 from rklda.sampling import build_sampler, sample_row, sample_rows
-from rklda.synthetic import planted_consistent
 
 EPS = np.finfo(float).eps
 
@@ -636,6 +637,9 @@ def agreement_tolerance(view, K):
     tail_average=st.sampled_from([None, 0.5]),
     seed=st.integers(0, 2**16),
 )
+# a ratio of 1.8e15: the sparse norms of rows 1 and 2 come out as 4, not 8
+@example(X=np.array([[0.0, 0, 6, 6, 6], [6.0] * 5, [6.0] * 5]), density=1.0, offset_exp=8.0,
+         tail_average=None, seed=0)
 def test_sparse_agrees_with_dense(X, density, offset_exp, tail_average, seed):
     rng = np.random.default_rng(seed)
     n, d = X.shape
@@ -650,6 +654,10 @@ def test_sparse_agrees_with_dense(X, density, offset_exp, tail_average, seed):
     K = 60
     cfg = SolverConfig(max_iters=K, seed=seed, tail_average=tail_average)
     Wd = solve_rk(dense, Y, cfg, dist=dist).W
+    if sparse.centering_ratio > CENTERING_RATIO_MAX:
+        with pytest.raises(InvalidData, match=re.escape(f"= {sparse.centering_ratio:.3g} exceeds")):
+            solve_rk(sparse, Y, cfg, dist=dist)
+        return
     Ws = solve_rk(sparse, Y, cfg, dist=dist).W
     gap = np.linalg.norm(Ws - Wd)
     assert gap <= agreement_tolerance(sparse, K) * max(np.linalg.norm(Wd), 1e-300)
