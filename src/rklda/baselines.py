@@ -55,6 +55,14 @@ def _centered_operator(view: CenteredMatrixView) -> LinearOperator:
     )
 
 
+def check_lsqr(tol: float, max_iters: int | None) -> None:
+    """InvalidData for a tol that is negative or not finite, or max_iters < 1."""
+    if not 0.0 <= tol < np.inf:
+        raise InvalidData(f"lsqr tol must be finite and >= 0, got {tol}")
+    if max_iters is not None and max_iters < 1:
+        raise InvalidData(f"lsqr max_iters must be >= 1, got {max_iters}")
+
+
 def solve_lsqr(
     view: CenteredMatrixView,
     Y,
@@ -65,16 +73,12 @@ def solve_lsqr(
 
     Starting from zero, the bidiagonalization iterates stay in the row space
     of Xc, so the converged solution per column is the least-norm one.
-    ``tol`` must be finite and >= 0, and ``max_iters`` >= 1.
     """
     n, d = view.shape
     Ym = as_matrix(Y, n)
-    if not 0.0 <= tol < np.inf:
-        raise InvalidData(f"lsqr tol must be finite and >= 0, got {tol}")
+    check_lsqr(tol, max_iters)
     if max_iters is None:
         max_iters = 10 * min(n, d) + 50
-    elif max_iters < 1:
-        raise InvalidData(f"lsqr max_iters must be >= 1, got {max_iters}")
     op = _centered_operator(view)
     cols = []
     converged = True

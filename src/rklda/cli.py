@@ -17,8 +17,8 @@ written, can leave some.  Files get the mode ``open(path, "wb")`` gives
 under the process umask.  Two outputs on one path, in any spelling, and a
 ``solve`` flag that only another method reads are usage errors, found from
 the flags before any input is read, as is a count below 1 or a negative
-seed, and ``diagnose`` and ``experiment`` check their settings before
-reading input too.
+seed.  Every solver setting is then checked by the solver's own rule
+(``SolverConfig``, ``check_lsqr``) before any input is read.
 
 ``dispatch`` may be called repeatedly in one process. It builds the parser
 once (``build_parser`` is cached) and looks up the handler of each call by
@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import LSQR_TOL
+from .baselines import LSQR_TOL, check_lsqr
 from .diagnostics import iterations_for_tolerance, run_convergence_study
 from .errors import DataError, InvalidData, NumericalError
 from .evaluation import KNOWN_METHODS, ExperimentConfig, fit_subspace, project, run_experiment
@@ -239,13 +239,16 @@ def _cmd_encode(args) -> _Run:
 def _cmd_solve(args) -> _Run:
     _check_solve_flags(args)
     run = _Run(args)
-    data, lv = _load_labeled(run, args)
-    view = build_centered_view(data)
     iters = args.iters
     if args.iters_from_kappa:
         eps, eps0, kappa = args.iters_from_kappa
         iters = max(1, iterations_for_tolerance(eps, eps0, kappa))
         print(f"iterations from condition number: {iters}", file=sys.stderr)
+    rk = SolverConfig(max_iters=iters, seed=args.seed, checkpoint_every=args.checkpoint_every,
+                      tail_average=args.tail_average)
+    check_lsqr(args.tol, args.max_iters)
+    data, lv = _load_labeled(run, args)
+    view = build_centered_view(data)
     trace = []  # the CSV rows: (k, ||W_k||_F, sampled-row residual)
 
     def record(k, W, r):
@@ -253,9 +256,8 @@ def _cmd_solve(args) -> _Run:
         trace.append((k, math.sqrt(flat.dot(flat)), r))
 
     subspace = fit_subspace(
-        args.method, view, encode_labels(lv), seed=args.seed,
-        rk_iters=iters, rk_tail_average=args.tail_average,
-        checkpoint_every=args.checkpoint_every, on_checkpoint=record if args.trace_out else None,
+        args.method, view, encode_labels(lv), rk=rk,
+        on_checkpoint=record if args.trace_out else None,
         lsqr_tol=args.tol, lsqr_max_iters=args.max_iters,
     )
     run.results.update({f: v for f in STATUS_FIELDS

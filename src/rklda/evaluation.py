@@ -15,15 +15,15 @@ every timing is 0.0, so reports are byte-reproducible.
 """
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .baselines import LSQR_TOL, Subspace, pinv_oracle, solve_lsqr, ulda_oracle
+from .baselines import LSQR_TOL, Subspace, check_lsqr, pinv_oracle, solve_lsqr, ulda_oracle
 from .errors import ClassCoverageError, InvalidData, RkldaError
 from .labels import encode_labels, index_labels
-from .matrix import build_centered_view, densify
-from .rk import SolverConfig, default_iterations, derive_seed, solve_rk
+from .matrix import build_centered_view, densify, validate_raw
+from .rk import SolverConfig, derive_seed, solve_rk
 
 KNOWN_METHODS = ("full", "rk", "lsqr", "pinv", "ulda")
 # Entries held at once by the kNN: test rows x training rows of squared
@@ -50,10 +50,8 @@ class ExperimentConfig:
             raise InvalidData(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.replicates < 1:
             raise InvalidData("replicates must be >= 1")
-        if self.seed < 0:
-            raise InvalidData(f"seed must be >= 0, got {self.seed}")
-        if self.rk_iters is not None and self.rk_iters < 1:
-            raise InvalidData(f"rk_iters must be >= 1, got {self.rk_iters}")
+        self.rk  # SolverConfig checks rk_iters, rk_tail_average and seed
+        check_lsqr(self.lsqr_tol, None)
         if not self.knn_ks or any(k < 1 for k in self.knn_ks):
             raise InvalidData("every kNN k must be >= 1")
         if not self.methods:
@@ -66,6 +64,12 @@ class ExperimentConfig:
             raise InvalidData(f"unknown methods {unknown}; choose from {KNOWN_METHODS}")
         if self.timing not in ("wall", "none"):
             raise InvalidData(f"timing must be 'wall' or 'none', got {self.timing!r}")
+
+    @property
+    def rk(self) -> SolverConfig:
+        """The RK settings of every fit, before each method's derived seed."""
+        return SolverConfig(max_iters=self.rk_iters, seed=self.seed,
+                            tail_average=self.rk_tail_average)
 
 
 @dataclass(frozen=True)
@@ -206,28 +210,21 @@ def accuracy(predicted, truth) -> float:
     return float(np.mean(predicted == truth))
 
 
-def fit_subspace(method: str, view, Y, *, seed: int,
-                 rk_iters: int | None = None, rk_tail_average: float | None = None,
-                 checkpoint_every: int = 0, on_checkpoint=None, lsqr_tol: float = LSQR_TOL,
+def fit_subspace(method: str, view, Y, *, rk: SolverConfig = SolverConfig(),
+                 on_checkpoint=None, lsqr_tol: float = LSQR_TOL,
                  lsqr_max_iters: int | None = None) -> Subspace | None:
     """The subspace of ``method`` (one of KNOWN_METHODS) fit on the centered
     ``view`` with the class indicator ``Y`` of its rows; None for ``full``.
 
-    An RK fit (default 20 iterations per row) carries its iterations_run
-    and excluded_rows, and passes ``on_checkpoint`` to ``solve_rk``; an
-    LSQR fit whether every column converged and the most iterations a
-    column took.  ``pinv`` and ``ulda`` densify within the dense guard.
+    An RK fit is ``solve_rk`` with the settings ``rk`` and ``on_checkpoint``
+    and carries its iterations_run and excluded_rows; an LSQR fit whether
+    every column converged and the most iterations a column took.  ``pinv``
+    and ``ulda`` densify within the dense guard.
     """
     if method == "full":
         return None
     if method == "rk":
-        config = SolverConfig(
-            max_iters=default_iterations(view.n) if rk_iters is None else rk_iters,
-            seed=seed,
-            checkpoint_every=checkpoint_every,
-            tail_average=rk_tail_average,
-        )
-        result = solve_rk(view, Y, config, on_checkpoint=on_checkpoint)
+        result = solve_rk(view, Y, rk, on_checkpoint=on_checkpoint)
         return Subspace(matrix=result.W, origin="RK", iterations_run=result.iterations_run,
                         excluded_rows=result.excluded_rows)
     if method == "lsqr":
@@ -267,9 +264,7 @@ def _replicate(data, tokens, class_indices: np.ndarray, config: ExperimentConfig
         m_seed = derive_seed(children[1 + m_pos])
         try:
             t0 = clock()
-            B = fit_subspace(method, view, Y, seed=m_seed,
-                             rk_iters=config.rk_iters,
-                             rk_tail_average=config.rk_tail_average,
+            B = fit_subspace(method, view, Y, rk=replace(config.rk, seed=m_seed),
                              lsqr_tol=config.lsqr_tol)
             t1 = clock()
             Z_train = project(X_train, B, view.column_means)
@@ -293,6 +288,7 @@ def _replicate(data, tokens, class_indices: np.ndarray, config: ExperimentConfig
 
 def run_experiment(data, tokens, config: ExperimentConfig) -> ExperimentReport:
     """The full protocol over ``config.replicates`` random splits."""
+    data = validate_raw(data)  # test rows included
     tokens = list(tokens)
     if data.shape[0] != len(tokens):
         raise InvalidData(f"{data.shape[0]} rows vs {len(tokens)} labels")

@@ -42,10 +42,6 @@ class LabelVector:
 class IndicatorMatrix:
     matrix: np.ndarray  # n x g dense
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
 
 def as_matrix(Y, n: int) -> np.ndarray:
     """Coerce an IndicatorMatrix or array-like right-hand side to n x g;

@@ -108,13 +108,13 @@ class SolverConfig:
     """An RK solve's settings; every solve starts at W0 = 0, in the row
     space of Xc."""
 
-    max_iters: int
-    seed: int
+    max_iters: int | None = None       # None: default_iterations(n), 20 per row
+    seed: int = 0
     checkpoint_every: int = 0          # 0: checkpoints at k = 0 and K only
     tail_average: float | None = None  # burn-in fraction in [0, 1)
 
     def __post_init__(self):
-        if self.max_iters < 1:
+        if self.max_iters is not None and self.max_iters < 1:
             raise InvalidData(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:
             raise InvalidData(f"seed must be >= 0, got {self.seed}")
@@ -301,7 +301,7 @@ def solve_rk(
     dist: SamplingDistribution | None = None,
     on_checkpoint=None,
 ) -> SolveResult:
-    """Run ``config.max_iters`` randomized projection steps from W0 = 0.
+    """Run ``config.max_iters`` (None: 20 per row) projection steps from W0 = 0.
 
     ``on_checkpoint(k, W, sampled_row_residual)`` is the one checkpoint
     output.  It is invoked at k = 0, every ``checkpoint_every`` iterations,
@@ -328,7 +328,7 @@ def solve_rk(
     elif np.any(view.centered_row_norms_sq[dist.active_rows] <= 0.0):
         raise ZeroRowError("sampler draws rows with zero centered norm")
     rng = make_rng(config.seed)
-    K = config.max_iters
+    K = default_iterations(n) if config.max_iters is None else config.max_iters
     iterate = (_SparseIterate if view.is_sparse else _DenseIterate)(view, Ym)
     burn = int(math.floor(config.tail_average * K)) if config.tail_average is not None else None
     # Z[i] sums (k - burn) c_k over the steps k > burn on row i

@@ -30,7 +30,8 @@ import scipy.sparse as sp
 
 from .errors import InvalidData
 from .labels import LabelVector
-from .matrix import CENTERING_RATIO_WARN, check_dense_size, densify, validate_raw
+from .matrix import (CENTERING_RATIO_WARN, NORM_CHUNK_ELEMENTS, check_dense_size, densify,
+                     validate_raw)
 
 
 @dataclass(frozen=True)
@@ -76,9 +77,9 @@ def scatter_matrices(X_small, labels: LabelVector) -> ScatterSet:
 
 def scatter_traces(X, labels: LabelVector) -> tuple[float, float]:
     """(trace S_w, trace S_b) via the norm identities, no d x d matrices.
-    Sparse X is never densified."""
+    Sparse X is never densified; dense X is summed in row chunks."""
     X = validate_raw(X)
-    n = X.shape[0]
+    n, d = X.shape
     if n != labels.n:
         raise InvalidData(f"{n} observations vs {labels.n} labels")
     cents, grand = _centroids(X, labels)
@@ -94,8 +95,9 @@ def scatter_traces(X, labels: LabelVector) -> tuple[float, float]:
             )
         trace_w = max(within, 0.0) / n
     else:
-        within_dev = X - cents[labels.indices]
-        trace_w = float(np.einsum("ij,ij->", within_dev, within_dev)) / n
+        rows = max(1, NORM_CHUNK_ELEMENTS // d)
+        devs = (X[lo:lo + rows] - cents[labels.indices[lo:lo + rows]] for lo in range(0, n, rows))
+        trace_w = sum(float(np.einsum("ij,ij->", dev, dev)) for dev in devs) / n
     diff = cents - grand
     trace_b = float(np.einsum("j,jk,jk->", labels.counts.astype(np.float64), diff, diff)) / n
     return trace_w, trace_b

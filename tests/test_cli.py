@@ -16,6 +16,7 @@ from rklda.evaluation import fit_subspace
 from rklda.io import read_rkm1, write_rkm1
 from rklda.labels import encode_labels, index_labels
 from rklda.matrix import build_centered_view
+from rklda.rk import SolverConfig
 
 
 @pytest.fixture()
@@ -195,9 +196,18 @@ def test_non_finite_subspace_or_means_is_data_error(tmp_path, capsys, argv):
     (["solve", "--method", "rk", "--iters", "0"], 1, "--iters: must be >= 1, got 0"),
     (["solve", "--method", "lsqr", "--max-iters", "0"], 1, "--max-iters: must be >= 1, got 0"),
     (["solve", "--method", "lsqr", "--max-iters", "-5"], 1, "--max-iters: must be >= 1, got -5"),
+    (["experiment", "--rk-tail-average", "1.5"], 2,
+     "tail_average burn-in fraction must be in [0, 1), got 1.5"),
+    (["experiment", "--lsqr-tol", "-1"], 2, "lsqr tol must be finite and >= 0, got -1.0"),
+    (["solve", "--method", "rk", "--tail-average", "1.5"], 2,
+     "tail_average burn-in fraction must be in [0, 1), got 1.5"),
+    (["solve", "--method", "lsqr", "--tol", "nan"], 2, "lsqr tol must be finite and >= 0, got nan"),
+    (["solve", "--method", "rk", "--iters-from-kappa", "0", "1", "10"], 2,
+     "tolerances must be positive"),
 ], ids=["experiment-replicates-0", "experiment-rk-iters-0", "experiment-knn-0",
         "diagnose-iters-0", "diagnose-trials-0", "solve-iters-0", "solve-max-iters-0",
-        "solve-max-iters-negative"])
+        "solve-max-iters-negative", "experiment-tail-average", "experiment-lsqr-tol-negative",
+        "solve-tail-average", "solve-tol-nan", "solve-iters-from-kappa-eps-0"])
 def test_settings_refused_before_any_input_is_read(tmp_path, capsys, monkeypatch, argv, code,
                                                    refusal):
     # the input does not exist, so a run that reads it first reports the
@@ -240,6 +250,24 @@ def test_lsqr_cap_or_tolerance_that_does_nothing_is_data_error(dataset, tmp_path
     assert code == 2
     assert "InvalidData: lsqr " in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_experiment_refuses_a_non_finite_test_row(tmp_path, capsys, seed):
+    # the whole input passes validate_raw, not only each replicate's
+    # training rows, so the split that puts row 5 in the test set fails too
+    X, y = two_gaussians(n=40, d=6, rng=np.random.default_rng(0))
+    X[5, 3] = np.nan
+    write_rkm1(tmp_path / "X.rkm1", X)
+    (tmp_path / "y.txt").write_text("".join(f"c{t}\n" for t in y))
+    before = sorted(tmp_path.iterdir())
+    code = dispatch(["experiment", "--data", str(tmp_path / "X.rkm1"),
+                     "--labels", str(tmp_path / "y.txt"), "--methods", "full,rk,lsqr",
+                     "--replicates", "1", "--rk-iters", "500", "--seed", str(seed),
+                     "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert "matrix contains non-finite entries" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before  # nothing written
 
 
 def test_manifest_digests_match_files(dataset, tmp_path):
@@ -292,7 +320,7 @@ def test_solve_all_methods_agree_on_consistent(dataset, tmp_path):
         assert dispatch(argv) == 0
         outs[method] = read_rkm1(out)
         # the CLI is fit_subspace plus file output
-        direct = fit_subspace(method, view, Y, seed=1, rk_iters=20000)
+        direct = fit_subspace(method, view, Y, rk=SolverConfig(max_iters=20000, seed=1))
         assert np.array_equal(outs[method], direct.matrix)
         manifest = json.loads((tmp_path / f"W_{method}.rkm1.manifest.json").read_text())
         if method == "lsqr":

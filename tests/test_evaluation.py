@@ -360,7 +360,7 @@ def test_every_dense_path_reads_the_one_guard():
     calls = [partial(project, Xs, None, np.zeros(8)), partial(densify, Xs)]
     for view in (build_centered_view(X), build_centered_view(Xs)):
         calls.append(partial(to_dense_centered, view))
-        calls += [partial(fit_subspace, m, view, Y, seed=0) for m in ("pinv", "ulda")]
+        calls += [partial(fit_subspace, m, view, Y) for m in ("pinv", "ulda")]
         calls += [partial(condition_profile, view),
                   partial(run_convergence_study, view, Y, 1, SolverConfig(max_iters=10, seed=0))]
 
@@ -427,6 +427,20 @@ def test_config_validation():
         ExperimentConfig(knn_ks=(1, 5, 1))
     with pytest.raises(InvalidData):
         ExperimentConfig(timing="fast")
+    # solver settings by the solvers' own rules, when the config is built,
+    # not as a failure of every replicate
+    with pytest.raises(InvalidData, match="tail_average burn-in fraction must be in"):
+        ExperimentConfig(rk_tail_average=1.5)
+    for tol in (-1.0, float("nan")):
+        with pytest.raises(InvalidData, match="lsqr tol must be finite and >= 0"):
+            ExperimentConfig(lsqr_tol=tol)
+
+
+def test_fit_subspace_rk_defaults_to_20_steps_per_row():
+    X, y = two_gaussians(n=30, d=5, rng=np.random.default_rng(3))
+    view = build_centered_view(X)
+    Y = encode_labels(index_labels([str(t) for t in y]))
+    assert fit_subspace("rk", view, Y, rk=SolverConfig()).iterations_run == 20 * view.n
 
 
 def test_negative_seed_is_invalid():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -124,6 +126,21 @@ def test_symmetry_and_psd(seed):
         assert np.allclose(M, M.T, atol=1e-12)
         evals = np.linalg.eigvalsh(M)
         assert evals.min() >= -1e-10 * max(np.trace(M), 1e-300)
+
+
+def test_dense_traces_hold_no_n_by_d_temporary():
+    # the within-class deviations are summed in row chunks; one whole-matrix
+    # float64 temporary would alone reach X.nbytes
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((8000, 200))
+    labels = index_labels([str(t) for t in rng.integers(0, 4, 8000)])
+    tracemalloc.start()
+    try:
+        scatter_traces(X, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes / 2
 
 
 def test_guard():
