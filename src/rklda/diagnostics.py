@@ -135,7 +135,9 @@ def run_convergence_study(
     U, s, Vt = centered_spectrum(view)  # one spectrum for the profile and W*
     profile = _spectrum_profile(s)
     w_star = least_norm(U, s, Vt, Ym).matrix
-    resid_frob, resid_rel = residual_at(w_star, view, Ym)
+    # R* = Y - U U^T Y: exact at any column offset, where residual_at's lazy Xc W* cancels
+    resid_frob, y_norm = float(np.linalg.norm(Ym - U @ (U.T @ Ym))), float(np.linalg.norm(Ym))
+    resid_rel = resid_frob / y_norm if y_norm > 0 else float("inf")
     resid_sq = resid_frob**2
     eps0 = float(np.linalg.norm(w_star) ** 2)  # every solve starts at W0 = 0
 

@@ -54,17 +54,22 @@ def read_rkm1(path) -> np.ndarray:
 
 
 def _read_rkm1(fh, path) -> np.ndarray:
-    """The RKM1 matrix in the unbuffered file ``fh``, read from its start."""
+    """The RKM1 matrix in the unbuffered file ``fh``, read from its start into one array."""
     fh.seek(0)
-    raw = fh.readall()
-    if len(raw) < 20 or raw[:4] != RKM1_MAGIC:
+    head = fh.read(20)
+    if len(head) < 20 or head[:4] != RKM1_MAGIC:
         raise InvalidData(f"{path}: not an RKM1 file")
-    n, d = struct.unpack("<QQ", raw[4:20])
-    expected = 20 + 8 * n * d
-    if len(raw) != expected:
-        raise InvalidData(f"{path}: expected {expected} bytes for {n}x{d}, got {len(raw)}")
-    data = np.frombuffer(raw, dtype="<f8", offset=20)
-    return data.reshape(n, d).astype(np.float64, copy=True)
+    n, d = struct.unpack("<QQ", head[4:20])
+    expected, size = 20 + 8 * n * d, os.fstat(fh.fileno()).st_size
+    if size != expected:
+        raise InvalidData(f"{path}: expected {expected} bytes for {n}x{d}, got {size}")
+    data = np.empty(n * d, dtype="<f8")
+    buf, got = data.view(np.uint8), 0
+    while got < len(buf) and (k := fh.readinto(buf[got:])):  # one read stops near 2 GiB
+        got += k
+    if got != len(buf):  # the file shrank since fstat
+        raise InvalidData(f"{path}: expected {expected} bytes for {n}x{d}, got {20 + got}")
+    return data.reshape(n, d).astype(np.float64, copy=False)
 
 
 def _utf8_lines(path, newline=None) -> _io.StringIO:

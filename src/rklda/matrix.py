@@ -44,21 +44,22 @@ def validate_raw(base) -> RawMatrix:
     """Coerce to a canonical dense/CSR matrix, rejecting invalid input."""
     if sp.issparse(base):
         mat = sp.csr_array(base, dtype=np.float64)
-        mat.sum_duplicates()
+        if not mat.has_canonical_format:  # sum_duplicates rewrites arrays it may share
+            mat = mat.copy()
+            mat.sum_duplicates()
         mat.check_format(full_check=True)
-        if mat.shape[0] < 1 or mat.shape[1] < 1:
-            raise InvalidData(f"matrix must be at least 1x1, got {mat.shape}")
-        if mat.nnz and not np.isfinite(mat.data).all():
-            raise InvalidData("matrix contains non-finite entries")
-        return mat
-    arr = np.ascontiguousarray(np.asarray(base, dtype=np.float64))
-    if arr.ndim != 2:
-        raise InvalidData(f"matrix must be 2-dimensional, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise InvalidData(f"matrix must be at least 1x1, got {arr.shape}")
-    if not np.isfinite(arr).all():
+        values = mat.data
+    else:
+        mat = np.ascontiguousarray(np.asarray(base, dtype=np.float64))
+        if mat.ndim != 2:
+            raise InvalidData(f"matrix must be 2-dimensional, got ndim={mat.ndim}")
+        values = mat.ravel()
+    if mat.shape[0] < 1 or mat.shape[1] < 1:
+        raise InvalidData(f"matrix must be at least 1x1, got {mat.shape}")
+    square_sum = np.vdot(values, values)  # non-finite if any entry is, or past |x| ~ 1e154
+    if not np.isfinite(square_sum) and not np.isfinite([values.min(), values.max()]).all():
         raise InvalidData("matrix contains non-finite entries")
-    return arr
+    return mat
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,8 @@ def build_centered_view(base, assume_centered: bool = False) -> CenteredMatrixVi
         # cancellation can leave tiny negatives for rows that equal the mean
         np.maximum(norms_sq, 0.0, out=norms_sq)
     else:
-        norms_sq = _centered_norms_sq(mat, mu)
+        chunks = centered_chunks(mat, mu)
+        norms_sq = np.concatenate([np.einsum("ij,ij->i", D, D) for _, D in chunks])
     view = CenteredMatrixView(
         base=mat,
         column_means=mu,
@@ -171,24 +173,18 @@ def build_centered_view(base, assume_centered: bool = False) -> CenteredMatrixVi
     return view
 
 
-def centered_chunks(mat: np.ndarray, mu: np.ndarray):
-    """Yield (lo, rows lo.. of mat - mu), NORM_CHUNK_ELEMENTS // d rows at a
-    time, centered explicitly into one reused buffer."""
+def centered_chunks(mat: np.ndarray, centers: np.ndarray, index=None):
+    """Yield (lo, rows lo.. of mat, centered), NORM_CHUNK_ELEMENTS // d rows
+    at a time, into one reused buffer: row i less ``centers``, or less
+    ``centers[index[i]]`` when ``index`` is given."""
     n, d = mat.shape
     rows = max(1, NORM_CHUNK_ELEMENTS // d)
     buf = np.empty((min(rows, n), d))
     for lo in range(0, n, rows):
         chunk = buf[: min(rows, n - lo)]
-        np.subtract(mat[lo : lo + rows], mu, out=chunk)
+        sub = centers if index is None else centers[index[lo : lo + rows]]
+        np.subtract(mat[lo : lo + rows], sub, out=chunk)
         yield lo, chunk
-
-
-def _centered_norms_sq(mat: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """||x_i - mu||^2 per row from explicitly centered rows, a chunk at a time."""
-    norms_sq = np.empty(mat.shape[0])
-    for lo, chunk in centered_chunks(mat, mu):
-        norms_sq[lo : lo + len(chunk)] = np.einsum("ij,ij->i", chunk, chunk)
-    return norms_sq
 
 
 def check_dense_size(elements: int, what: str) -> None:

@@ -275,10 +275,7 @@ def _centered_product(view: CenteredMatrixView, Z: np.ndarray) -> np.ndarray:
     take that lazy form, as their steps do."""
     if view.is_sparse:
         return view.rmatmul(Z)
-    P = np.zeros((view.d, Z.shape[1]))
-    for lo, X in centered_chunks(view.base, view.column_means):
-        P += X.T @ Z[lo:lo + len(X)]
-    return P
+    return sum(X.T @ Z[lo:lo + len(X)] for lo, X in centered_chunks(view.base, view.column_means))
 
 
 def _check_finite(C: np.ndarray, k0: int) -> None:

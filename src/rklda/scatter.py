@@ -10,7 +10,8 @@ Inputs are raw (uncentered) observations; centroid subtraction happens
 inside, so grand-mean pre-centering is a harmless no-op.  Input passes
 ``validate_raw``, so non-finite entries are refused on either storage.  The
 three d x d forms sit behind the dense guard (3 d^2 elements); the trace
-variants never form them.
+variants never form them.  Dense deviations from the centroids are formed a
+row chunk at a time by ``centered_chunks``, never as an n x d copy.
 
 The traces of sparse input come from the stored entries and the g x d
 centroids alone, through
@@ -30,7 +31,7 @@ import scipy.sparse as sp
 
 from .errors import InvalidData
 from .labels import LabelVector
-from .matrix import (CENTERING_RATIO_WARN, NORM_CHUNK_ELEMENTS, check_dense_size, densify,
+from .matrix import (CENTERING_RATIO_WARN, centered_chunks, check_dense_size, densify,
                      validate_raw)
 
 
@@ -61,12 +62,10 @@ def scatter_matrices(X_small, labels: LabelVector) -> ScatterSet:
     check_dense_size(3 * d * d, f"the three {d}x{d} scatter matrices")
     cents, grand = _centroids(X, labels)
 
-    within_dev = X - cents[labels.indices]
-    s_w = within_dev.T @ within_dev / n
+    s_w = sum(D.T @ D for _, D in centered_chunks(X, cents, labels.indices)) / n
     between_dev = (cents - grand) * np.sqrt(labels.counts)[:, None]
     s_b = between_dev.T @ between_dev / n
-    total_dev = X - grand
-    s_t = total_dev.T @ total_dev / n
+    s_t = sum(D.T @ D for _, D in centered_chunks(X, grand)) / n
 
     # symmetrize away rounding asymmetry from the gram products
     s_w = 0.5 * (s_w + s_w.T)
@@ -79,7 +78,7 @@ def scatter_traces(X, labels: LabelVector) -> tuple[float, float]:
     """(trace S_w, trace S_b) via the norm identities, no d x d matrices.
     Sparse X is never densified; dense X is summed in row chunks."""
     X = validate_raw(X)
-    n, d = X.shape
+    n = X.shape[0]
     if n != labels.n:
         raise InvalidData(f"{n} observations vs {labels.n} labels")
     cents, grand = _centroids(X, labels)
@@ -95,9 +94,8 @@ def scatter_traces(X, labels: LabelVector) -> tuple[float, float]:
             )
         trace_w = max(within, 0.0) / n
     else:
-        rows = max(1, NORM_CHUNK_ELEMENTS // d)
-        devs = (X[lo:lo + rows] - cents[labels.indices[lo:lo + rows]] for lo in range(0, n, rows))
-        trace_w = sum(float(np.einsum("ij,ij->", dev, dev)) for dev in devs) / n
+        devs = centered_chunks(X, cents, labels.indices)
+        trace_w = sum(float(np.einsum("ij,ij->", D, D)) for _, D in devs) / n
     diff = cents - grand
     trace_b = float(np.einsum("j,jk,jk->", labels.counts.astype(np.float64), diff, diff)) / n
     return trace_w, trace_b

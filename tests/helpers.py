@@ -1,5 +1,7 @@
-"""Synthetic instances and a Monte-Carlo check of the expected RK step,
-shared by the test modules."""
+"""Synthetic instances, a Monte-Carlo check of the expected RK step and a
+memory probe, shared by the test modules."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -89,3 +91,13 @@ def expected_step_check(
     analytic = view.rmatmul(R) / view.frob_norm_sq
     deviation = float(np.linalg.norm(empirical - analytic))
     return empirical, analytic, deviation
+
+
+def traced_peak(fn) -> int:
+    """The most bytes tracemalloc saw allocated at once while ``fn()`` ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

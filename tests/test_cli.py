@@ -350,6 +350,14 @@ def test_encode_subcommand(dataset, tmp_path):
     assert sum(meta["counts"]) == 40
 
 
+def test_encode_labels_from_a_csv_label_column(tmp_path):
+    csv, out = tmp_path / "X.csv", tmp_path / "Y.rkm1"
+    csv.write_text("1,a,2\n3,b,4\n5,a,6\n")
+    assert dispatch(["encode", "--data", str(csv), "--label-column", "1",
+                     "--out", str(out)]) == 0
+    assert np.array_equal(read_rkm1(out), encode_labels(index_labels(["a", "b", "a"])).matrix)
+
+
 def test_transform_roundtrip(dataset, tmp_path):
     data, labels, X, _ = dataset
     W_path = tmp_path / "W.rkm1"
@@ -364,6 +372,31 @@ def test_transform_roundtrip(dataset, tmp_path):
     W = read_rkm1(W_path)
     mu = read_rkm1(means_path).reshape(-1)
     assert np.allclose(Z, (X - mu) @ W)
+
+
+def test_transform_centers_at_the_data_means_by_default(dataset, tmp_path):
+    data, _, X, _ = dataset
+    W_path, out = tmp_path / "W.rkm1", tmp_path / "Z.rkm1"
+    W = np.random.default_rng(1).standard_normal((6, 2))
+    write_rkm1(W_path, W)
+    assert dispatch(["transform", "--data", str(data), "--subspace", str(W_path),
+                     "--out", str(out)]) == 0
+    assert np.allclose(read_rkm1(out), (X - X.mean(axis=0)) @ W)
+
+
+@pytest.mark.parametrize("case", ["means-length", "subspace-rows"])
+def test_transform_shape_mismatch_is_data_error(dataset, tmp_path, capsys, case):
+    data, labels, _, _ = dataset
+    W_path, mu_path, out = tmp_path / "W.rkm1", tmp_path / "mu.rkm1", tmp_path / "Z.rkm1"
+    write_rkm1(W_path, np.ones((6 if case == "means-length" else 5, 2)))
+    write_rkm1(mu_path, np.zeros(5 if case == "means-length" else 6))
+    code = dispatch(["transform", "--data", str(data), "--subspace", str(W_path),
+                     "--means", str(mu_path), "--out", str(out)])
+    assert code == 2
+    want = {"means-length": "means length 5 vs 6 columns",
+            "subspace-rows": "subspace rows 5 vs 6 data columns"}[case]
+    assert want in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels, W_path, mu_path])  # nothing written
 
 
 @pytest.mark.parametrize("conflict", ["iters-and-kappa", "no-center-and-means"])
@@ -428,6 +461,16 @@ def test_scatter_subcommand(dataset, tmp_path):
     tr = json.loads(traces.read_text())
     assert "s_w" not in tr
     assert tr["trace_t"] == pytest.approx(tr["trace_w"] + tr["trace_b"])
+
+
+def test_scatter_without_out_prints_and_writes_nothing(dataset, tmp_path, capsys):
+    data, labels, X, _ = dataset
+    assert dispatch(["scatter", "--data", str(data), "--labels", str(labels),
+                     "--traces-only"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["n"], payload["d"], payload["g"]) == (40, 6, 2)
+    assert payload["trace_t"] == pytest.approx(np.sum((X - X.mean(axis=0)) ** 2) / 40)
+    assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # no manifest either
 
 
 def test_scatter_sparse_dense_guard(tmp_path, capsys):

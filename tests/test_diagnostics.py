@@ -208,6 +208,19 @@ def test_study_consistent_bound_holds():
     assert report.checkpoints[0].empirical_mse == pytest.approx(report.initial_sq_error)
 
 
+def test_study_consistent_at_a_dense_column_offset():
+    # n < d, so the centered label system is consistent; R* taken through a
+    # lazily centered X W* - mu^T W* would cancel to about 1e-10 here
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((40, 120)) + 1e6
+    Y = encode_labels(index_labels([str(i % 3) for i in range(40)]))
+    report = run_convergence_study(build_centered_view(X), Y, trials=2,
+                                   config=SolverConfig(max_iters=400, seed=1, checkpoint_every=200))
+    assert report.consistent
+    assert report.relative_residual < 1e-13
+    assert report.residual_floor < 1e-10 * report.initial_sq_error
+
+
 def test_study_inconsistent_plateau():
     rng = np.random.default_rng(19)
     view, Y = planted_inconsistent(20, 60, 2, rank=8, rng=rng)

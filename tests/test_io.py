@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import stat
 import struct
@@ -7,8 +8,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helpers import traced_peak
 from rklda.errors import InvalidData
 from rklda.io import (
+    _read_rkm1,
     encode_csv,
     load_matrix,
     read_csv_matrix,
@@ -51,6 +54,49 @@ def test_rkm1_truncated(tmp_path):
     path.write_bytes(b"RKM1" + struct.pack("<QQ", 2, 2) + b"\0" * 8)
     with pytest.raises(InvalidData):
         read_rkm1(path)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1)])
+def test_rkm1_roundtrip_of_degenerate_shapes(tmp_path, shape):
+    path = tmp_path / "m.rkm1"
+    write_rkm1(path, np.full(shape, 2.5))
+    assert np.array_equal(read_rkm1(path), np.full(shape, 2.5))
+
+
+def test_rkm1_header_past_the_file_size_allocates_nothing(tmp_path):
+    path = tmp_path / "huge.rkm1"
+    path.write_bytes(b"RKM1" + struct.pack("<QQ", 1 << 40, 1 << 20) + b"\0" * 64)
+
+    def load():
+        with pytest.raises(InvalidData, match="expected"):
+            load_matrix(path)
+
+    assert traced_peak(load) < 1 << 20
+
+
+class _ShortReads(io.FileIO):
+    """A file whose reads return at most 1000 bytes, as reads past about
+    2 GiB return less than asked."""
+
+    def readinto(self, buf):
+        return super().readinto(memoryview(buf)[:1000])
+
+
+def test_rkm1_read_fills_the_array_across_short_reads(tmp_path):
+    path = tmp_path / "m.rkm1"
+    X = np.random.default_rng(2).standard_normal((50, 7))
+    write_rkm1(path, X)
+    with _ShortReads(path, "rb") as fh:
+        assert np.array_equal(_read_rkm1(fh, path), X)
+
+
+def test_rkm1_load_holds_one_copy(tmp_path):
+    # reading the whole file as bytes and then copying them would hold two
+    path = tmp_path / "m.rkm1"
+    X = np.random.default_rng(3).standard_normal((8000, 200))
+    write_rkm1(path, X)
+    assert np.array_equal(load_matrix(path)[0], X)
+    assert traced_peak(lambda: load_matrix(path)) < 1.1 * X.nbytes
 
 
 def test_csv_plain(tmp_path):

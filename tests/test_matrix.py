@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from helpers import traced_peak
 from rklda import matrix
 from rklda.errors import InvalidData, TooLarge
 from rklda.matrix import (
@@ -15,6 +16,7 @@ from rklda.matrix import (
     NORM_CHUNK_ELEMENTS,
     build_centered_view,
     to_dense_centered,
+    validate_raw,
 )
 
 finite_matrices = hnp.arrays(
@@ -76,6 +78,36 @@ def test_non_finite_rejected():
         build_centered_view(np.array([[1.0, np.nan]]))
     with pytest.raises(InvalidData):
         build_centered_view(sp.csr_array(np.array([[np.inf, 0.0]])))
+
+
+def test_finiteness_screen_survives_overflow():
+    # the entries' sum of squares overflows past |x| ~ 1e154; min and max
+    # then decide, and NaN or an infinity among huge entries is still found
+    huge = np.array([[1e200, -1e300], [3.0, 1e-300]])
+    for base in (huge, sp.csr_array(huge)):
+        assert validate_raw(base) is not None
+    for bad in (np.nan, np.inf, -np.inf):
+        X = huge.copy()
+        X[1, 0] = bad
+        for base in (X, sp.csr_array(X)):
+            with pytest.raises(InvalidData, match="non-finite"):
+                validate_raw(base)
+
+
+def test_validate_raw_leaves_callers_csr_arrays_alone():
+    data, indices, indptr = np.array([1.0, 2, 3, 4]), np.array([2, 0, 2, 1]), np.array([0, 3, 4])
+    X = sp.csr_matrix((data, indices, indptr))  # row 0 stores column 2 twice
+    v = build_centered_view(X)
+    assert np.array_equal(data, [1.0, 2, 3, 4])
+    assert np.array_equal(indices, [2, 0, 2, 1])
+    assert np.array_equal(indptr, [0, 3, 4])
+    assert np.array_equal(to_dense_centered(v) + v.column_means, [[2.0, 0, 4], [0, 4, 0]])
+
+
+def test_validate_raw_holds_no_n_by_d_temporary():
+    # a boolean mask of the entries alone would be X.nbytes / 8
+    X = np.random.default_rng(6).standard_normal((8000, 200))
+    assert traced_peak(lambda: validate_raw(X)) < X.nbytes / 16
 
 
 def test_empty_rejected():

@@ -1,11 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import traced_peak
 from rklda import matrix
 from rklda.errors import InvalidData, TooLarge
 from rklda.labels import index_labels
@@ -134,13 +133,30 @@ def test_dense_traces_hold_no_n_by_d_temporary():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((8000, 200))
     labels = index_labels([str(t) for t in rng.integers(0, 4, 8000)])
-    tracemalloc.start()
-    try:
-        scatter_traces(X, labels)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < X.nbytes / 2
+    assert traced_peak(lambda: scatter_traces(X, labels)) < X.nbytes / 2
+
+
+def test_matrices_hold_no_n_by_d_temporary():
+    # the deviations from the class and grand centroids are formed in row
+    # chunks; one whole-matrix float64 temporary would alone reach X.nbytes
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((20000, 60))
+    labels = index_labels([str(t) for t in rng.integers(0, 4, 20000)])
+    assert traced_peak(lambda: scatter_matrices(X, labels)) < X.nbytes / 2
+
+
+def test_matrices_over_several_chunks_match_whole_deviations():
+    rng = np.random.default_rng(6)
+    d = 40
+    n = 2 * (matrix.NORM_CHUNK_ELEMENTS // d) + 7  # two full chunks and a partial one
+    labels = index_labels([str(t) for t in rng.integers(0, 3, n)])
+    X = rng.standard_normal((n, d)) + 1e3
+    ss = scatter_matrices(X, labels)
+    within = X - ss.centroids[labels.indices]
+    total = X - ss.grand_centroid
+    assert np.allclose(ss.s_w, within.T @ within / n, rtol=0, atol=1e-13 * np.abs(ss.s_w).max())
+    assert np.allclose(ss.s_t, total.T @ total / n, rtol=0, atol=1e-13 * np.abs(ss.s_t).max())
+    assert np.trace(ss.s_w) == pytest.approx(scatter_traces(X, labels)[0], rel=1e-13)
 
 
 def test_guard():
