@@ -14,8 +14,9 @@ test) and ``iterations_run`` (the most any column took) for ``lsqr``.
 All of a run's files are written or none (``io.write_files``), so a failing
 run leaves no output; only a rename failing part-way, after every file is
 written, can leave some.  Files get the mode ``open(path, "wb")`` gives
-under the process umask.  Two outputs on one path, in any spelling, and a
-``solve`` flag that only another method reads are usage errors, found from
+under the process umask.  Two outputs on one path, in any spelling, a
+``solve`` flag that only another method reads and a labelled command given
+neither ``--labels`` nor ``--label-column`` are usage errors, found from
 the flags before any input is read, as is a count below 1 or a negative
 seed.  Every solver setting is then checked by the solver's own rule
 (``SolverConfig``, ``check_lsqr``) before any input is read.
@@ -57,7 +58,7 @@ from .io import (
     write_files,
 )
 from .labels import encode_labels, index_labels
-from .matrix import build_centered_view, validate_raw
+from .matrix import build_centered_view, column_means, validate_raw
 from .rk import SolverConfig
 from .scatter import scatter_matrices, scatter_traces
 
@@ -184,25 +185,27 @@ def _check_solve_flags(args) -> None:
 
 
 def _load_data(run: _Run, args) -> tuple:
-    """(matrix, labels-from-csv-or-None), in the format its first bytes name."""
+    """(matrix, tokens of its ``--label-column`` or None), in the format its
+    first bytes name; only a CSV has a label column."""
     run.track_input(args.data)
-    return load_matrix(args.data, csv_header=args.csv_header, label_column=args.label_column)
-
-
-def _load_tokens(run: _Run, args, csv_labels):
-    if args.labels:
-        run.track_input(args.labels)
-        return read_labels_file(args.labels)
-    if csv_labels is not None:
-        return csv_labels
-    raise _UsageError("labels required: pass --labels FILE or --label-column COL")
+    data, tokens = load_matrix(args.data, csv_header=args.csv_header,
+                               label_column=args.label_column)
+    if args.label_column is not None and tokens is None:
+        raise InvalidData(f"{args.data}: --label-column needs CSV data")
+    return data, tokens
 
 
 def _load_labeled(run: _Run, args) -> tuple:
-    """(matrix, LabelVector) with one label per matrix row."""
-    data, csv_labels = _load_data(run, args)
-    tokens = _load_tokens(run, args, csv_labels)
-    if len(tokens) != data.shape[0]:
+    """(matrix, or None without ``--data``; LabelVector): the labels of
+    ``--labels``, else of ``--data``'s label column, one per matrix row.
+    Their absence is a usage error, found before any input is read."""
+    if not args.labels and (args.label_column is None or not args.data):
+        raise _UsageError("labels required: pass --labels FILE or --label-column COL")
+    data, tokens = _load_data(run, args) if args.data else (None, None)
+    if args.labels:
+        run.track_input(args.labels)
+        tokens = read_labels_file(args.labels)
+    if data is not None and len(tokens) != data.shape[0]:
         raise InvalidData(f"{data.shape[0]} data rows vs {len(tokens)} labels")
     return data, index_labels(tokens)
 
@@ -219,11 +222,7 @@ def _add_data_flags(p: _Parser, with_labels: bool = True):
 
 def _cmd_encode(args) -> _Run:
     run = _Run(args)
-    csv_labels = None
-    if args.data:
-        _, csv_labels = _load_data(run, args)
-    tokens = _load_tokens(run, args, csv_labels)
-    lv = index_labels(tokens)
+    _, lv = _load_labeled(run, args)
     Y = encode_labels(lv)
     run.outputs[args.out] = encode_rkm1(Y.matrix)
     if args.classes_out:
@@ -285,7 +284,7 @@ def _cmd_transform(args) -> _Run:
         if mu.shape[0] != data.shape[1]:
             raise InvalidData(f"means length {mu.shape[0]} vs {data.shape[1]} columns")
     else:
-        mu = build_centered_view(data).column_means
+        mu = column_means(data)
     if W.shape[0] != data.shape[1]:
         raise InvalidData(f"subspace rows {W.shape[0]} vs {data.shape[1]} data columns")
     run.outputs[args.out] = encode_rkm1(project(data, W, mu))
@@ -295,17 +294,12 @@ def _cmd_transform(args) -> _Run:
 def _cmd_scatter(args) -> _Run:
     run = _Run(args)
     data, lv = _load_labeled(run, args)
-    trace_w, trace_b = scatter_traces(data, lv)
-    payload = {
-        "n": int(data.shape[0]),
-        "d": int(data.shape[1]),
-        "g": lv.g,
-        "trace_w": trace_w,
-        "trace_b": trace_b,
-        "trace_t": trace_w + trace_b,
-    }
-    if not args.traces_only:
+    payload = {"n": int(data.shape[0]), "d": int(data.shape[1]), "g": lv.g}
+    if args.traces_only:
+        trace_w, trace_b = scatter_traces(data, lv)
+    else:
         ss = scatter_matrices(data, lv)
+        trace_w, trace_b = float(np.trace(ss.s_w)), float(np.trace(ss.s_b))
         payload.update(
             s_w=ss.s_w.tolist(),
             s_b=ss.s_b.tolist(),
@@ -313,6 +307,7 @@ def _cmd_scatter(args) -> _Run:
             centroids=ss.centroids.tolist(),
             grand_centroid=ss.grand_centroid.tolist(),
         )
+    payload.update(trace_w=trace_w, trace_b=trace_b, trace_t=trace_w + trace_b)
     text = _json_text(payload)
     if args.out:
         run.outputs[args.out] = text.encode()
@@ -349,9 +344,8 @@ def _cmd_experiment(args) -> _Run:
         lsqr_tol=args.lsqr_tol,
         timing=args.timing,
     )
-    data, csv_labels = _load_data(run, args)
-    tokens = _load_tokens(run, args, csv_labels)
-    report = run_experiment(data, tokens, config)
+    data, lv = _load_labeled(run, args)
+    report = run_experiment(data, lv, config)
     if not report.rows:
         raise InvalidData("no method completed a replicate:" + "".join(
             f"\n  {method}: {message}" for method, summary in report.methods.items()

@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import LSQR_TOL, Subspace, check_lsqr, pinv_oracle, solve_lsqr, ulda_oracle
 from .errors import ClassCoverageError, InvalidData, RkldaError
-from .labels import encode_labels, index_labels
+from .labels import LabelVector, encode_labels, index_labels
 from .matrix import build_centered_view, densify, validate_raw
 from .rk import SolverConfig, derive_seed, solve_rk
 
@@ -236,8 +236,8 @@ def fit_subspace(method: str, view, Y, *, rk: SolverConfig = SolverConfig(),
     raise InvalidData(f"unknown method {method!r}")
 
 
-def _replicate(data, tokens, class_indices: np.ndarray, config: ExperimentConfig,
-               replicate: int, seed_seq: np.random.SeedSequence):
+def _replicate(data, labels: LabelVector, config: ExperimentConfig, replicate: int,
+               seed_seq: np.random.SeedSequence):
     """One replicate: split, fit every method, classify for every k.
 
     Returns (rows, phases, failures): phases maps method -> (fit, project,
@@ -246,14 +246,14 @@ def _replicate(data, tokens, class_indices: np.ndarray, config: ExperimentConfig
     n = data.shape[0]
     children = seed_seq.spawn(1 + len(config.methods))
     split_rng = np.random.Generator(np.random.PCG64(children[0]))
-    train, test = split(n, config.train_fraction, split_rng, labels=class_indices)
+    train, test = split(n, config.train_fraction, split_rng, labels=labels.indices)
 
     X_train = data[train]
     X_test = data[test]
-    tokens_train = [tokens[i] for i in train]
-    labels_tr = index_labels(tokens_train)
+    labels_tr = index_labels(labels.indices[train])  # classes in training order
     Y = encode_labels(labels_tr)
-    truth = np.array([labels_tr.class_index[tokens[i]] for i in test])
+    # split puts every class in training, so argsort maps a class to its training index
+    truth = np.argsort(labels_tr.classes)[labels.indices[test]]
     view = build_centered_view(X_train)
     clock = time.perf_counter if config.timing == "wall" else (lambda: 0.0)
 
@@ -286,21 +286,19 @@ def _replicate(data, tokens, class_indices: np.ndarray, config: ExperimentConfig
     return rows, phases, failures
 
 
-def run_experiment(data, tokens, config: ExperimentConfig) -> ExperimentReport:
-    """The full protocol over ``config.replicates`` random splits."""
+def run_experiment(data, labels: LabelVector, config: ExperimentConfig) -> ExperimentReport:
+    """The full protocol over ``config.replicates`` random splits of the rows
+    of ``data``, whose classes ``labels`` gives."""
     data = validate_raw(data)  # test rows included
-    tokens = list(tokens)
-    if data.shape[0] != len(tokens):
-        raise InvalidData(f"{data.shape[0]} rows vs {len(tokens)} labels")
-    class_indices = index_labels(tokens).indices
+    if data.shape[0] != labels.n:
+        raise InvalidData(f"{data.shape[0]} observations vs {labels.n} labels")
     rep_seqs = np.random.SeedSequence(config.seed).spawn(config.replicates)
 
     rows = []
     phases = {m: [] for m in config.methods}
     fail_messages = {m: [] for m in config.methods}
     for r in range(config.replicates):
-        rep_rows, rep_phases, failures = _replicate(data, tokens, class_indices, config,
-                                                    r, rep_seqs[r])
+        rep_rows, rep_phases, failures = _replicate(data, labels, config, r, rep_seqs[r])
         rows.extend(rep_rows)
         for m, times in rep_phases.items():
             phases[m].append(times)

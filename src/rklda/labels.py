@@ -22,7 +22,6 @@ COLUMN_SUM_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class LabelVector:
-    raw_labels: tuple
     class_index: dict
     g: int
     counts: np.ndarray
@@ -30,7 +29,7 @@ class LabelVector:
 
     @property
     def n(self) -> int:
-        return len(self.raw_labels)
+        return len(self.indices)
 
     @property
     def classes(self) -> tuple:
@@ -70,7 +69,6 @@ def index_labels(raw) -> LabelVector:
         raise DegenerateLabels(f"need at least two classes, got {g}")
     counts = np.bincount(indices, minlength=g)
     return LabelVector(
-        raw_labels=tokens,
         class_index=class_index,
         g=g,
         counts=counts,

@@ -62,6 +62,11 @@ def validate_raw(base) -> RawMatrix:
     return mat
 
 
+def column_means(mat: RawMatrix) -> np.ndarray:
+    """The length-d column means of a dense or CSR matrix that passed ``validate_raw``."""
+    return np.asarray(mat.sum(axis=0)).reshape(-1) / mat.shape[0]
+
+
 @dataclass(frozen=True)
 class CenteredMatrixView:
     """Immutable view of a data matrix with implicit column centering.
@@ -139,9 +144,9 @@ def build_centered_view(base, assume_centered: bool = False) -> CenteredMatrixVi
     (mu = 0); useful for synthetic systems built directly in centered form.
     """
     mat = validate_raw(base)
-    n, d = mat.shape
+    d = mat.shape[1]
     sparse = sp.issparse(mat)
-    mu = np.zeros(d) if assume_centered else np.asarray(mat.sum(axis=0)).reshape(-1) / n
+    mu = np.zeros(d) if assume_centered else column_means(mat)
 
     cross = None
     if sparse:

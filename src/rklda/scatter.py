@@ -31,8 +31,8 @@ import scipy.sparse as sp
 
 from .errors import InvalidData
 from .labels import LabelVector
-from .matrix import (CENTERING_RATIO_WARN, centered_chunks, check_dense_size, densify,
-                     validate_raw)
+from .matrix import (CENTERING_RATIO_WARN, centered_chunks, check_dense_size, column_means,
+                     densify, validate_raw)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def _centroids(X, labels: LabelVector) -> tuple[np.ndarray, np.ndarray]:
     indicator = sp.csr_array((np.ones(n), (labels.indices, np.arange(n))), shape=(labels.g, n))
     sums = indicator @ X
     sums = sums.toarray() if sp.issparse(sums) else sums
-    return sums / labels.counts[:, None], np.asarray(X.sum(axis=0)).reshape(-1) / n
+    return sums / labels.counts[:, None], column_means(X)
 
 
 def scatter_matrices(X_small, labels: LabelVector) -> ScatterSet:

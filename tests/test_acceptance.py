@@ -250,7 +250,7 @@ def test_c09_end_to_end_classification():
             rk_tail_average=0.5,
             timing="none",
         )
-        report = run_experiment(X, tokens, config)
+        report = run_experiment(X, index_labels(tokens), config)
         medians = {
             m: report.methods[m]["per_k"]["5"]["accuracy_median"]
             for m in ("rk", "lsqr", "pinv")
@@ -355,7 +355,7 @@ def test_c11b_oasis_knn_reference():
     tokens = read_labels_file(os.path.join(root, "labels.txt"))
     config = ExperimentConfig(methods=("rk",), replicates=10, knn_ks=(10,),
                               seed=2012, timing="none")
-    report = run_experiment(X, tokens, config)
+    report = run_experiment(X, index_labels(tokens), config)
     med = report.methods["rk"]["per_k"]["10"]["accuracy_median"]
     print(f"[acceptance] 11b oasis kNN-10 median accuracy: {med:.3f}")
     assert 0.77 <= med <= 0.87

@@ -69,6 +69,27 @@ def test_solve_missing_labels_usage_error(dataset, tmp_path, capsys):
     assert "labels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "rk"],
+    ["scatter"],
+    ["diagnose", "--trials", "2", "--iters", "10"],
+    ["experiment"],
+    ["encode"],
+], ids=["solve", "scatter", "diagnose", "experiment", "encode"])
+def test_missing_label_source_refused_before_any_input_is_read(tmp_path, capsys, monkeypatch,
+                                                               argv):
+    # neither --labels nor --label-column: a usage error from the flags
+    # alone, so the missing --data file is never opened
+    import rklda.cli as cli
+
+    monkeypatch.setattr(cli, "load_matrix", lambda *a, **k: pytest.fail("input was read"))
+    code = dispatch([*argv, "--data", str(tmp_path / "X.csv"), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "labels required" in err and f"usage: rklda {argv[0]} " in err
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
 def test_unknown_flag_usage_error(dataset, tmp_path, capsys):
     data, labels, _, _ = dataset
     io = ["--data", str(data), "--labels", str(labels), "--out", str(tmp_path / "W.rkm1")]
@@ -414,19 +435,43 @@ def test_conflicting_flags_usage_error(dataset, tmp_path, capsys, conflict):
     assert sorted(tmp_path.iterdir()) == sorted([data, labels])  # nothing written
 
 
-@pytest.mark.parametrize("bad", ["data", "gzip-data", "labels"])
+@pytest.mark.parametrize("bad", [
+    "data", "gzip-data", "labels", "empty-csv", "header-only-csv", "unknown-label-column",
+    "label-column-out-of-range", "ragged-rows", "bad-matrix-market", "empty-labels",
+    "label-column-on-rkm1",
+])
 def test_undecodable_text_is_data_error(dataset, tmp_path, capsys, bad):
+    # an input that cannot be read as its flags say is a data error that
+    # names the file and writes nothing
     data, labels, _, _ = dataset
     junk = tmp_path / "junk.bin"
-    if bad == "gzip-data":  # a compressed Matrix Market file is not read as one
-        junk.write_bytes(gzip.compress(b"%%MatrixMarket matrix coordinate real general\n"))
-    else:
-        junk.write_bytes(b"\xff\xfe" + bytes(range(98)))  # neither RKM1, MM nor UTF-8
-    inputs = [data, junk] if bad == "labels" else [junk, labels]
-    code = dispatch(["solve", "--method", "rk", "--data", str(inputs[0]),
-                     "--labels", str(inputs[1]), "--out", str(tmp_path / "W.rkm1")])
+    not_utf8 = b"\xff\xfe" + bytes(range(98))  # neither RKM1, MM nor UTF-8
+    as_data, as_labels = ["--data", junk, "--labels", labels], ["--data", data, "--labels", junk]
+    contents, flags, refusal = {
+        "data": (not_utf8, as_data, "not UTF-8 text"),
+        # a compressed Matrix Market file is not read as one
+        "gzip-data": (gzip.compress(b"%%MatrixMarket matrix coordinate real general\n"),
+                      as_data, "not UTF-8 text"),
+        "labels": (not_utf8, as_labels, "not UTF-8 text"),
+        "empty-csv": (b"", as_data, "empty CSV"),
+        "header-only-csv": (b"a,b\n", [*as_data, "--csv-header"],
+                            "CSV has a header but no data rows"),
+        "unknown-label-column": (b"a,b\n1,x\n", ["--data", junk, "--csv-header",
+                                                 "--label-column", "c"], "no column named 'c'"),
+        "label-column-out-of-range": (b"1,x\n2,y\n", ["--data", junk, "--label-column", "2"],
+                                      "label column 2 out of range"),
+        "ragged-rows": (b"1,2\n3\n", as_data, "ragged rows"),
+        "bad-matrix-market": (b"%%MatrixMarket matrix coordinate real general\nno size line\n",
+                              as_data, "failed to parse Matrix Market file"),
+        "empty-labels": (b"", as_labels, "empty label file"),
+        "label-column-on-rkm1": (data.read_bytes(), ["--data", junk, "--label-column", "0"],
+                                 "--label-column needs CSV data"),
+    }[bad]
+    junk.write_bytes(contents)
+    code = dispatch(["solve", "--method", "rk", *map(str, flags),
+                     "--out", str(tmp_path / "W.rkm1")])
     assert code == 2
-    assert f"{junk}: not UTF-8 text" in capsys.readouterr().err
+    assert f"{junk}: {refusal}" in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == sorted([data, labels, junk])  # nothing written
 
 
@@ -461,6 +506,28 @@ def test_scatter_subcommand(dataset, tmp_path):
     tr = json.loads(traces.read_text())
     assert "s_w" not in tr
     assert tr["trace_t"] == pytest.approx(tr["trace_w"] + tr["trace_b"])
+
+
+@pytest.mark.parametrize("traces_only", [False, True], ids=["matrices", "traces-only"])
+def test_scatter_validates_and_forms_centroids_once(dataset, tmp_path, monkeypatch,
+                                                    traces_only):
+    import rklda.scatter as scatter
+
+    data, labels, _, _ = dataset
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    for name in ("validate_raw", "_centroids"):  # _centroids forms the indicator product
+        monkeypatch.setattr(scatter, name, counted(name, getattr(scatter, name)))
+    assert dispatch(["scatter", "--data", str(data), "--labels", str(labels),
+                     "--out", str(tmp_path / "s.json"),
+                     *(["--traces-only"] if traces_only else [])]) == 0
+    assert sorted(calls) == ["_centroids", "validate_raw"]
 
 
 def test_scatter_without_out_prints_and_writes_nothing(dataset, tmp_path, capsys):

@@ -221,7 +221,7 @@ def test_knn_vote_rejects_k_past_search():
 def test_replicate_shared_search_matches_knn_classify(monkeypatch):
     X, y = two_gaussians(n=70, d=3, separation=1.0, rng=np.random.default_rng(8))
     X = np.round(X)  # duplicate points, so distance and vote ties occur
-    tokens = [str(t) for t in y]
+    labels = index_labels([str(t) for t in y])
     config = _tiny_config(methods=("full", "rk", "lsqr"), replicates=1,
                           knn_ks=(1, 2, 5, 9), rk_iters=300)
     searched, voted = [], []
@@ -239,8 +239,7 @@ def test_replicate_shared_search_matches_knn_classify(monkeypatch):
     monkeypatch.setattr(evaluation, "knn_search", spy_search)
     monkeypatch.setattr(evaluation, "knn_vote", spy_vote)
     rows, _, failures = evaluation._replicate(
-        X, tokens, index_labels(tokens).indices, config, 0,
-        np.random.SeedSequence(config.seed))
+        X, labels, config, 0, np.random.SeedSequence(config.seed))
     monkeypatch.undo()
     assert not failures and len(rows) == 3 * 4
     assert len(searched) == 3 and len(voted) == 3 * 4
@@ -272,8 +271,8 @@ def _tiny_config(**kw):
 
 def test_run_experiment_well_separated():
     X, y = two_gaussians(n=120, d=20, separation=5.0, rng=np.random.default_rng(0))
-    tokens = [str(t) for t in y]
-    report = run_experiment(X, tokens, _tiny_config())
+    labels = index_labels([str(t) for t in y])
+    report = run_experiment(X, labels, _tiny_config())
     for method in ("full", "rk", "lsqr", "pinv"):
         stats = report.methods[method]
         assert stats["failures"] == 0
@@ -284,7 +283,7 @@ def test_run_experiment_well_separated():
 def test_run_experiment_single_replicate_full_only():
     X, y = two_gaussians(n=40, d=5, rng=np.random.default_rng(1))
     report = run_experiment(
-        X, [str(t) for t in y],
+        X, index_labels([str(t) for t in y]),
         ExperimentConfig(methods=("full",), replicates=1, knn_ks=(1, 3), seed=0, timing="none"),
     )
     assert len(report.rows) == 2
@@ -293,10 +292,10 @@ def test_run_experiment_single_replicate_full_only():
 
 def test_run_experiment_deterministic():
     X, y = two_gaussians(n=60, d=10, rng=np.random.default_rng(2))
-    tokens = [str(t) for t in y]
+    labels = index_labels([str(t) for t in y])
     cfg = _tiny_config(replicates=2, rk_iters=200)
-    a = run_experiment(X, tokens, cfg)
-    b = run_experiment(X, tokens, cfg)
+    a = run_experiment(X, labels, cfg)
+    b = run_experiment(X, labels, cfg)
     assert a.rows == b.rows
     assert a.methods == b.methods
 
@@ -312,7 +311,7 @@ def test_run_experiment_method_failure_recorded():
     )
     # a guard of 10 elements trips for pinv
     with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 10):
-        report = run_experiment(X, [str(t) for t in y], cfg)
+        report = run_experiment(X, index_labels([str(t) for t in y]), cfg)
     assert report.methods["pinv"]["failed"]
     assert report.methods["pinv"]["failures"] == 2
     [message] = report.methods["pinv"]["failure_messages"]
@@ -324,13 +323,13 @@ def test_run_experiment_method_failure_recorded():
 
 def test_run_experiment_phase_timings():
     X, y = two_gaussians(n=60, d=10, rng=np.random.default_rng(9))
-    tokens = [str(t) for t in y]
+    labels = index_labels([str(t) for t in y])
     phases = ("fit_seconds_median", "project_seconds_median", "knn_seconds_median")
-    quiet = run_experiment(X, tokens, _tiny_config(replicates=2, rk_iters=200))
+    quiet = run_experiment(X, labels, _tiny_config(replicates=2, rk_iters=200))
     for stats in quiet.methods.values():
         assert all(stats[p] == 0.0 for p in phases)
     assert all(r[4] == 0.0 for r in quiet.rows)
-    timed = run_experiment(X, tokens, _tiny_config(replicates=2, rk_iters=200, timing="wall"))
+    timed = run_experiment(X, labels, _tiny_config(replicates=2, rk_iters=200, timing="wall"))
     assert [r[:4] for r in timed.rows] == [r[:4] for r in quiet.rows]
     for method, stats in timed.methods.items():
         assert stats["knn_seconds_median"] > 0.0
@@ -376,7 +375,7 @@ def test_run_experiment_full_sparse_uses_dense_guard():
     X, y = two_gaussians(n=40, d=6, rng=np.random.default_rng(10))
     with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 50):
         report = run_experiment(
-            sp.csr_array(X), [str(t) for t in y],
+            sp.csr_array(X), index_labels([str(t) for t in y]),
             _tiny_config(methods=("full", "lsqr"), replicates=2, knn_ks=(1,)),
         )
     assert report.methods["full"]["failures"] == 2
@@ -388,9 +387,9 @@ def test_rk_and_lsqr_accuracies_close_when_consistent():
     # (indicator columns are orthogonal to the all-ones vector), so the RK
     # subspace converges to the same least-norm solution as the LSQR one
     X, y = two_gaussians(n=40, d=70, separation=5.0, rng=np.random.default_rng(5))
-    tokens = [str(t) for t in y]
+    labels = index_labels([str(t) for t in y])
     report = run_experiment(
-        X, tokens, _tiny_config(methods=("rk", "lsqr"), replicates=5, rk_iters=4000, knn_ks=(5,))
+        X, labels, _tiny_config(methods=("rk", "lsqr"), replicates=5, rk_iters=4000, knn_ks=(5,))
     )
     rk_med = report.methods["rk"]["per_k"]["5"]["accuracy_median"]
     ls_med = report.methods["lsqr"]["per_k"]["5"]["accuracy_median"]

@@ -359,6 +359,8 @@ def test_fixed_seed_same_bytes(d):
 def test_k0_forbidden():
     with pytest.raises(InvalidData):
         SolverConfig(max_iters=0, seed=0)
+    with pytest.raises(InvalidData, match="checkpoint_every must be >= 0"):
+        SolverConfig(checkpoint_every=-1)
 
 
 def test_planted_convergence():

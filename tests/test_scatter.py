@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import traced_peak
 from rklda import matrix
 from rklda.errors import InvalidData, TooLarge
+from rklda.evaluation import ExperimentConfig, run_experiment
 from rklda.labels import index_labels
 from rklda.scatter import scatter_matrices, scatter_traces
 
@@ -175,7 +178,8 @@ def test_guard():
             scatter_matrices(X, labels)
 
 
-@pytest.mark.parametrize("fn", [scatter_matrices, scatter_traces])
+@pytest.mark.parametrize("fn", [scatter_matrices, scatter_traces,
+                                partial(run_experiment, config=ExperimentConfig())])
 def test_label_count_mismatch_is_invalid_data(fn):
     labels = index_labels(["a", "b"] * 5)
     with pytest.raises(InvalidData, match="12 observations vs 10 labels"):
