@@ -114,11 +114,14 @@ class CenteredMatrixView:
         return self.base.T.tocsr() if self.is_sparse else self.base.T
 
     @cached_property
-    def augmented_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(columns, weights, indptr) of a sparse base's rows, each extended
-        by column d with weight 1 and column d + 1 with weight cross_i: the
-        gather layout of the lazily centered RK step.  Built on first use;
-        holds nnz + 2n indices and weights."""
+    def augmented_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(columns, update weights, residual weights, indptr) of a sparse
+        base's rows, each extended by the columns d and d + 1: the gather
+        layout of the lazily centered RK step.  Row i's update weights are
+        (vals, 1, cross_i) and its residual weights (vals, -shift_i, -1),
+        with shift_i = cross_i - ||mu||^2.  Built on first use; holds
+        nnz + 2n indices and two sets of nnz + 2n weights, 8 (nnz + 2n)
+        bytes a set (0.16 MB at 500 x 4000 with 19,025 entries)."""
         base = self.base
         n, d = base.shape
         indptr = base.indptr + 2 * np.arange(n + 1)
@@ -129,7 +132,10 @@ class CenteredMatrixView:
         cols[stored], cols[a_pos], cols[p_pos] = base.indices, d, d + 1
         weights = np.empty(indptr[-1])
         weights[stored], weights[a_pos], weights[p_pos] = base.data, 1.0, self.cross
-        return cols, weights, indptr
+        residual_weights = weights.copy()
+        residual_weights[a_pos] = float(self.column_means @ self.column_means) - self.cross
+        residual_weights[p_pos] = -1.0
+        return cols, weights, residual_weights, indptr
 
     def rmatmul(self, u: np.ndarray) -> np.ndarray:
         """(X - 1 mu^T)^T @ u without densifying the base."""

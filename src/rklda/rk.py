@@ -49,11 +49,12 @@ is kept on the view.  Then
 and the step is V[cols] += vals c^T, a += c, p += cross_i c, so a step costs
 O(nnz(s_i) g).  a and p are stored as rows d and d + 1 of V, and each CSR
 row is extended once per view (``CenteredMatrixView.augmented_rows``) by the
-columns d, d + 1 with weights 1 and cross_i, so a step is one gather, one
-update and one scatter.  The residual is still summed in the order above:
-folding the shift into the same dot product loses the sparse/dense
-agreement near a degenerate centering.  The lazy form adds rounding of
-relative size about eps * n ||mu||^2 / ||Xc||_F^2
+columns d, d + 1, with residual weights -(cross_i - ||mu||^2) and -1 and
+update weights 1 and cross_i.  A step is then six calls: the gather of the
+row's rows of V, one dot of the residual weights with them, the subtraction
+from y_i, the division by ||x_i||^2, one BLAS rank-1 update (dger) of the
+gathered rows by the update weights, and the scatter back into V.  The lazy
+form adds rounding of relative size about eps * n ||mu||^2 / ||Xc||_F^2
 (``CenteredMatrixView.centering_ratio``) to each step, so ``solve_rk``
 refuses a sparse view whose ratio exceeds CENTERING_RATIO_MAX.
 
@@ -88,7 +89,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dger, dtrsm
 
 from .errors import InvalidData, NumericalDivergence, ZeroRowError
 from .labels import as_matrix
@@ -230,10 +231,9 @@ class _SparseIterate:
     touches the row's columns and those two rows only."""
 
     def __init__(self, view: CenteredMatrixView, Y: np.ndarray):
-        self.mu = mu = view.column_means
-        self.cols, self.weights, self.indptr = view.augmented_rows
-        self.weights_col = self.weights[:, None]
-        self.shift = view.cross - float(mu @ mu)
+        self.mu = view.column_means
+        self.cols, self.weights, self.residual_weights, indptr = view.augmented_rows
+        self.indptr = indptr.tolist()
         self.norms_sq = view.centered_row_norms_sq
         self.Y = Y
         self.d = d = view.d
@@ -243,24 +243,19 @@ class _SparseIterate:
     def run(self, rows: np.ndarray, C: np.ndarray) -> None:
         """One step per sampled row; step j's coefficient c_j goes to C[j]."""
         self.W = None
-        V, Y = self.V, self.Y
-        cols_all, weights, weights_col = self.cols, self.weights, self.weights_col
-        indptr, shift, norms_sq = self.indptr, self.shift, self.norms_sq
+        V, Y, indptr, norms_sq = self.V, self.Y, self.indptr, self.norms_sq
+        cols_all, weights, residual_weights = self.cols, self.weights, self.residual_weights
         for i, c in zip(rows.tolist(), C):
             lo, hi = indptr[i], indptr[i + 1]
             cols = cols_all[lo:hi]
             G = V.take(cols, axis=0)
-            m = hi - lo - 2
-            # y_i - vals . V[cols] + shift_i a + p, summed in this order
-            np.dot(weights[lo:hi - 2], G[:m], out=c)
+            # y_i - (vals, -shift_i, -1) . (V[cols], a, p)
+            np.dot(residual_weights[lo:hi], G, out=c)
             np.subtract(Y[i], c, out=c)
-            c += shift[i] * G[m]
-            c += G[m + 1]
             c /= norms_sq[i]
-            w = weights_col[lo:hi]
-            # CSR column indices within a row are unique, so assignment is safe
-            G += w * c
-            V[cols] = G
+            # G += w c^T as the rank-1 update G^T += c w^T, in place; CSR
+            # column indices within a row are unique, so assignment is safe
+            V[cols] = dger(1.0, c, weights[lo:hi], a=G.T, overwrite_a=1).T
 
     def current(self) -> np.ndarray:
         if self.W is None:

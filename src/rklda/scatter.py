@@ -9,9 +9,10 @@ All three use the 1/n scaling:
 Inputs are raw (uncentered) observations; centroid subtraction happens
 inside, so grand-mean pre-centering is a harmless no-op.  Input passes
 ``validate_raw``, so non-finite entries are refused on either storage.  The
-three d x d forms sit behind the dense guard (3 d^2 elements); the trace
-variants never form them.  Dense deviations from the centroids are formed a
-row chunk at a time by ``centered_chunks``, never as an n x d copy.
+three d x d forms sit behind the dense guard (3 d^2 elements), checked
+from the shape before sparse input is densified; the trace variants never
+form them.  Dense deviations from the centroids are formed a row chunk at a
+time by ``centered_chunks``, never as an n x d copy.
 
 The traces of sparse input come from the stored entries and the g x d
 centroids alone, through
@@ -55,11 +56,12 @@ def _centroids(X, labels: LabelVector) -> tuple[np.ndarray, np.ndarray]:
 
 
 def scatter_matrices(X_small, labels: LabelVector) -> ScatterSet:
-    X = validate_raw(densify(X_small))
+    X = validate_raw(X_small)
     n, d = X.shape
     if n != labels.n:
         raise InvalidData(f"{n} observations vs {labels.n} labels")
     check_dense_size(3 * d * d, f"the three {d}x{d} scatter matrices")
+    X = densify(X)
     cents, grand = _centroids(X, labels)
 
     s_w = sum(D.T @ D for _, D in centered_chunks(X, cents, labels.indices)) / n

@@ -541,8 +541,9 @@ def test_scatter_without_out_prints_and_writes_nothing(dataset, tmp_path, capsys
 
 
 def test_scatter_sparse_dense_guard(tmp_path, capsys):
-    # 10 x 2,000,000 holds 20,000,000 elements once dense, past the guard:
-    # the full matrices are refused, the traces come from the stored entries
+    # 10 x 2,000,000: the three 2,000,000-square matrices (1.2e13 elements)
+    # are refused from the shape, before the data is densified; the traces
+    # come from the stored entries
     data = tmp_path / "X.mtx"
     labels = tmp_path / "y.txt"
     scipy.io.mmwrite(str(data), sp.csr_array(
@@ -552,7 +553,7 @@ def test_scatter_sparse_dense_guard(tmp_path, capsys):
             "--out", str(tmp_path / "s.json")]
     assert dispatch(argv) == 2
     err = capsys.readouterr().err
-    assert "TooLarge" in err and "20000000 elements" in err
+    assert "TooLarge" in err and "12000000000000 elements" in err
     assert not (tmp_path / "s.json").exists()
     assert dispatch([*argv, "--traces-only"]) == 0
     out = json.loads((tmp_path / "s.json").read_text())
