@@ -111,14 +111,15 @@ def least_norm(U, s, Vt, Ym) -> Subspace:
     return Subspace(matrix=Vt.T @ ((U.T @ Ym) / s[:, None]), origin="PINV")
 
 
-def pinv_oracle(view: CenteredMatrixView, Y) -> Subspace:
+def pinv_oracle(view: CenteredMatrixView, Y, spectrum=None) -> Subspace:
     """Least-norm solution of Xc W = Y via the dense SVD: sum over nonzero
-    singular triplets of (1/s_j) v_j u_j^T Y."""
+    singular triplets of (1/s_j) v_j u_j^T Y.  ``spectrum`` is
+    ``centered_spectrum(view)`` when the caller has taken it."""
     Ym = as_matrix(Y, view.n)
-    return least_norm(*centered_spectrum(view), Ym)
+    return least_norm(*(centered_spectrum(view) if spectrum is None else spectrum), Ym)
 
 
-def ulda_oracle(view: CenteredMatrixView, Y) -> Subspace:
+def ulda_oracle(view: CenteredMatrixView, Y, spectrum=None) -> Subspace:
     """Eigenvectors of pinv(S_t) S_b with nonzero eigenvalues (at most g-1).
 
     ``Y`` is the class indicator of the view's rows.  With Xc = U S V^T,
@@ -128,10 +129,11 @@ def ulda_oracle(view: CenteredMatrixView, Y) -> Subspace:
     G = S_t^{-1/2} V P = sqrt(n) V S^{-1} P.  P's cutoff scales with
     ||Y||_2 = sqrt(n), not with U^T Y's largest singular value, so it is
     independent of the data's scale and identical class means leave no
-    column.
+    column.  ``spectrum`` is ``centered_spectrum(view)`` when the caller
+    has taken it.
     """
     Ym = as_matrix(Y, view.n)
-    U, s, Vt = centered_spectrum(view)
+    U, s, Vt = centered_spectrum(view) if spectrum is None else spectrum
     if not len(s):
         raise DegenerateSubspace("total scatter is numerically zero")
     UtY = U.T @ Ym

@@ -11,7 +11,9 @@ also carries the medians over replicates of the three phases
 the last being the search plus every k's vote), and a method that failed
 on any replicate lists its distinct failure messages in
 ``failure_messages``.  Under ``timing="none"``
-every timing is 0.0, so reports are byte-reproducible.
+every timing is 0.0, so reports are byte-reproducible.  ``pinv`` and
+``ulda`` share one dense SVD of a replicate's training rows, which counts
+in the fit time of whichever of them runs first.
 """
 
 import time
@@ -19,13 +21,16 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .baselines import LSQR_TOL, Subspace, check_lsqr, pinv_oracle, solve_lsqr, ulda_oracle
+from .baselines import (LSQR_TOL, Subspace, centered_spectrum, check_lsqr, pinv_oracle,
+                        solve_lsqr, ulda_oracle)
 from .errors import ClassCoverageError, InvalidData, RkldaError
 from .labels import LabelVector, encode_labels, index_labels
 from .matrix import build_centered_view, densify, validate_raw
 from .rk import SolverConfig, derive_seed, solve_rk
 
 KNOWN_METHODS = ("full", "rk", "lsqr", "pinv", "ulda")
+# Methods fit from the dense SVD of the training rows, which a replicate takes once.
+SPECTRAL_METHODS = ("pinv", "ulda")
 # Entries held at once by the kNN: test rows x training rows of squared
 # distances in the search, test rows x classes of counts in the vote.
 KNN_CHUNK_ELEMENTS = 1 << 17
@@ -212,14 +217,15 @@ def accuracy(predicted, truth) -> float:
 
 def fit_subspace(method: str, view, Y, *, rk: SolverConfig = SolverConfig(),
                  on_checkpoint=None, lsqr_tol: float = LSQR_TOL,
-                 lsqr_max_iters: int | None = None) -> Subspace | None:
+                 lsqr_max_iters: int | None = None, spectrum=None) -> Subspace | None:
     """The subspace of ``method`` (one of KNOWN_METHODS) fit on the centered
     ``view`` with the class indicator ``Y`` of its rows; None for ``full``.
 
     An RK fit is ``solve_rk`` with the settings ``rk`` and ``on_checkpoint``
     and carries its iterations_run and excluded_rows; an LSQR fit whether
     every column converged and the most iterations a column took.  ``pinv``
-    and ``ulda`` densify within the dense guard.
+    and ``ulda`` densify within the dense guard, or start from
+    ``spectrum``, the view's ``centered_spectrum``, when it is given.
     """
     if method == "full":
         return None
@@ -230,9 +236,9 @@ def fit_subspace(method: str, view, Y, *, rk: SolverConfig = SolverConfig(),
     if method == "lsqr":
         return solve_lsqr(view, Y, tol=lsqr_tol, max_iters=lsqr_max_iters)
     if method == "pinv":
-        return pinv_oracle(view, Y)
+        return pinv_oracle(view, Y, spectrum)
     if method == "ulda":
-        return ulda_oracle(view, Y)
+        return ulda_oracle(view, Y, spectrum)
     raise InvalidData(f"unknown method {method!r}")
 
 
@@ -260,12 +266,15 @@ def _replicate(data, labels: LabelVector, config: ExperimentConfig, replicate: i
     rows = []
     phases = {}
     failures = {}
+    spectrum = None
     for m_pos, method in enumerate(config.methods):
         m_seed = derive_seed(children[1 + m_pos])
         try:
             t0 = clock()
+            if method in SPECTRAL_METHODS and spectrum is None:
+                spectrum = centered_spectrum(view)
             B = fit_subspace(method, view, Y, rk=replace(config.rk, seed=m_seed),
-                             lsqr_tol=config.lsqr_tol)
+                             lsqr_tol=config.lsqr_tol, spectrum=spectrum)
             t1 = clock()
             Z_train = project(X_train, B, view.column_means)
             Z_test = project(X_test, B, view.column_means)

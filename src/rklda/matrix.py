@@ -116,25 +116,31 @@ class CenteredMatrixView:
     @cached_property
     def augmented_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(columns, update weights, residual weights, indptr) of a sparse
-        base's rows, each extended by the columns d and d + 1: the gather
-        layout of the lazily centered RK step.  Row i's update weights are
-        (vals, 1, cross_i) and its residual weights (vals, -shift_i, -1),
-        with shift_i = cross_i - ||mu||^2.  Built on first use; holds
-        nnz + 2n indices and two sets of nnz + 2n weights, 8 (nnz + 2n)
-        bytes a set (0.16 MB at 500 x 4000 with 19,025 entries)."""
-        base = self.base
+        base's rows, each extended by the columns d, d + 1 and d + 2 + i:
+        the gather layout of the lazily centered RK step.  Row i's update
+        weights are (vals, 1, cross_i, 0) and its residual weights
+        (vals, -shift_i, -1, -1) scaled by -1/||x_i||^2, with
+        shift_i = cross_i - ||mu||^2; a zero-norm row, never sampled, has
+        scale 0.  Built on first use; holds nnz + 3n indices and two sets
+        of nnz + 3n weights, 8 (nnz + 3n) bytes a set (0.16 MB at
+        500 x 4000 with 19,025 entries)."""
+        base, norms_sq = self.base, self.centered_row_norms_sq
         n, d = base.shape
-        indptr = base.indptr + 2 * np.arange(n + 1)
-        a_pos, p_pos = indptr[1:] - 2, indptr[1:] - 1
+        indptr = base.indptr + 3 * np.arange(n + 1)
+        a_pos, p_pos, y_pos = indptr[1:] - 3, indptr[1:] - 2, indptr[1:] - 1
         stored = np.ones(indptr[-1], dtype=bool)
-        stored[a_pos] = stored[p_pos] = False
+        stored[a_pos] = stored[p_pos] = stored[y_pos] = False
         cols = np.empty(indptr[-1], dtype=np.intp)
         cols[stored], cols[a_pos], cols[p_pos] = base.indices, d, d + 1
+        cols[y_pos] = d + 2 + np.arange(n)
         weights = np.empty(indptr[-1])
         weights[stored], weights[a_pos], weights[p_pos] = base.data, 1.0, self.cross
+        weights[y_pos] = 0.0
         residual_weights = weights.copy()
         residual_weights[a_pos] = float(self.column_means @ self.column_means) - self.cross
-        residual_weights[p_pos] = -1.0
+        residual_weights[p_pos] = residual_weights[y_pos] = -1.0
+        scale = np.divide(-1.0, norms_sq, out=np.zeros(n), where=norms_sq > 0.0)
+        residual_weights *= np.repeat(scale, np.diff(indptr))
         return cols, weights, residual_weights, indptr
 
     def rmatmul(self, u: np.ndarray) -> np.ndarray:

@@ -47,16 +47,22 @@ is kept on the view.  Then
     y_i - W^T x_i = y_i - V[cols]^T vals + (cross_i - ||mu||^2) a + p
 
 and the step is V[cols] += vals c^T, a += c, p += cross_i c, so a step costs
-O(nnz(s_i) g).  a and p are stored as rows d and d + 1 of V, and each CSR
-row is extended once per view (``CenteredMatrixView.augmented_rows``) by the
-columns d, d + 1, with residual weights -(cross_i - ||mu||^2) and -1 and
-update weights 1 and cross_i.  A step is then six calls: the gather of the
-row's rows of V, one dot of the residual weights with them, the subtraction
-from y_i, the division by ||x_i||^2, one BLAS rank-1 update (dger) of the
-gathered rows by the update weights, and the scatter back into V.  The lazy
-form adds rounding of relative size about eps * n ||mu||^2 / ||Xc||_F^2
-(``CenteredMatrixView.centering_ratio``) to each step, so ``solve_rk``
-refuses a sparse view whose ratio exceeds CENTERING_RATIO_MAX.
+O(nnz(s_i) g).  a and p are stored as rows d and d + 1 of V, and rows
+d + 2 .. d + 1 + n hold a copy of Y, so y_i is row d + 2 + i.  Each CSR row
+is extended once per view (``CenteredMatrixView.augmented_rows``) by the
+columns d, d + 1 and d + 2 + i, with residual weights
+(vals, -(cross_i - ||mu||^2), -1, -1) scaled by -1/||x_i||^2 and update
+weights (vals, 1, cross_i, 0).  A step is then four calls: the gather of
+the row's rows of V, one dot of the residual weights with them, which is
+the coefficient c itself, one BLAS rank-1 update (dger) of the gathered
+rows by the update weights, which leaves the y_i row as it was, and the
+scatter back into V.  The solve's W is formed in place in V[:d] by one
+dger, W = V[:d] - mu a^T, and returned as a view of the iterate; a
+checkpoint's W is formed by the same dger into a fresh array, so it holds
+the returned W's bytes.  The lazy form adds rounding of relative size
+about eps * n ||mu||^2 / ||Xc||_F^2 (``CenteredMatrixView.centering_ratio``)
+to each step, so ``solve_rk`` refuses a sparse view whose ratio exceeds
+CENTERING_RATIO_MAX.
 
 Tail averaging is one identity on either storage.  Step k (0-based) adds
 x_{i_k} c_k^T, so with b the burn-in the mean of the iterates after steps
@@ -225,43 +231,45 @@ class _DenseIterate:
     def current(self) -> np.ndarray:
         return self.W
 
+    finish = current
+
 
 class _SparseIterate:
-    """W = V[:d] - mu a^T with a = V[d] and p = mu^T V[:d] = V[d + 1]; a step
-    touches the row's columns and those two rows only."""
+    """W = V[:d] - mu a^T with a = V[d] and p = mu^T V[:d] = V[d + 1]; V[d + 2:]
+    holds a copy of Y.  A step touches the row's columns, those two rows
+    and the row's target only."""
 
     def __init__(self, view: CenteredMatrixView, Y: np.ndarray):
         self.mu = view.column_means
         self.cols, self.weights, self.residual_weights, indptr = view.augmented_rows
         self.indptr = indptr.tolist()
-        self.norms_sq = view.centered_row_norms_sq
-        self.Y = Y
         self.d = d = view.d
-        self.V = np.zeros((d + 2, Y.shape[1]))
-        self.W = None  # current(), formed on demand until the next run
+        self.V = np.zeros((d + 2 + view.n, Y.shape[1]))
+        self.V[d + 2:] = Y
 
     def run(self, rows: np.ndarray, C: np.ndarray) -> None:
         """One step per sampled row; step j's coefficient c_j goes to C[j]."""
-        self.W = None
-        V, Y, indptr, norms_sq = self.V, self.Y, self.indptr, self.norms_sq
+        V, indptr = self.V, self.indptr
         cols_all, weights, residual_weights = self.cols, self.weights, self.residual_weights
         for i, c in zip(rows.tolist(), C):
             lo, hi = indptr[i], indptr[i + 1]
             cols = cols_all[lo:hi]
             G = V.take(cols, axis=0)
-            # y_i - (vals, -shift_i, -1) . (V[cols], a, p)
+            # (y_i - (vals, -shift_i, -1) . (V[cols], a, p)) / ||x_i||^2
             np.dot(residual_weights[lo:hi], G, out=c)
-            np.subtract(Y[i], c, out=c)
-            c /= norms_sq[i]
             # G += w c^T as the rank-1 update G^T += c w^T, in place; CSR
             # column indices within a row are unique, so assignment is safe
             V[cols] = dger(1.0, c, weights[lo:hi], a=G.T, overwrite_a=1).T
 
     def current(self) -> np.ndarray:
-        if self.W is None:
-            d = self.d
-            self.W = self.V[:d] - np.outer(self.mu, self.V[d])
-        return self.W
+        """W in a fresh array, by the arithmetic of ``finish``."""
+        d = self.d
+        return dger(-1.0, self.V[d], self.mu, a=self.V[:d].T).T
+
+    def finish(self) -> np.ndarray:
+        """W formed in place in V[:d] and returned as a view; no step may follow."""
+        d = self.d
+        return dger(-1.0, self.V[d], self.mu, a=self.V[:d].T, overwrite_a=1).T
 
 
 def _centered_product(view: CenteredMatrixView, Z: np.ndarray) -> np.ndarray:
@@ -362,7 +370,7 @@ def solve_rk(
                 cells = (rows[t - start:, None] * g + np.arange(g)).reshape(-1)
                 np.add.at(Z.reshape(-1), cells, (steps * C[t - start:len(rows)]).reshape(-1))
 
-    W = iterate.current()
+    W = iterate.finish()
     if Z is not None:
         W = W - _centered_product(view, Z) / (K - burn)
     return SolveResult(W=W, iterations_run=K, excluded_rows=n - len(dist.active_rows))

@@ -321,6 +321,33 @@ def test_run_experiment_method_failure_recorded():
     assert all(r[0] != "pinv" for r in report.rows)
 
 
+def test_run_experiment_takes_one_svd_per_replicate(monkeypatch):
+    X, y = two_gaussians(n=60, d=10, rng=np.random.default_rng(6))
+    labels = index_labels([str(t) for t in y])
+    cfg = _tiny_config(methods=("pinv", "rk", "ulda"), replicates=2)
+    alone = {m: run_experiment(X, labels, _tiny_config(methods=(m,), replicates=2)).methods[m]
+             for m in ("pinv", "ulda")}
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = run_experiment(X, labels, cfg)
+    # ULDA's second SVD, of the r x 2 matrix U^T Y, is its own
+    assert sum(shape[1] == X.shape[1] for shape in shapes) == cfg.replicates
+    assert {m: report.methods[m] for m in alone} == alone
+    # a spectrum past the guard fails each spectral method on each replicate
+    with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 10):
+        guarded = run_experiment(X, labels, cfg)
+    for method in ("pinv", "ulda"):
+        assert guarded.methods[method]["failures"] == cfg.replicates
+        assert guarded.methods[method]["failure_messages"][0].startswith("TooLarge: ")
+    assert guarded.methods["rk"]["failures"] == 0
+
+
 def test_run_experiment_phase_timings():
     X, y = two_gaussians(n=60, d=10, rng=np.random.default_rng(9))
     labels = index_labels([str(t) for t in y])

@@ -91,15 +91,16 @@ def assert_near_reference(view, Y, config, W, checkpoints=None):
 def lazy_sparse_solve(view, Y, config, dist=None, on_checkpoint=None):
     """The lazily centered sparse loop step by step, with a and p = mu^T V
     kept as separate vectors and the tail sums U, A apart.  A step's
-    residual is one dot of (vals, -shift_i, -1) against the stacked
-    (V[cols], a, p), and its update one dger of the stacked rows by
-    (vals, 1, cross_i), the solver's order of rounding."""
+    coefficient is one dot of (vals, -shift_i, -1, -1) scaled by
+    -1/||x_i||^2 against the stacked (V[cols], a, p, y_i), and its update
+    one dger of the stacked (V[cols], a, p) by (vals, 1, cross_i); W is
+    V - mu a^T by one dger: the solver's order of rounding."""
     Ym = as_matrix(Y, view.n)
     dist = build_sampler(view) if dist is None else dist
     base, mu = view.base, view.column_means
     indptr, indices, data = base.indptr, base.indices, base.data
     cross = np.asarray(base @ mu).reshape(-1)
-    shift = cross - float(mu @ mu)
+    mu_sq = float(mu @ mu)
     V = np.zeros((view.d, Ym.shape[1]))
     a, p = np.zeros(V.shape[1]), np.zeros(V.shape[1])
     K = config.max_iters
@@ -107,17 +108,22 @@ def lazy_sparse_solve(view, Y, config, dist=None, on_checkpoint=None):
     cadence = config.checkpoint_every
     W_b, U, A = None, np.zeros_like(V), np.zeros(V.shape[1])
     rows = sample_rows(dist, make_rng(config.seed), K).tolist()
+
+    def current():
+        return dger(-1.0, a, mu, a=V.T).T
+
     if on_checkpoint is not None:
-        on_checkpoint(0, V - np.outer(mu, a))
+        on_checkpoint(0, current())
     for k, i in enumerate(rows):
         if k == burn:
-            W_b = V - np.outer(mu, a)
+            W_b = current()
         lo, hi = indptr[i], indptr[i + 1]
         cols, vals_col = indices[lo:hi], data[lo:hi, None]
-        stacked = np.vstack([V[cols], a, p])
-        r = Ym[i] - np.concatenate([data[lo:hi], [-shift[i], -1.0]]) @ stacked
-        c = r / view.centered_row_norms_sq[i]
-        updated = dger(1.0, c, np.concatenate([data[lo:hi], [1.0, cross[i]]]), a=stacked.T).T
+        stacked = np.vstack([V[cols], a, p, Ym[i]])
+        scale = -1.0 / view.centered_row_norms_sq[i]
+        c = (np.concatenate([data[lo:hi], [mu_sq - cross[i], -1.0, -1.0]]) * scale) @ stacked
+        updated = dger(1.0, c, np.concatenate([data[lo:hi], [1.0, cross[i]]]),
+                       a=stacked[:-1].T).T
         V[cols], a, p = updated[:-2], updated[-2], updated[-1]
         if W_b is not None:
             weighted = (K - k) * c
@@ -125,9 +131,9 @@ def lazy_sparse_solve(view, Y, config, dist=None, on_checkpoint=None):
             A += weighted
         done = k + 1
         if on_checkpoint is not None and (done == K or (cadence and done % cadence == 0)):
-            on_checkpoint(done, V - np.outer(mu, a))
+            on_checkpoint(done, current())
     if burn is None:
-        return V - np.outer(mu, a)
+        return current()
     return W_b + (U - np.outer(mu, A)) / (K - burn)
 
 
@@ -515,11 +521,28 @@ def test_zero_norm_rows_skipped_in_solve():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_reports_iteration():
     # two copies of one row with targets +-1e308: a step on one copy lands
-    # at 1e308 along it, so the residual of the first step on the other
-    # copy, -+2e308, overflows
+    # at 1e308 along it.  Dense forms the residual of the first step on the
+    # other copy, -+2e308, which overflows; sparse forms only the coefficient
+    # (y_i - W^T x_i) / ||x_i||^2 = -+1e308, which is finite, and the
+    # iterate swings between +-5e307 per entry
     Y = np.array([[1e308], [-1e308]])
-    for view in both_storages([[1.0, 1.0], [1.0, 1.0]], assume_centered=True):
-        rows = sample_rows(build_sampler(view), make_rng(0), 10).tolist()
+    dense, sparse = both_storages([[1.0, 1.0], [1.0, 1.0]], assume_centered=True)
+    rows = sample_rows(build_sampler(dense), make_rng(0), 10).tolist()
+    with pytest.raises(NumericalDivergence) as err:
+        solve_rk(dense, Y, SolverConfig(max_iters=10, seed=0))
+    assert err.value.iteration == rows.index(1 - rows[0]) + 1
+    W = solve_rk(sparse, Y, SolverConfig(max_iters=10, seed=0)).W
+    assert np.array_equal(np.abs(W), np.full((2, 1), 5e307))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_divergence_of_the_coefficient_on_both_storages():
+    # at ||x_i||^2 = 1 the coefficient is the residual, so the first step on
+    # the second copy overflows on either storage
+    Y = np.array([[1e308], [-1e308]])
+    views = both_storages([[1.0, 0.0], [1.0, 0.0]], assume_centered=True)
+    rows = sample_rows(build_sampler(views[0]), make_rng(0), 10).tolist()
+    for view in views:
         with pytest.raises(NumericalDivergence) as err:
             solve_rk(view, Y, SolverConfig(max_iters=10, seed=0))
         assert err.value.iteration == rows.index(1 - rows[0]) + 1
@@ -623,6 +646,23 @@ def test_sparse_matches_lazy_step_loop(seed, tail_average, cadence):
         tol = 100.0 * cfg.max_iters * EPS * (1.0 + view.centering_ratio)
         assert np.linalg.norm(W - W_lazy) <= tol * largest_iterate(lazy_sparse_solve, view, Y, cfg)
     assert_same_checkpoints(got, want)
+
+
+@pytest.mark.filterwarnings("ignore:sparse centering ratio")
+def test_sparse_w_independent_of_checkpoints():
+    # checkpoints form W in a fresh array and the solve forms the returned W
+    # in place, by one arithmetic: the bytes are those the last checkpoint saw
+    X = sparse_with_offsets(4)
+    view = build_centered_view(sp.csr_array(X))
+    Y = np.random.default_rng(4).standard_normal((X.shape[0], 3))
+    cfg = SolverConfig(max_iters=SAMPLE_BLOCK + 96, seed=4)
+    W = solve_rk(view, Y, cfg).W
+    assert cfg.max_iters % 32 == 0
+    for cadence in (0, 32):
+        seen, record = recorder()
+        got = solve_rk(view, Y, replace(cfg, checkpoint_every=cadence), on_checkpoint=record).W
+        assert got.tobytes() == W.tobytes() == seen[-1][1].tobytes()
+        assert seen[-1][0] == cfg.max_iters
 
 
 FILL = -8.613432074679531  # most entries of an @example below
