@@ -2,12 +2,13 @@
 
 ``solve_lsqr`` is the scalable comparator: an operator-form bidiagonalization
 least-squares solve per column that touches the data only through products
-with Xc and Xc^T.  ``pinv_oracle`` and ``ulda_oracle`` are dense small-scale
-oracles that form no d x d matrix.  Both start from ``centered_spectrum``:
-the thin SVD Xc = U S V^T of ``to_dense_centered`` (the one dense-size
-guard) cut to its numerical range.  The least-norm solution ``least_norm``
-is V S^{-1} U^T Y, and ULDA's is sqrt(n) V S^{-1} P with P from the r x g
-matrix U^T Y.  ``principal_angles`` compares two subspaces.
+with Xc and Xc^T.  ``pinv_oracle`` and ``ulda_oracle`` are dense
+small-scale oracles that form no d x d matrix.  Both start from the view's
+``spectrum``, the one source of Xc's spectrum: the thin SVD Xc = U S V^T of
+``to_dense_centered`` (the one dense-size guard) cut to its numerical range,
+taken once per view.  The least-norm solution is V S^{-1} U^T Y, and ULDA's
+is sqrt(n) V S^{-1} P with P from the r x g matrix U^T Y.
+``principal_angles`` compares two subspaces.
 """
 
 import logging
@@ -19,7 +20,7 @@ from scipy.sparse.linalg import LinearOperator, lsqr
 
 from .errors import DegenerateSubspace, InvalidData
 from .labels import as_matrix
-from .matrix import CenteredMatrixView, to_dense_centered
+from .matrix import CenteredMatrixView, default_rank_tol
 
 logger = logging.getLogger(__name__)
 # LSQR's default stopping tolerance (atol = btol) in every caller.
@@ -39,11 +40,6 @@ class Subspace:
             raise InvalidData(f"subspace matrix must be d x c with c >= 1, got {self.matrix.shape}")
         if not np.all(np.isfinite(self.matrix)):
             raise InvalidData("subspace contains non-finite entries")
-
-
-def default_rank_tol(matrix: np.ndarray, sigma_max: float) -> float:
-    """max(n, d) * eps * sigma_max, the standard numerical-rank cutoff."""
-    return max(matrix.shape) * np.finfo(np.float64).eps * sigma_max
 
 
 def _centered_operator(view: CenteredMatrixView) -> LinearOperator:
@@ -97,29 +93,15 @@ def solve_lsqr(
                     iterations_run=iterations)
 
 
-def centered_spectrum(view: CenteredMatrixView):
-    """Thin SVD of the dense Xc cut to its numerical range: (U, s, Vt) with
-    s > default_rank_tol(Xc, s_max)."""
-    Xc = to_dense_centered(view)
-    U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
-    keep = s > default_rank_tol(Xc, s[0] if len(s) else 0.0)
-    return U[:, keep], s[keep], Vt[keep]
-
-
-def least_norm(U, s, Vt, Ym) -> Subspace:
-    """V S^{-1} U^T Y from the spectrum ``centered_spectrum`` returns."""
+def pinv_oracle(view: CenteredMatrixView, Y) -> Subspace:
+    """Least-norm solution of Xc W = Y from the view's ``spectrum``: sum
+    over nonzero singular triplets of (1/s_j) v_j u_j^T Y."""
+    Ym = as_matrix(Y, view.n)
+    U, s, Vt = view.spectrum
     return Subspace(matrix=Vt.T @ ((U.T @ Ym) / s[:, None]), origin="PINV")
 
 
-def pinv_oracle(view: CenteredMatrixView, Y, spectrum=None) -> Subspace:
-    """Least-norm solution of Xc W = Y via the dense SVD: sum over nonzero
-    singular triplets of (1/s_j) v_j u_j^T Y.  ``spectrum`` is
-    ``centered_spectrum(view)`` when the caller has taken it."""
-    Ym = as_matrix(Y, view.n)
-    return least_norm(*(centered_spectrum(view) if spectrum is None else spectrum), Ym)
-
-
-def ulda_oracle(view: CenteredMatrixView, Y, spectrum=None) -> Subspace:
+def ulda_oracle(view: CenteredMatrixView, Y) -> Subspace:
     """Eigenvectors of pinv(S_t) S_b with nonzero eigenvalues (at most g-1).
 
     ``Y`` is the class indicator of the view's rows.  With Xc = U S V^T,
@@ -129,11 +111,10 @@ def ulda_oracle(view: CenteredMatrixView, Y, spectrum=None) -> Subspace:
     G = S_t^{-1/2} V P = sqrt(n) V S^{-1} P.  P's cutoff scales with
     ||Y||_2 = sqrt(n), not with U^T Y's largest singular value, so it is
     independent of the data's scale and identical class means leave no
-    column.  ``spectrum`` is ``centered_spectrum(view)`` when the caller
-    has taken it.
+    column.  U, s and Vt are the view's ``spectrum``.
     """
     Ym = as_matrix(Y, view.n)
-    U, s, Vt = centered_spectrum(view) if spectrum is None else spectrum
+    U, s, Vt = view.spectrum
     if not len(s):
         raise DegenerateSubspace("total scatter is numerically zero")
     UtY = U.T @ Ym

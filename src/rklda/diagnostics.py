@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import Subspace, centered_spectrum, least_norm
+from .baselines import pinv_oracle
 from .errors import DegenerateMatrix, InvalidData
 from .labels import as_matrix
 from .matrix import CenteredMatrixView
@@ -58,14 +58,10 @@ class ConvergenceReport:
 
 def condition_profile(view: CenteredMatrixView) -> ConditionProfile:
     """kappa, smallest nonzero singular value, and squared Frobenius norm
-    of the view's centered matrix Xc, from ``centered_spectrum``."""
-    return _spectrum_profile(centered_spectrum(view)[1])
-
-
-def _spectrum_profile(s: np.ndarray) -> ConditionProfile:
-    """The profile of Xc from its singular values above the rank cutoff, in
-    descending order; the ones below the cutoff would change frob_norm_sq by
-    less than min(n, d) (max(n, d) eps)^2 relative."""
+    of the view's centered matrix Xc, from the singular values of its
+    ``spectrum``; the ones below the rank cutoff would change frob_norm_sq
+    by less than min(n, d) (max(n, d) eps)^2 relative."""
+    s = view.spectrum[1]
     if len(s) == 0:
         raise DegenerateMatrix("matrix has numerical rank 0")
     frob_sq = float(np.sum(s**2))
@@ -113,9 +109,8 @@ def iterations_for_tolerance(eps: float, eps0: float, kappa: float) -> int:
 
 def residual_at(W, view: CenteredMatrixView, Y) -> tuple[float, float]:
     """(||Y - Xc W||_F, relative to ||Y||_F) via streaming products."""
-    Wm = W.matrix if isinstance(W, Subspace) else np.asarray(W, dtype=np.float64)
     Ym = as_matrix(Y, view.n)
-    R = Ym - view.matmul(Wm)
+    R = Ym - view.matmul(W)
     frob = float(np.linalg.norm(R))
     y_norm = float(np.linalg.norm(Ym))
     return frob, frob / y_norm if y_norm > 0 else float("inf")
@@ -132,9 +127,9 @@ def run_convergence_study(
     if trials < 1:
         raise InvalidData("trials must be >= 1")
     Ym = as_matrix(Y, view.n)
-    U, s, Vt = centered_spectrum(view)  # one spectrum for the profile and W*
-    profile = _spectrum_profile(s)
-    w_star = least_norm(U, s, Vt, Ym).matrix
+    profile = condition_profile(view)  # the profile, W* and R* share the view's spectrum
+    w_star = pinv_oracle(view, Ym).matrix
+    U = view.spectrum[0]
     # R* = Y - U U^T Y: exact at any column offset, where residual_at's lazy Xc W* cancels
     resid_frob, y_norm = float(np.linalg.norm(Ym - U @ (U.T @ Ym))), float(np.linalg.norm(Ym))
     resid_rel = resid_frob / y_norm if y_norm > 0 else float("inf")

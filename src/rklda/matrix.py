@@ -62,6 +62,11 @@ def validate_raw(base) -> RawMatrix:
     return mat
 
 
+def default_rank_tol(matrix: np.ndarray, sigma_max: float) -> float:
+    """max(n, d) * eps * sigma_max, the standard numerical-rank cutoff."""
+    return max(matrix.shape) * np.finfo(np.float64).eps * sigma_max
+
+
 def column_means(mat: RawMatrix) -> np.ndarray:
     """The length-d column means of a dense or CSR matrix that passed ``validate_raw``."""
     return np.asarray(mat.sum(axis=0)).reshape(-1) / mat.shape[0]
@@ -71,8 +76,10 @@ def column_means(mat: RawMatrix) -> np.ndarray:
 class CenteredMatrixView:
     """Immutable view of a data matrix with implicit column centering.
 
-    Safe to share across threads after construction.  The transpose used by
-    ``rmatmul`` is built once, on first use; a race builds it twice.
+    Safe to share across threads after construction.  Like the transpose
+    used by ``rmatmul`` and the sparse ``augmented_rows``, the view keeps
+    the ``spectrum`` U, s, Vt of Xc, built once, on first use; a race
+    builds it twice.
     """
 
     base: RawMatrix
@@ -142,6 +149,18 @@ class CenteredMatrixView:
         scale = np.divide(-1.0, norms_sq, out=np.zeros(n), where=norms_sq > 0.0)
         residual_weights *= np.repeat(scale, np.diff(indptr))
         return cols, weights, residual_weights, indptr
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD Xc = U S V^T cut to its numerical range: (U, s, Vt) with
+        s > default_rank_tol(Xc, s_max), from ``to_dense_centered`` behind
+        the dense guard; a refused build caches nothing.  The one source of
+        Xc's spectrum for ``pinv_oracle``, ``ulda_oracle``,
+        ``condition_profile`` and the convergence study."""
+        Xc = to_dense_centered(self)
+        U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
+        keep = s > default_rank_tol(Xc, s[0] if len(s) else 0.0)
+        return U[:, keep], s[keep], Vt[keep]
 
     def rmatmul(self, u: np.ndarray) -> np.ndarray:
         """(X - 1 mu^T)^T @ u without densifying the base."""

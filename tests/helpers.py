@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 
-from rklda.baselines import centered_spectrum
 from rklda.labels import as_matrix
 from rklda.matrix import CenteredMatrixView, build_centered_view, to_dense_centered
 from rklda.sampling import build_sampler, sample_rows
@@ -51,7 +50,7 @@ def planted_inconsistent(n: int, d: int, g: int, rank: int,
     view = build_centered_view(X)
     Xc = to_dense_centered(view)
     W_bar = Xc.T @ rng.standard_normal((n, g))
-    U = centered_spectrum(view)[0]
+    U = view.spectrum[0]
     noise = rng.standard_normal((n, g))
     perp = noise - U @ (U.T @ noise)
     Y = Xc @ W_bar + resid_scale * perp

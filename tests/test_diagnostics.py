@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-import helpers
 from helpers import expected_step_check, planted_consistent, planted_inconsistent
-from rklda import baselines, diagnostics
 from rklda.baselines import pinv_oracle, ulda_oracle
 from rklda.diagnostics import (
     condition_profile,
@@ -271,22 +269,30 @@ def test_study_deterministic():
     assert [c.empirical_mse for c in a.checkpoints] == [c.empirical_mse for c in b.checkpoints]
 
 
-def test_study_takes_one_svd(monkeypatch):
-    rng = np.random.default_rng(37)
-    view, Y = planted_inconsistent(20, 50, 2, rank=8, rng=rng)
-    profile = condition_profile(view)
+def svd_shapes(monkeypatch):
+    """Patch np.linalg.svd to record the shape of each input; returns the
+    list it appends to."""
     calls = []
     svd = np.linalg.svd
 
-    def counting_svd(*args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
-        return svd(*args, **kwargs)
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+def test_study_takes_one_svd(monkeypatch):
+    rng = np.random.default_rng(37)
+    view, Y = planted_inconsistent(20, 50, 2, rank=8, rng=rng)
+    view = build_centered_view(view.base)  # planted_inconsistent took its view's spectrum
+    calls = svd_shapes(monkeypatch)
+    profile = condition_profile(view)
     report = run_convergence_study(
         view, Y, trials=3, config=SolverConfig(max_iters=60, seed=4, checkpoint_every=30)
     )
-    assert len(calls) == 1  # the profile and W* share one spectrum
+    assert calls == [view.shape]  # the profile, W* and R* share the view's spectrum
     assert report.kappa == pytest.approx(profile.kappa, rel=1e-12)
     assert report.beta == pytest.approx(profile.beta, rel=1e-12)
 
@@ -296,24 +302,24 @@ def test_study_takes_one_svd(monkeypatch):
     "planted_inconsistent",
 ])
 def test_each_spectrum_comes_from_one_centered_spectrum_call(monkeypatch, job):
+    # one SVD of the n x d input per view: the job takes it on a fresh view,
+    # and the job again and every other one on that view take none
     rng = np.random.default_rng(38)
     view, Y = planted_inconsistent(12, 30, 3, rank=6, rng=rng)
-    calls = []
-    spectrum = baselines.centered_spectrum
-
-    def counting_spectrum(v):
-        calls.append(v)
-        return spectrum(v)
-
-    for module in (baselines, diagnostics, helpers):
-        monkeypatch.setattr(module, "centered_spectrum", counting_spectrum, raising=False)
-    run = {
-        "condition_profile": lambda: condition_profile(view),
-        "pinv_oracle": lambda: pinv_oracle(view, Y),
-        "ulda_oracle": lambda: ulda_oracle(view, Y),
-        "run_convergence_study": lambda: run_convergence_study(
-            view, Y, trials=2, config=SolverConfig(max_iters=30, seed=1)),
-        "planted_inconsistent": lambda: planted_inconsistent(12, 30, 3, rank=6, rng=rng),
-    }[job]
-    run()
-    assert len(calls) == 1
+    view = build_centered_view(view.base)
+    calls = svd_shapes(monkeypatch)
+    runs = {
+        "condition_profile": lambda v: condition_profile(v),
+        "pinv_oracle": lambda v: pinv_oracle(v, Y),
+        "ulda_oracle": lambda v: ulda_oracle(v, Y),
+        "run_convergence_study": lambda v: run_convergence_study(
+            v, Y, trials=2, config=SolverConfig(max_iters=30, seed=1)),
+    }
+    if job == "planted_inconsistent":
+        view, Y = planted_inconsistent(12, 30, 3, rank=6, rng=rng)
+    else:
+        runs[job](view)
+    assert calls.count(view.shape) == 1
+    for run in runs.values():
+        run(view)
+    assert calls.count(view.shape) == 1

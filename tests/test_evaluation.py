@@ -383,17 +383,21 @@ def test_every_dense_path_reads_the_one_guard():
     labels = index_labels([str(t) for t in y])
     Y = encode_labels(labels)
     Xs = sp.csr_array(X)
-    calls = [partial(project, Xs, None, np.zeros(8)), partial(densify, Xs)]
-    for view in (build_centered_view(X), build_centered_view(Xs)):
-        calls.append(partial(to_dense_centered, view))
-        calls += [partial(fit_subspace, m, view, Y) for m in ("pinv", "ulda")]
-        calls += [partial(condition_profile, view),
-                  partial(run_convergence_study, view, Y, 1, SolverConfig(max_iters=10, seed=0))]
 
-    for call in calls:
+    def calls():
+        # fresh views: a view keeps the spectrum it built under the guard in force
+        out = [partial(project, Xs, None, np.zeros(8)), partial(densify, Xs)]
+        for view in (build_centered_view(X), build_centered_view(Xs)):
+            out.append(partial(to_dense_centered, view))
+            out += [partial(fit_subspace, m, view, Y) for m in ("pinv", "ulda")]
+            out += [partial(condition_profile, view),
+                    partial(run_convergence_study, view, Y, 1, SolverConfig(max_iters=10, seed=0))]
+        return out
+
+    for call in calls():
         call()
     with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 79):
-        for call in calls:
+        for call in calls():
             with pytest.raises(TooLarge, match=r"\b80 elements"):
                 call()
 

@@ -221,3 +221,16 @@ def test_to_dense_centered_guard():
     with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 8), \
             pytest.raises(TooLarge, match="16 elements"):
         to_dense_centered(v)
+
+
+def test_spectrum_refused_at_the_guard_is_not_cached():
+    X = np.random.default_rng(2).standard_normal((5, 4))
+    v = build_centered_view(X)
+    with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 19):
+        for _ in range(2):  # nothing was kept, so the second read checks again
+            with pytest.raises(TooLarge, match=r"\b20 elements"):
+                v.spectrum
+    U, s, Vt = v.spectrum
+    assert v.spectrum is v.spectrum  # kept once built
+    assert len(s) == 4  # rank min(n - 1, d) after centering
+    assert np.allclose((U * s) @ Vt, X - X.mean(axis=0))

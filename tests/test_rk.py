@@ -665,6 +665,30 @@ def test_sparse_w_independent_of_checkpoints():
         assert seen[-1][0] == cfg.max_iters
 
 
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_checkpoint_w_equals_the_truncated_solve(sparse):
+    # at one SolverConfig, a callback does not move the returned W, and the
+    # W a checkpoint sees at k is the W of a k-step solve at the same
+    # cadence, byte for byte, on either side of a sample block's end
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((30, 12)) + 5.0
+    X[rng.random(X.shape) < 0.5] = 0.0
+    view = build_centered_view(sp.csr_array(X) if sparse else X)
+    Y = rng.standard_normal((30, 3))
+    cadence = 97
+    cfg = SolverConfig(max_iters=SAMPLE_BLOCK + 2 * cadence, seed=5, checkpoint_every=cadence)
+    seen, record = recorder()
+    W = solve_rk(view, Y, cfg, on_checkpoint=record).W
+    assert W.tobytes() == solve_rk(view, Y, cfg).W.tobytes()
+    before = SAMPLE_BLOCK // cadence * cadence
+    ks = (cadence, before, before + cadence, cfg.max_iters)
+    assert ks[1] < SAMPLE_BLOCK < ks[2] < ks[3]
+    assert set(ks) <= {k for k, _ in seen}
+    for k, Wk in seen:
+        if k in ks:
+            assert solve_rk(view, Y, replace(cfg, max_iters=k)).W.tobytes() == Wk.tobytes(), k
+
+
 FILL = -8.613432074679531  # most entries of an @example below
 
 
