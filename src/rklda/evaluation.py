@@ -4,14 +4,21 @@ fits on training data, projection of held-out data, kNN accuracy, timing.
 kNN runs in two parts.  The neighbour search finds each test row's
 max(knn_ks) nearest training rows once per (replicate, method), ordered by
 (squared distance, training index); the vote then classifies from the
-first k of them for every k.  A row's ``seconds`` is the shared fit +
-projection + neighbour search, plus that k's vote.  Each method's summary
-also carries the medians over replicates of the three phases
-(``fit_seconds_median``, ``project_seconds_median``, ``knn_seconds_median``,
-the last being the search plus every k's vote), and a method that failed
-on any replicate lists its distinct failure messages in
-``failure_messages``.  Under ``timing="none"``
-every timing is 0.0, so reports are byte-reproducible.  ``pinv`` and
+first k of them for every k.  The search takes a chunk of test rows at a
+time through two buffers allocated once per search: the chunk's squared
+distances are built in the first, a value partition of a copy in the second
+gives each row's k-th smallest distance, and one scan for the entries at or
+below it finds the candidates.  A row with exactly k candidates sorts just
+those; a row whose tie runs past the k-th place, or whose NaN distances
+leave fewer than k, sorts its whole row.
+
+A row's ``seconds`` is the shared fit + projection + neighbour search, plus
+that k's vote.  Each method's summary also carries the medians over
+replicates of the three phases (``fit_seconds_median``,
+``project_seconds_median``, ``knn_seconds_median``, the last being the
+search plus every k's vote), and a method that failed on any replicate
+lists its distinct failure messages in ``failure_messages``.  Under
+``timing="none"`` every timing is 0.0, so reports are byte-reproducible.  ``pinv`` and
 ``ulda`` share one dense SVD of a replicate's training rows, the view's
 ``spectrum``, which counts in the fit time of whichever of them runs first.
 """
@@ -28,8 +35,9 @@ from .matrix import build_centered_view, densify, validate_raw
 from .rk import SolverConfig, derive_seed, solve_rk
 
 KNOWN_METHODS = ("full", "rk", "lsqr", "pinv", "ulda")
-# Entries held at once by the kNN: test rows x training rows of squared
-# distances in the search, test rows x classes of counts in the vote.
+# Entries held at once by the kNN: in the search, two buffers of test rows x
+# training rows (the squared distances and their partitioned copy); in the
+# vote, test rows x classes of counts.
 KNN_CHUNK_ELEMENTS = 1 << 17
 # Splits drawn before split gives up on covering every class in training.
 SPLIT_MAX_RESAMPLES = 100
@@ -127,7 +135,8 @@ def knn_search(train_Z: np.ndarray, test_Z: np.ndarray, k: int):
     Returns ``(index, dist2)``, both n_test x k: training indices ordered by
     (squared distance, training index), and their squared distances
     ``max(||a||^2 - 2 a.b + ||b||^2, 0)``.  Test rows are searched
-    KNN_CHUNK_ELEMENTS // n_train at a time.
+    KNN_CHUNK_ELEMENTS // (2 n_train) at a time, in two buffers allocated
+    once per search.
     """
     train_Z = np.atleast_2d(np.asarray(train_Z, dtype=np.float64))
     test_Z = np.atleast_2d(np.asarray(test_Z, dtype=np.float64))
@@ -136,33 +145,54 @@ def knn_search(train_Z: np.ndarray, test_Z: np.ndarray, k: int):
         raise InvalidData("empty training set")
     if not 1 <= k <= n_train:
         raise InvalidData(f"k must be in [1, {n_train}], got {k}")
+    if test_Z.shape[1] != train_Z.shape[1]:
+        raise InvalidData(f"test rows have {test_Z.shape[1]} columns, "
+                          f"training rows {train_Z.shape[1]}")
 
     n_test = test_Z.shape[0]
     train_sq = np.einsum("ij,ij->i", train_Z, train_Z)
     test_sq = np.einsum("ij,ij->i", test_Z, test_Z)
+    # (-2 a).b is exactly -((2 a).b), so d2 keeps the bits of ||a||^2 - (2 a).b + ||b||^2
+    neg2_test = -2.0 * test_Z
     index = np.empty((n_test, k), dtype=np.intp)
     dist2 = np.empty((n_test, k))
-    rows = max(1, KNN_CHUNK_ELEMENTS // n_train)
+    rows = max(1, KNN_CHUNK_ELEMENTS // (2 * n_train))
+    d2_buffer = np.empty((min(rows, n_test), n_train))
+    part_buffer = np.empty_like(d2_buffer)
     for lo in range(0, n_test, rows):
         hi = min(lo + rows, n_test)
-        d2 = test_sq[lo:hi, None] - 2.0 * test_Z[lo:hi] @ train_Z.T + train_sq[None, :]
+        d2 = d2_buffer[:hi - lo]
+        np.matmul(neg2_test[lo:hi], train_Z.T, out=d2)
+        d2 += test_sq[lo:hi, None]
+        d2 += train_sq
         np.maximum(d2, 0.0, out=d2)
-        index[lo:hi] = _k_nearest(d2, k)
-        dist2[lo:hi] = np.take_along_axis(d2, index[lo:hi], axis=1)
+        _k_nearest(d2, k, part_buffer[:hi - lo], index[lo:hi], dist2[lo:hi])
     return index, dist2
 
 
-def _k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each row's k smallest entries, by (value, index)."""
-    part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    part_d2 = np.take_along_axis(d2, part, axis=1)
-    index = np.take_along_axis(part, np.lexsort((part, part_d2), axis=1), axis=1)
-    # A tie at the k-th distance that continues past the cut: the partition
-    # kept an arbitrary subset of the tied indices, not the smallest ones.
-    kth = np.take_along_axis(d2, index[:, -1:], axis=1)
-    for t in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) > k):
+def _k_nearest(d2: np.ndarray, k: int, part: np.ndarray, index: np.ndarray,
+               dist2: np.ndarray) -> None:
+    """Write each row's k smallest entries of d2, by (value, column index),
+    into ``index`` and ``dist2``; ``part`` is scratch of d2's shape."""
+    n = d2.shape[1]
+    np.copyto(part, d2)
+    part.partition(k - 1, axis=1)
+    # every entry at or below its row's k-th smallest value, row by row and
+    # in column order within a row; NaN never qualifies
+    flat = np.flatnonzero(d2 <= part[:, k - 1:k])
+    row_of = flat // n
+    exact = np.bincount(row_of, minlength=d2.shape[0]) == k
+    cand = flat[exact[row_of]].reshape(-1, k)
+    cand_d2 = d2.ravel()[cand]
+    # columns ascend within a row, so a stable sort by value orders by (value, index)
+    order = np.argsort(cand_d2, axis=1, kind="stable")
+    index[exact] = np.take_along_axis(cand % n, order, axis=1)
+    dist2[exact] = np.take_along_axis(cand_d2, order, axis=1)
+    # A tie at the k-th value that continues past the cut, or NaN distances
+    # (fewer than k candidates): order the whole row.
+    for t in np.flatnonzero(~exact):
         index[t] = np.argsort(d2[t], kind="stable")[:k]
-    return index
+        dist2[t] = d2[t, index[t]]
 
 
 def knn_vote(index: np.ndarray, dist2: np.ndarray, train_labels, k: int) -> np.ndarray:

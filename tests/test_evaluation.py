@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import two_gaussians
+from helpers import traced_peak, two_gaussians
 from rklda import evaluation, matrix
 from rklda.baselines import pinv_oracle
 from rklda.diagnostics import condition_profile, residual_at, run_convergence_study
@@ -210,6 +210,85 @@ def test_knn_search_orders_by_distance_then_index():
     x = np.random.default_rng(13).permutation(np.repeat([1.0, -2.0, 3.0], [60, 60, 180]))
     index, _ = knn_search(x[:, None], np.array([[0.0]]), 120)
     assert np.array_equal(index[0], np.lexsort((np.arange(300), x**2))[:120])
+
+
+def _reference_search(train, test, k):
+    """Brute force (index, dist2): every distance, ordered by (distance, index)."""
+    dist = ((test[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
+    index = np.array([np.lexsort((np.arange(train.shape[0]), row))[:k] for row in dist])
+    return index, np.take_along_axis(dist, index, axis=1)
+
+
+@st.composite
+def duplicated_rows(draw):
+    """Integer points, exact in the distance formula, whose training set
+    repeats rows: a query's distances tie across the k-th place or not."""
+    c = draw(st.integers(1, 6))
+    coords = st.integers(-1000, 1000).map(float)
+    base = draw(hnp.arrays(np.float64, (draw(st.integers(1, 8)), c), elements=coords))
+    n_train = draw(st.integers(1, 24))
+    picks = draw(hnp.arrays(np.intp, n_train, elements=st.integers(0, base.shape[0] - 1)))
+    test = draw(hnp.arrays(np.float64, (draw(st.integers(1, 10)), c), elements=coords))
+    return base[picks], test
+
+
+def _search_ks(n_train):
+    return sorted({*range(1, min(n_train, 12) + 1), n_train})
+
+
+@pytest.mark.parametrize("chunk", [7, 64, evaluation.KNN_CHUNK_ELEMENTS])
+@settings(max_examples=100, deadline=None)
+@given(points=duplicated_rows())
+def test_knn_search_exact_on_integer_points(chunk, points):
+    train, test = points
+    with mock.patch.object(evaluation, "KNN_CHUNK_ELEMENTS", chunk):
+        for k in _search_ks(train.shape[0]):
+            index, dist2 = knn_search(train, test, k)
+            ref_index, ref_dist2 = _reference_search(train, test, k)
+            assert np.array_equal(index, ref_index), k
+            assert np.array_equal(dist2, ref_dist2), k
+
+
+@pytest.mark.parametrize("chunk", [7, 64, evaluation.KNN_CHUNK_ELEMENTS])
+@settings(max_examples=50, deadline=None)
+@given(points=duplicated_rows(), data=st.data())
+def test_knn_search_nan_row_leaves_other_rows(chunk, points, data):
+    # a huge point in both sets: its self product overflows, so ||a||^2 - 2 a.a
+    # + ||a||^2 is inf - inf and the test row's distances hold NaN
+    train, test = points
+    c = train.shape[1]
+    scales = st.sampled_from([-3.0, 1.0, 2.0])
+    huge = 1e200 * data.draw(hnp.arrays(np.float64, c, elements=scales))
+    train = np.insert(train, data.draw(st.integers(0, train.shape[0])), huge, axis=0)
+    at = data.draw(st.integers(0, test.shape[0]))
+    with_nan = np.insert(test, at, huge, axis=0)
+    with mock.patch.object(evaluation, "KNN_CHUNK_ELEMENTS", chunk), \
+            np.errstate(over="ignore", invalid="ignore"):
+        for k in _search_ks(train.shape[0]):
+            index, dist2 = knn_search(train, with_nan, k)
+            assert k < train.shape[0] or np.isnan(dist2[at]).any()  # the huge pair
+            ref_index, ref_dist2 = knn_search(train, test, k)
+            assert np.array_equal(np.delete(index, at, axis=0), ref_index), k
+            assert np.array_equal(np.delete(dist2, at, axis=0), ref_dist2), k
+
+
+def test_knn_search_rejects_width_mismatch():
+    with pytest.raises(InvalidData, match="3 columns.* 2"):
+        knn_search(np.zeros((4, 2)), np.zeros((2, 3)), 1)
+    with pytest.raises(InvalidData, match="1 columns.* 2"):
+        knn_classify(np.zeros((4, 2)), np.zeros(4, dtype=int), np.zeros((2, 1)), 1)
+
+
+def test_knn_search_memory_within_chunk_bound():
+    # the two chunk buffers hold KNN_CHUNK_ELEMENTS entries; outputs and the
+    # scaled test rows are the search's own size, not the chunk's
+    rng = np.random.default_rng(31)
+    n_test, n_train, c, k = 2000, 5000, 5, 10
+    train = rng.standard_normal((n_train, c))
+    test = rng.standard_normal((n_test, c))
+    peak = traced_peak(lambda: knn_search(train, test, k))
+    outputs = n_test * k * (np.dtype(np.intp).itemsize + 8)
+    assert peak - outputs - test.nbytes <= 1.5 * 8 * evaluation.KNN_CHUNK_ELEMENTS
 
 
 def test_knn_vote_rejects_k_past_search():
