@@ -1,7 +1,7 @@
 """Reference subspace solvers and subspace comparison utilities.
 
-``solve_lsqr`` is the scalable comparator: an operator-form bidiagonalization
-least-squares solve per column that touches the data only through products
+``solve_lsqr`` is the scalable comparator: LSQR (Paige and Saunders, 1982)
+on every column of Y at once, touching the data only through block products
 with Xc and Xc^T.  ``pinv_oracle`` and ``ulda_oracle`` are dense
 small-scale oracles that form no d x d matrix.  Both start from the view's
 ``spectrum``, the one source of Xc's spectrum: the thin SVD Xc = U S V^T of
@@ -12,11 +12,11 @@ is sqrt(n) V S^{-1} P with P from the r x g matrix U^T Y.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, lsqr
 
 from .errors import DegenerateSubspace, InvalidData
 from .labels import as_matrix
@@ -25,6 +25,7 @@ from .matrix import CenteredMatrixView, default_rank_tol
 logger = logging.getLogger(__name__)
 # LSQR's default stopping tolerance (atol = btol) in every caller.
 LSQR_TOL = 1e-12
+EPS, TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -42,15 +43,6 @@ class Subspace:
             raise InvalidData("subspace contains non-finite entries")
 
 
-def _centered_operator(view: CenteredMatrixView) -> LinearOperator:
-    return LinearOperator(
-        shape=view.shape,
-        matvec=view.matmul,
-        rmatvec=view.rmatmul,
-        dtype=np.float64,
-    )
-
-
 def check_lsqr(tol: float, max_iters: int | None) -> None:
     """InvalidData for a tol that is negative or not finite, or max_iters < 1."""
     if not 0.0 <= tol < np.inf:
@@ -59,38 +51,124 @@ def check_lsqr(tol: float, max_iters: int | None) -> None:
         raise InvalidData(f"lsqr max_iters must be >= 1, got {max_iters}")
 
 
+class _Column:
+    """One column's LSQR scalars: the Paige-Saunders recurrences and stopping
+    tests of ``scipy.sparse.linalg.lsqr`` with damp = 0, conlim = 0 and
+    atol = btol = tol.  ``converged`` is None while the column runs, then
+    whether a test fired before the iteration cap."""
+
+    __slots__ = ("j", "bnorm", "alfa", "rhobar", "phibar", "anorm", "ddnorm",
+                 "xxnorm", "z", "cs2", "sn2", "itn", "converged")
+
+    def __init__(self, j: int, beta: float, alfa: float):
+        self.j, self.bnorm, self.alfa = j, beta, alfa
+        self.rhobar, self.phibar = alfa, beta
+        self.anorm = self.ddnorm = self.xxnorm = self.z = self.sn2 = 0.0
+        self.cs2 = -1.0
+        self.itn = 0
+        self.converged = True if alfa * beta == 0.0 else None  # x = 0 is exact
+
+    def step(self, beta: float, alfa: float, w_sq: float, tol: float, max_iters: int):
+        """One iteration from the new beta and alfa and ||w||^2 of the old w:
+        returns the x and w coefficients (phi / rho, -theta / rho)."""
+        self.itn += 1
+        if beta > 0.0:
+            self.anorm = math.sqrt(self.anorm**2 + self.alfa**2 + beta**2)
+        self.alfa = alfa
+        rho = math.hypot(self.rhobar, beta)
+        cs, sn = self.rhobar / rho, beta / rho
+        theta = sn * alfa
+        self.rhobar = -cs * alfa
+        phi = cs * self.phibar
+        self.phibar = sn * self.phibar
+        self.ddnorm += w_sq / rho**2
+        # a rotation on the right estimates ||x||
+        delta, gambar = self.sn2 * rho, -self.cs2 * rho
+        rhs = phi - delta * self.z
+        xnorm = math.sqrt(self.xxnorm + (rhs / gambar)**2)
+        gamma = math.hypot(gambar, theta)
+        self.cs2, self.sn2, self.z = gambar / gamma, theta / gamma, rhs / gamma
+        self.xxnorm += self.z**2
+
+        rnorm = abs(self.phibar)
+        test1 = rnorm / self.bnorm
+        test2 = alfa * abs(sn * phi) / (self.anorm * rnorm + EPS)
+        test3 = 1.0 / (self.anorm * math.sqrt(self.ddnorm) + EPS)
+        scaled = self.anorm * xnorm / self.bnorm
+        if (test1 <= tol + tol * scaled or test2 <= tol or 1.0 + test1 / (1.0 + scaled) <= 1.0
+                or 1.0 + test2 <= 1.0 or 1.0 + test3 <= 1.0):
+            self.converged = True
+        elif self.itn >= max_iters:
+            self.converged = False
+        return phi / rho, -theta / rho
+
+
+def _unit_rows(A: np.ndarray) -> np.ndarray:
+    """Scale each row of A to unit length in place (a zero row stays 0);
+    the row norms."""
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    A /= np.maximum(norms, TINY)[:, None]
+    return norms
+
+
 def solve_lsqr(
     view: CenteredMatrixView,
     Y,
     tol: float = LSQR_TOL,
     max_iters: int | None = None,
 ) -> Subspace:
-    """Least-norm least-squares solution, one column of Y at a time.
+    """Least-norm least-squares solution of Xc W = Y: LSQR on all columns in
+    one block recurrence.
 
-    Starting from zero, the bidiagonalization iterates stay in the row space
-    of Xc, so the converged solution per column is the least-norm one.
+    Each column keeps its own scalars and stopping tests (``_Column``) and
+    leaves the block when they stop it.  u, v, w and x are the rows of
+    g x n and g x d C-ordered arrays, so a column's scaling is a contiguous
+    row operation, and each iteration makes one ``view.matmul`` and one
+    ``view.rmatmul`` on the block of live columns: 1 + 2 ``iterations_run``
+    products in all, whatever g is.  Starting from zero, the
+    bidiagonalization iterates stay in the row space of Xc, so the converged
+    solution per column is the least-norm one.
     """
     n, d = view.shape
     Ym = as_matrix(Y, n)
     check_lsqr(tol, max_iters)
     if max_iters is None:
         max_iters = 10 * min(n, d) + 50
-    op = _centered_operator(view)
-    cols = []
-    converged = True
-    iterations = 0
-    for j in range(Ym.shape[1]):
-        sol = lsqr(op, Ym[:, j], atol=tol, btol=tol, conlim=0.0, iter_lim=max_iters)
-        cols.append(sol[0])
-        iterations = max(iterations, int(sol[2]))
-        if sol[1] == 7:  # iteration limit reached
-            converged = False
-            logger.warning(
-                "lsqr column %d stopped at the iteration limit (%d); "
-                "returning the best iterate", j, max_iters,
-            )
-    return Subspace(matrix=np.column_stack(cols), origin="LSQR", converged=converged,
-                    iterations_run=iterations)
+    W = np.zeros((d, Ym.shape[1]))
+    U = np.array(Ym.T, order="C")
+    beta = _unit_rows(U)
+    V = np.ascontiguousarray(view.rmatmul(U.T).T)
+    alfa = _unit_rows(V)
+    columns = [_Column(j, b, a) for j, (b, a) in enumerate(zip(beta.tolist(), alfa.tolist()))]
+    block, Wd, X = columns, V.copy(), np.zeros_like(V)
+    while True:
+        keep = [i for i, col in enumerate(block) if col.converged is None]
+        if len(keep) < len(block):  # columns leave the block with their x
+            for col, x in zip(block, X):
+                if col.converged is not None:
+                    W[:, col.j] = x
+            block = [block[i] for i in keep]
+            U, V, Wd, X, alfa = U[keep], V[keep], Wd[keep], X[keep], alfa[keep]
+        if not block:
+            break
+        U *= -alfa[:, None]
+        U += view.matmul(V.T).T
+        beta = _unit_rows(U)
+        V *= -beta[:, None]
+        V += view.rmatmul(U.T).T
+        alfa = _unit_rows(V)
+        w_sq = np.einsum("ij,ij->i", Wd, Wd).tolist()
+        t1, t2 = np.array([col.step(b, a, w, tol, max_iters) for col, b, a, w
+                           in zip(block, beta.tolist(), alfa.tolist(), w_sq)]).T
+        X += t1[:, None] * Wd
+        Wd *= t2[:, None]
+        Wd += V
+    for col in columns:
+        if not col.converged:
+            logger.warning("lsqr column %d stopped at the iteration limit (%d); "
+                           "returning the best iterate", col.j, max_iters)
+    return Subspace(matrix=W, origin="LSQR", converged=all(col.converged for col in columns),
+                    iterations_run=max(col.itn for col in columns))
 
 
 def pinv_oracle(view: CenteredMatrixView, Y) -> Subspace:

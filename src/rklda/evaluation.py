@@ -17,10 +17,12 @@ that k's vote.  Each method's summary also carries the medians over
 replicates of the three phases (``fit_seconds_median``,
 ``project_seconds_median``, ``knn_seconds_median``, the last being the
 search plus every k's vote), and a method that failed on any replicate
-lists its distinct failure messages in ``failure_messages``.  Under
-``timing="none"`` every timing is 0.0, so reports are byte-reproducible.  ``pinv`` and
-``ulda`` share one dense SVD of a replicate's training rows, the view's
-``spectrum``, which counts in the fit time of whichever of them runs first.
+lists its distinct failure messages in ``failure_messages``.  The ``lsqr``
+summary counts in ``unconverged`` the replicates whose fit stopped a column
+at the iteration cap.  Under ``timing="none"`` every timing is 0.0, so
+reports are byte-reproducible.  ``pinv`` and ``ulda`` share one dense SVD
+of a replicate's training rows, the view's ``spectrum``, which counts in
+the fit time of whichever of them runs first.
 """
 
 import time
@@ -85,7 +87,8 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ExperimentReport:
     methods: dict            # method -> {completed, failures, failed, per_k,
-                             #            fit/project/knn_seconds_median, and
+                             #            fit/project/knn_seconds_median,
+                             #            unconverged for lsqr, and
                              #            failure_messages when failures > 0}
     rows: tuple              # (method, replicate, k, accuracy, seconds)
     config: dict = field(default_factory=dict)
@@ -273,8 +276,9 @@ def _replicate(data, labels: LabelVector, config: ExperimentConfig, replicate: i
                seed_seq: np.random.SeedSequence):
     """One replicate: split, fit every method, classify for every k.
 
-    Returns (rows, phases, failures): phases maps method -> (fit, project,
-    knn) seconds, failures maps method -> error message.
+    Returns (rows, fits, failures): fits maps method -> (fit, project,
+    knn seconds, the subspace's ``converged``), failures maps method -> error
+    message.
     """
     n = data.shape[0]
     children = seed_seq.spawn(1 + len(config.methods))
@@ -291,7 +295,7 @@ def _replicate(data, labels: LabelVector, config: ExperimentConfig, replicate: i
     clock = time.perf_counter if config.timing == "wall" else (lambda: 0.0)
 
     rows = []
-    phases = {}
+    fits = {}
     failures = {}
     for m_pos, method in enumerate(config.methods):
         m_seed = derive_seed(children[1 + m_pos])
@@ -316,8 +320,9 @@ def _replicate(data, labels: LabelVector, config: ExperimentConfig, replicate: i
             vote = clock() - t4
             vote_total += vote
             rows.append((method, replicate, k, accuracy(preds, truth), (t3 - t0) + vote))
-        phases[method] = (t1 - t0, t2 - t1, (t3 - t2) + vote_total)
-    return rows, phases, failures
+        fits[method] = (t1 - t0, t2 - t1, (t3 - t2) + vote_total,
+                        None if B is None else B.converged)
+    return rows, fits, failures
 
 
 def run_experiment(data, labels: LabelVector, config: ExperimentConfig) -> ExperimentReport:
@@ -331,11 +336,13 @@ def run_experiment(data, labels: LabelVector, config: ExperimentConfig) -> Exper
     rows = []
     phases = {m: [] for m in config.methods}
     fail_messages = {m: [] for m in config.methods}
+    unconverged = dict.fromkeys(config.methods, 0)
     for r in range(config.replicates):
-        rep_rows, rep_phases, failures = _replicate(data, labels, config, r, rep_seqs[r])
+        rep_rows, fits, failures = _replicate(data, labels, config, r, rep_seqs[r])
         rows.extend(rep_rows)
-        for m, times in rep_phases.items():
+        for m, (*times, converged) in fits.items():
             phases[m].append(times)
+            unconverged[m] += converged is False
         for m, message in failures.items():
             fail_messages[m].append(message)
 
@@ -364,6 +371,8 @@ def run_experiment(data, labels: LabelVector, config: ExperimentConfig) -> Exper
             "project_seconds_median": float(medians[1]),
             "knn_seconds_median": float(medians[2]),
         }
+        if method == "lsqr":
+            methods_summary[method]["unconverged"] = unconverged[method]
         if messages:  # distinct, in order of first appearance
             methods_summary[method]["failure_messages"] = list(dict.fromkeys(messages))
 

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import traced_peak, two_gaussians
 from rklda import evaluation, matrix
-from rklda.baselines import pinv_oracle
+from rklda.baselines import pinv_oracle, solve_lsqr
 from rklda.diagnostics import condition_profile, residual_at, run_convergence_study
 from rklda.errors import ClassCoverageError, InvalidData, TooLarge
 from rklda.evaluation import (
@@ -357,6 +357,33 @@ def test_run_experiment_well_separated():
         assert stats["failures"] == 0
         assert stats["per_k"]["5"]["accuracy_median"] >= 0.9
     assert len(report.rows) == 4 * 3 * 2
+
+
+def test_run_experiment_counts_unconverged_lsqr_fits(monkeypatch):
+    # two rows repeated four times under a column offset of 1e8: the lazily
+    # centered products cancel, so some replicates' LSQR fits stop at the cap
+    rng = np.random.default_rng(1)
+    X = np.array([[0.0, 0, 6, 6, 6], [6.0] * 5])[[0, 1] * 4]
+    X += rng.choice([-1.0, 1.0], size=5) * 1e8 * rng.random(5)
+    labels = index_labels([str(i % 2) for i in range(8)])
+    statuses = []
+
+    def spy(*args, **kwargs):
+        sub = solve_lsqr(*args, **kwargs)
+        statuses.append(sub.converged)
+        return sub
+
+    monkeypatch.setattr(evaluation, "solve_lsqr", spy)
+    report = run_experiment(X, labels, _tiny_config(methods=("full", "lsqr"), knn_ks=(1,), seed=1))
+    assert len(statuses) == 3 and False in statuses
+    assert report.methods["lsqr"]["unconverged"] == statuses.count(False)
+    assert report.methods["lsqr"]["failures"] == 0
+    assert "unconverged" not in report.methods["full"]
+    X, y = two_gaussians(n=40, d=5, rng=np.random.default_rng(1))
+    well = run_experiment(X, index_labels([str(t) for t in y]),
+                          _tiny_config(methods=("rk", "lsqr"), knn_ks=(1,)))
+    assert well.methods["lsqr"]["unconverged"] == 0
+    assert "unconverged" not in well.methods["rk"]
 
 
 def test_run_experiment_single_replicate_full_only():
