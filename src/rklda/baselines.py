@@ -132,6 +132,8 @@ def solve_lsqr(
     n, d = view.shape
     Ym = as_matrix(Y, n)
     check_lsqr(tol, max_iters)
+    if not np.isfinite(Ym).all():  # else the column runs to the cap first
+        raise InvalidData("Y contains non-finite entries")
     if max_iters is None:
         max_iters = 10 * min(n, d) + 50
     W = np.zeros((d, Ym.shape[1]))

@@ -172,6 +172,19 @@ def test_lsqr_makes_one_product_pair_per_iteration(g, storage):
     assert counting.products == 1 + 2 * sub.iterations_run
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_lsqr_refuses_a_non_finite_y_before_any_product(storage, bad):
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((300, 200))
+    Y = rng.standard_normal((300, 3))
+    Y[17, 1] = bad
+    counting = CountingView(build_centered_view(sp.csr_array(X) if storage == "csr" else X))
+    with pytest.raises(InvalidData, match="non-finite"):
+        solve_lsqr(counting, Y)
+    assert counting.products == 0
+
+
 @pytest.mark.filterwarnings("ignore:sparse centering ratio")
 def test_lsqr_at_an_extreme_centering_ratio_reports_the_cap(caplog):
     # the first @example of test_rk.test_sparse_agrees_with_dense (ratio

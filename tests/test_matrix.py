@@ -215,6 +215,45 @@ def test_matmul_rmatmul_match_dense():
         assert np.allclose(v.rmatmul(U[:, 0]), dense.T @ U[:, 0])
 
 
+def operand_layouts(block):
+    """``block`` (C-ordered, rows x g) as C, F, a transposed row block and a
+    strided slice, and its first column as a contiguous and a strided vector."""
+    wide = np.repeat(block, 2, axis=0)
+    return {
+        "C": block, "F": np.asfortranarray(block), "transposed": np.ascontiguousarray(block.T).T,
+        "strided": wide[::2], "vector": block[:, 0].copy(), "strided vector": wide[::2, 0],
+    }
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_matmul_and_rmatmul_give_the_same_bytes_for_every_operand_layout(storage):
+    # GEMM kernels round differently by operand layout, so each product
+    # takes one layout and copies any other
+    rng = np.random.default_rng(30)
+    X = rng.standard_normal((120, 100)) + 3.0
+    view = build_centered_view(sp.csr_array(X) if storage == "csr" else X)
+    for product, rows, out_rows in ((view.matmul, 100, 120), (view.rmatmul, 120, 100)):
+        operands = operand_layouts(rng.standard_normal((rows, 5)))
+        block, vector = product(operands["C"]), product(operands["vector"])
+        assert block.shape == (out_rows, 5) and vector.shape == (out_rows,)
+        for name, operand in operands.items():
+            expected = vector if "vector" in name else block
+            assert product(operand).tobytes() == expected.tobytes(), (product.__name__, name)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sparse_rmatmul_holds_no_second_result_sized_array(order):
+    # the offset mu (1^T u) comes off the product in place: no d x g outer
+    # product and no difference array besides the result
+    rng = np.random.default_rng(31)
+    n, d, g = 60, 3000, 8
+    X = rng.standard_normal((n, d)) * (rng.random((n, d)) < 0.02)
+    view = build_centered_view(sp.csr_array(X))
+    u = np.asarray(rng.standard_normal((n, g)), order=order)
+    view.rmatmul(u)  # builds the cached transpose outside the trace
+    assert traced_peak(lambda: view.rmatmul(u)) < 1.5 * d * g * 8
+
+
 def test_to_dense_centered_guard():
     v = build_centered_view(np.eye(4))
     assert np.allclose(to_dense_centered(v), np.eye(4) - 0.25)
