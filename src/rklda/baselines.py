@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .errors import DegenerateSubspace, InvalidData
 from .labels import as_matrix
-from .matrix import CenteredMatrixView, default_rank_tol
+from .matrix import CenteredMatrixView, check_centering_ratio, default_rank_tol
 
 logger = logging.getLogger(__name__)
 # LSQR's default stopping tolerance (atol = btol) in every caller.
@@ -129,6 +129,7 @@ def solve_lsqr(
     bidiagonalization iterates stay in the row space of Xc, so the converged
     solution per column is the least-norm one.
     """
+    check_centering_ratio(view, "LSQR products")
     n, d = view.shape
     Ym = as_matrix(Y, n)
     check_lsqr(tol, max_iters)

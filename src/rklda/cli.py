@@ -248,6 +248,7 @@ def _cmd_solve(args) -> _Run:
     check_lsqr(args.tol, args.max_iters)
     data, lv = _load_labeled(run, args)
     view = build_centered_view(data)
+    del data  # a dense view holds its own centered copy
     trace = []  # the CSV rows: (k, ||W_k||_F, sampled-row residual)
 
     def record(k, W, r):
@@ -322,6 +323,7 @@ def _cmd_diagnose(args) -> _Run:
     config = SolverConfig(max_iters=args.iters, seed=args.seed, checkpoint_every=cadence)
     data, lv = _load_labeled(run, args)
     view = build_centered_view(data)
+    del data  # a dense view holds its own centered copy
     report = run_convergence_study(view, encode_labels(lv), trials=args.trials, config=config)
     run.outputs[args.out] = _json_text(asdict(report)).encode()
     run.outputs[_csv_path(args)] = encode_csv(

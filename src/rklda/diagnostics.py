@@ -130,7 +130,7 @@ def run_convergence_study(
     profile = condition_profile(view)  # the profile, W* and R* share the view's spectrum
     w_star = pinv_oracle(view, Ym).matrix
     U = view.spectrum[0]
-    # R* = Y - U U^T Y: exact at any column offset, where residual_at's lazy Xc W* cancels
+    # R* = Y - U U^T Y: exact at any offset, where a sparse view's lazy residual_at cancels
     resid_frob, y_norm = float(np.linalg.norm(Ym - U @ (U.T @ Ym))), float(np.linalg.norm(Ym))
     resid_rel = resid_frob / y_norm if y_norm > 0 else float("inf")
     resid_sq = resid_frob**2

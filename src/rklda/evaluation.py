@@ -33,7 +33,7 @@ import numpy as np
 from .baselines import LSQR_TOL, Subspace, check_lsqr, pinv_oracle, solve_lsqr, ulda_oracle
 from .errors import ClassCoverageError, InvalidData, RkldaError
 from .labels import LabelVector, encode_labels, index_labels
-from .matrix import build_centered_view, densify, validate_raw
+from .matrix import build_centered_view, densify, to_dense_centered, validate_raw
 from .rk import SolverConfig, derive_seed, solve_rk
 
 KNOWN_METHODS = ("full", "rk", "lsqr", "pinv", "ulda")
@@ -285,13 +285,12 @@ def _replicate(data, labels: LabelVector, config: ExperimentConfig, replicate: i
     split_rng = np.random.Generator(np.random.PCG64(children[0]))
     train, test = split(n, config.train_fraction, split_rng, labels=labels.indices)
 
-    X_train = data[train]
     X_test = data[test]
     labels_tr = index_labels(labels.indices[train])  # classes in training order
     Y = encode_labels(labels_tr)
     # split puts every class in training, so argsort maps a class to its training index
     truth = np.argsort(labels_tr.classes)[labels.indices[test]]
-    view = build_centered_view(X_train)
+    view = build_centered_view(data[train])  # the one copy of the training rows
     clock = time.perf_counter if config.timing == "wall" else (lambda: 0.0)
 
     rows = []
@@ -305,7 +304,10 @@ def _replicate(data, labels: LabelVector, config: ExperimentConfig, replicate: i
                              lsqr_tol=config.lsqr_tol)
             t1 = clock()
             M = None if B is None else B.matrix
-            Z_train = project(X_train, M, view.column_means)
+            if M is not None:  # the training rows are the view's own
+                Z_train = view.matmul(M)
+            else:  # a dense view's own array; sparse rows densified behind the guard
+                Z_train = to_dense_centered(view) if view.is_sparse else view.base
             Z_test = project(X_test, M, view.column_means)
             t2 = clock()
             index, dist2 = knn_search(Z_train, Z_test, max(config.knn_ks))

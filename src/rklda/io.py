@@ -133,8 +133,13 @@ def read_csv_matrix(path, header: bool = False, label_column=None):
 
 
 def read_matrix_market(path) -> sp.csr_array:
+    """SciPy's reader kills the process on a NUL byte and on a last line with
+    trailing characters and no newline: refuse the one, end the file in one."""
+    text = Path(path).read_bytes()
+    if b"\0" in text:
+        raise InvalidData(f"{path}: Matrix Market file holds a NUL byte")
     try:
-        mat = scipy.io.mmread(path)
+        mat = scipy.io.mmread(_io.BytesIO(text if text.endswith(b"\n") else text + b"\n"))
     except Exception as exc:
         raise InvalidData(f"{path}: failed to parse Matrix Market file ({exc})") from exc
     return sp.csr_array(mat)

@@ -1,18 +1,13 @@
-"""Data matrix storage with implicit column centering.
+"""Data matrix storage, centered.
 
-The centered matrix Xc = X - 1 mu^T is never materialized: matrix products
-apply the -mu offset on the fly.  Per-row centered norms are computed once
-at construction.  Dense bases center NORM_CHUNK_ELEMENTS // d rows at a
-time and sum the squares of the centered entries, so the norms stay exact
-at any column offset and the extra memory is one chunk.  Sparse bases use
-
-    ||x_i - mu||^2 = ||x_i||^2 - 2 <x_i, mu> + ||mu||^2
-
-a single pass over the stored entries, since any explicit form would
-densify the row.  The expansion cancels when the offset dominates the
-spread: its relative error is about eps * n ||mu||^2 / ||Xc||_F^2 (the
-view's ``centering_ratio``), and a RuntimeWarning is raised when that ratio
-exceeds CENTERING_RATIO_WARN; ``solve_rk`` refuses a sparse view past
+A dense base is centered once, when the view is built, into a read-only
+Xc = X - 1 mu^T that the view owns: its row norms and products are plain
+passes over Xc, exact at any column offset.  A sparse base is never
+densified: its products apply the -mu offset on the fly and its row norms
+use ||x_i - mu||^2 = ||x_i||^2 - 2 <x_i, mu> + ||mu||^2, one pass over the
+stored entries.  That lazy form loses about eps * n ||mu||^2 / ||Xc||_F^2
+relative (the view's ``centering_ratio``): a RuntimeWarning is raised past
+CENTERING_RATIO_WARN, and ``check_centering_ratio`` refuses the view past
 CENTERING_RATIO_MAX.
 """
 
@@ -30,12 +25,13 @@ from .errors import InvalidData, TooLarge
 # The one dense-size guard: the most elements a dense copy of the data or an
 # SVD-based oracle's input may hold.  check_dense_size reads it at each check.
 DENSE_GUARD_ELEMENTS = 10**7
-# Centered entries held at once while computing dense row norms.
+# Values held at once by a working block: a dense RK stretch's group of rows
+# and its Gram blocks, and a chunk of scatter's centered rows.
 NORM_CHUNK_ELEMENTS = 1 << 16
-# Sparse centering ratio past which the norm expansion and the lazily
-# centered RK step lose more than about eps * 1e6 ~ 2e-10 relative accuracy.
+# Sparse centering ratio past which the norm expansion, products and RK step
+# lose more than about eps * 1e6 ~ 2e-10 relative accuracy.
 CENTERING_RATIO_WARN = 1e6
-# Sparse centering ratio past which solve_rk refuses the view (eps * 1e13 ~ 2e-3).
+# Sparse centering ratio past which the solvers refuse the view (eps * 1e13 ~ 2e-3).
 CENTERING_RATIO_MAX = 1e13
 
 RawMatrix = Union[np.ndarray, sp.csr_matrix, sp.csr_array]
@@ -75,7 +71,7 @@ def column_means(mat: RawMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CenteredMatrixView:
-    """Immutable view of a data matrix with implicit column centering.
+    """Immutable centered view of a data matrix: ``base`` is Xc, read-only, if dense; X if sparse.
 
     Safe to share across threads after construction.  Like the transpose
     used by ``rmatmul`` and the sparse ``augmented_rows``, the view keeps
@@ -111,17 +107,17 @@ class CenteredMatrixView:
         return offset_sq / self.frob_norm_sq if self.frob_norm_sq > 0.0 else float("inf")
 
     def matmul(self, v: np.ndarray) -> np.ndarray:
-        """(X - 1 mu^T) @ v without densifying the base.
+        """Xc @ v; a sparse base's product X v takes mu^T v off in place.
 
         ``v`` is taken C-ordered: any other layout (a transposed row block,
         a strided slice) is copied once, the copy SciPy's CSR product would
         make anyway.  So every layout gives the same bytes, and dense GEMM
-        avoids its slow kernel for a transposed skinny operand.  mu^T v is
-        subtracted from the product in place.
+        avoids its slow kernel for a transposed skinny operand.
         """
         v = np.ascontiguousarray(v, dtype=np.float64)
         out = self.base @ v
-        out -= self.column_means @ v
+        if self.is_sparse:
+            out -= self.column_means @ v
         return out
 
     @cached_property
@@ -173,18 +169,20 @@ class CenteredMatrixView:
         return U[:, keep], s[keep], Vt[keep]
 
     def rmatmul(self, u: np.ndarray) -> np.ndarray:
-        """(X - 1 mu^T)^T @ u without densifying the base.
+        """Xc^T @ u; a sparse base's product X^T u takes mu (1^T u) off in place.
 
         ``u`` is taken F-ordered, the transpose of a C-ordered g x n row
         block such as LSQR's: any other layout is copied once, so every
-        layout gives the same bytes, and 1^T u sums contiguous columns (3-8x
-        faster than across the rows of a C-ordered n x g block).  mu (1^T u)
-        is taken off the C-ordered product X^T u in place by one BLAS
-        rank-1 update (dger) of its transpose, a vector u counting as one
-        column, so the call holds no second d x g array.
+        layout gives the same bytes, and a sparse base's 1^T u sums
+        contiguous columns (3-8x faster than across the rows of a C-ordered
+        n x g block).  mu (1^T u) is taken off the C-ordered product X^T u
+        in place by one BLAS rank-1 update (dger) of its transpose, a vector
+        u counting as one column, so the call holds no second d x g array.
         """
         u = np.asfortranarray(u, dtype=np.float64)
         out = self._base_t @ u
+        if not self.is_sparse:
+            return out
         col_sums = np.atleast_1d(u.sum(axis=0))
         return dger(-1.0, col_sums, self.column_means, a=out.reshape(self.d, -1).T,
                     overwrite_a=1).T.reshape(out.shape)
@@ -193,56 +191,46 @@ class CenteredMatrixView:
 def build_centered_view(base, assume_centered: bool = False) -> CenteredMatrixView:
     """Validate the base matrix and precompute the centering profile.
 
-    With ``assume_centered`` the stored rows are taken as already centered
-    (mu = 0); useful for synthetic systems built directly in centered form.
+    A dense base is centered into a read-only copy; the caller's array is
+    left as it was.  With ``assume_centered`` the stored rows are taken as
+    already centered (mu = 0), as in synthetic systems built centered.
     """
     mat = validate_raw(base)
-    d = mat.shape[1]
     sparse = sp.issparse(mat)
-    mu = np.zeros(d) if assume_centered else column_means(mat)
+    mu = np.zeros(mat.shape[1]) if assume_centered else column_means(mat)
 
     cross = None
-    if sparse:
-        raw_sq = np.asarray(mat.multiply(mat).sum(axis=1)).reshape(-1)
-        cross = np.asarray(mat @ mu).reshape(-1)
-        norms_sq = raw_sq - 2.0 * cross + float(mu @ mu)
-        # cancellation can leave tiny negatives for rows that equal the mean
-        np.maximum(norms_sq, 0.0, out=norms_sq)
-    else:
-        chunks = centered_chunks(mat, mu)
-        norms_sq = np.concatenate([np.einsum("ij,ij->i", D, D) for _, D in chunks])
-    view = CenteredMatrixView(
-        base=mat,
-        column_means=mu,
-        centered_row_norms_sq=norms_sq,
-        frob_norm_sq=float(norms_sq.sum()),
-        is_sparse=sparse,
-        cross=cross,
-    )
-    ratio = view.centering_ratio
-    if sparse and ratio > CENTERING_RATIO_WARN:
-        warnings.warn(
-            f"sparse centering ratio n*||mu||^2/||Xc||_F^2 = {ratio:.3g} exceeds "
-            f"{CENTERING_RATIO_WARN:g}: centered row norms and solver steps carry "
-            f"rounding of order eps * ratio = {ratio * np.finfo(float).eps:.1g} relative",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        if sparse:
+            raw_sq = np.asarray(mat.multiply(mat).sum(axis=1)).reshape(-1)
+            cross = np.asarray(mat @ mu).reshape(-1)
+            norms_sq = raw_sq - 2.0 * cross + float(mu @ mu)
+            # cancellation can leave tiny negatives for rows that equal the mean
+            np.maximum(norms_sq, 0.0, out=norms_sq)
+        else:
+            mat = np.subtract(mat, mu)
+            mat.flags.writeable = False
+            norms_sq = np.einsum("ij,ij->i", mat, mat)
+        frob_norm_sq = float(norms_sq.sum())
+    if not np.isfinite(frob_norm_sq):  # a sum of squares past about 1e308
+        raise InvalidData(f"centered row norms overflow: ||Xc||_F^2 = {frob_norm_sq}")
+    view = CenteredMatrixView(base=mat, column_means=mu, centered_row_norms_sq=norms_sq,
+                              frob_norm_sq=frob_norm_sq, is_sparse=sparse, cross=cross)
+    if sparse and (ratio := view.centering_ratio) > CENTERING_RATIO_WARN:
+        warnings.warn(f"sparse centering ratio n*||mu||^2/||Xc||_F^2 = {ratio:.3g} exceeds "
+                      f"{CENTERING_RATIO_WARN:g}: centered row norms and solver steps carry "
+                      f"rounding of order eps * ratio = {ratio * np.finfo(float).eps:.1g} relative",
+                      RuntimeWarning, stacklevel=2)
     return view
 
 
-def centered_chunks(mat: np.ndarray, centers: np.ndarray, index=None):
-    """Yield (lo, rows lo.. of mat, centered), NORM_CHUNK_ELEMENTS // d rows
-    at a time, into one reused buffer: row i less ``centers``, or less
-    ``centers[index[i]]`` when ``index`` is given."""
-    n, d = mat.shape
-    rows = max(1, NORM_CHUNK_ELEMENTS // d)
-    buf = np.empty((min(rows, n), d))
-    for lo in range(0, n, rows):
-        chunk = buf[: min(rows, n - lo)]
-        sub = centers if index is None else centers[index[lo : lo + rows]]
-        np.subtract(mat[lo : lo + rows], sub, out=chunk)
-        yield lo, chunk
+def check_centering_ratio(view: CenteredMatrixView, what: str) -> None:
+    """InvalidData for a sparse view past CENTERING_RATIO_MAX, where its lazily
+    centered ``what`` lose about eps * ratio relative; a dense view is exact."""
+    if view.is_sparse and (ratio := view.centering_ratio) > CENTERING_RATIO_MAX:
+        raise InvalidData(f"sparse centering ratio n*||mu||^2/||Xc||_F^2 = {ratio:.3g} exceeds "
+                          f"{CENTERING_RATIO_MAX:g}: lazily centered {what} would lose about "
+                          f"eps * ratio = {ratio * np.finfo(float).eps:.1g} relative")
 
 
 def check_dense_size(elements: int, what: str) -> None:
@@ -254,10 +242,10 @@ def check_dense_size(elements: int, what: str) -> None:
 
 
 def to_dense_centered(view: CenteredMatrixView) -> np.ndarray:
-    """Materialize the centered matrix for small-scale oracles only."""
+    """Xc for small-scale oracles only: a dense view's read-only base, or a sparse one densified."""
     n, d = view.shape
     check_dense_size(n * d, "dense centered matrix")
-    return densify(view.base) - view.column_means
+    return densify(view.base) - view.column_means if view.is_sparse else view.base
 
 
 def densify(data) -> np.ndarray:

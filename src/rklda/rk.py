@@ -6,6 +6,8 @@ that row's equation:
 
     W <- W + x_i c^T,   c = (y_i - W^T x_i) / ||x_i||^2,   x_i = s_i - mu
 
+with x_i held by a dense view as it is, and by a sparse one as s_i and mu.
+
 Every solve starts at W0 = 0, so every iterate remains in the row space of
 Xc, which steers the solve toward the least-norm solution without explicit
 regularization.
@@ -31,8 +33,8 @@ and the chunk ends at W0 + Xc_S^T C.  The iterates are the per-step ones in
 exact arithmetic; only the rounding differs.  A chunk holds gram_chunk(d) =
 min(48, max(8, NORM_CHUNK_ELEMENTS // d)) rows: the Gram matrix costs s d
 flops per step against the step's own d g, so chunks shrink as d grows.
-Only Xc_S W0 depends on the chunks before, so one method gathers and
-centers the rows of a group of chunks, takes their targets and forms every
+Only Xc_S W0 depends on the chunks before, so one method gathers the
+centered rows of a group of chunks, takes their targets and forms every
 chunk's Gram block with one batched product; each chunk then costs one
 product for its residuals, the dtrsm and the W update.  A stretch's whole
 chunks go in groups of gram_group(d) rows, whose rows and Gram blocks each
@@ -59,10 +61,8 @@ rows by the update weights, which leaves the y_i row as it was, and the
 scatter back into V.  The solve's W is formed in place in V[:d] by one
 dger, W = V[:d] - mu a^T, and returned as a view of the iterate; a
 checkpoint's W is formed by the same dger into a fresh array, so it holds
-the returned W's bytes.  The lazy form adds rounding of relative size
-about eps * n ||mu||^2 / ||Xc||_F^2 (``CenteredMatrixView.centering_ratio``)
-to each step, so ``solve_rk`` refuses a sparse view whose ratio exceeds
-CENTERING_RATIO_MAX.
+the returned W's bytes.  The lazy form's rounding grows with the view's
+``centering_ratio``, so ``check_centering_ratio`` refuses it past a bound.
 
 Tail averaging is one identity on either storage.  Step k (0-based) adds
 x_{i_k} c_k^T, so with b the burn-in the mean of the iterates after steps
@@ -70,10 +70,9 @@ b..K-1 is
 
     W_K - Xc^T Z / (K - b),  Z[i] = sum over k > b with i_k = i of (k - b) c_k
 
-``solve_rk`` adds each drawn block's coefficients into the n x g array Z,
-one scatter per block, and forms Xc^T Z once at the end: sparse bases through the lazy
-``CenteredMatrixView.rmatmul``, dense ones from explicitly centered rows,
-which stay exact at large column offsets.
+``solve_rk`` adds each drawn block's coefficients into the F-ordered n x g
+array Z, one scatter per block, and forms Xc^T Z once at the end by
+``CenteredMatrixView.rmatmul``, which takes that layout as it is.
 
 Each stretch's coefficients are checked for finiteness once, after it ends
 and before its checkpoint.  ``NumericalDivergence`` names the first step
@@ -99,7 +98,7 @@ from scipy.linalg.blas import dger, dtrsm
 
 from .errors import InvalidData, NumericalDivergence, ZeroRowError
 from .labels import as_matrix
-from .matrix import CENTERING_RATIO_MAX, NORM_CHUNK_ELEMENTS, CenteredMatrixView, centered_chunks
+from .matrix import NORM_CHUNK_ELEMENTS, CenteredMatrixView, check_centering_ratio
 from .sampling import SamplingDistribution, build_sampler, sample_rows
 
 DEFAULT_ITERS_PER_ROW = 20
@@ -177,8 +176,7 @@ class _DenseIterate:
     whole chunk go the same way, as one group of one shorter chunk."""
 
     def __init__(self, view: CenteredMatrixView, Y: np.ndarray):
-        self.base = view.base
-        self.mu = view.column_means
+        self.base = view.base  # Xc
         self.norms_sq = view.centered_row_norms_sq
         self.Y = Y
         self.W = W = np.zeros((view.d, Y.shape[1]))
@@ -205,7 +203,6 @@ class _DenseIterate:
         full = len(S) // b
         X = self.X[:len(S)]
         self.base.take(S, axis=0, out=X)
-        X -= self.mu
         self.Y.take(S, axis=0, out=C)
         G = self.G[:full * b * b].reshape(full, b, b)
         if b > 1:  # a one-row block is its diagonal alone
@@ -272,15 +269,6 @@ class _SparseIterate:
         return dger(-1.0, self.V[d], self.mu, a=self.V[:d].T, overwrite_a=1).T
 
 
-def _centered_product(view: CenteredMatrixView, Z: np.ndarray) -> np.ndarray:
-    """Xc^T Z.  Dense rows are centered explicitly, a chunk at a time, since
-    the lazy X^T Z - mu 1^T Z cancels at large column offsets; sparse bases
-    take that lazy form, as their steps do."""
-    if view.is_sparse:
-        return view.rmatmul(Z)
-    return sum(X.T @ Z[lo:lo + len(X)] for lo, X in centered_chunks(view.base, view.column_means))
-
-
 def _check_finite(C: np.ndarray, k0: int) -> None:
     """Raise at the first non-finite coefficient row; row j is step k0 + j.
 
@@ -313,10 +301,7 @@ def solve_rk(
     point; the checkpoints see the raw iterates.  A sparse view whose
     ``centering_ratio`` exceeds CENTERING_RATIO_MAX raises InvalidData.
     """
-    if view.is_sparse and (ratio := view.centering_ratio) > CENTERING_RATIO_MAX:
-        raise InvalidData(f"sparse centering ratio n*||mu||^2/||Xc||_F^2 = {ratio:.3g} exceeds "
-                          f"{CENTERING_RATIO_MAX:g}: lazily centered RK steps would lose about "
-                          f"eps * ratio = {ratio * np.finfo(float).eps:.1g} relative")
+    check_centering_ratio(view, "RK steps")
     n = view.n
     Ym = as_matrix(Y, n)
     g = Ym.shape[1]
@@ -331,8 +316,9 @@ def solve_rk(
     K = default_iterations(n) if config.max_iters is None else config.max_iters
     iterate = (_SparseIterate if view.is_sparse else _DenseIterate)(view, Ym)
     burn = int(math.floor(config.tail_average * K)) if config.tail_average is not None else None
-    # Z[i] sums (k - burn) c_k over the steps k > burn on row i
-    Z = np.zeros((n, g)) if burn is not None else None
+    # Z[i] sums (k - burn) c_k over the steps k > burn on row i; Z[i, j] is
+    # Z_flat[i + n j], F order, the layout rmatmul takes
+    Z_flat = np.zeros(n * g) if burn is not None else None
 
     cadence = config.checkpoint_every
     caller_errstate = np.geterr()
@@ -361,16 +347,16 @@ def solve_rk(
                     c = C[hi - 1]
                     checkpoint(end, math.sqrt(c.dot(c)) * float(norms_sq[rows[hi - 1]]))
                 k = end
-            if Z is not None and stop > burn:
+            if Z_flat is not None and stop > burn:
                 # the block's steps after the burn-in, in one flat scatter,
-                # which adds in the order of a row-wise one at less than
-                # half its cost
+                # which adds each cell's terms in step order, as a row-wise
+                # one does, at less than half its cost
                 t = max(start, burn)
                 steps = np.arange(t - burn, stop - burn, dtype=np.float64)[:, None]
-                cells = (rows[t - start:, None] * g + np.arange(g)).reshape(-1)
-                np.add.at(Z.reshape(-1), cells, (steps * C[t - start:len(rows)]).reshape(-1))
+                cells = (rows[t - start:, None] + n * np.arange(g)).reshape(-1)
+                np.add.at(Z_flat, cells, (steps * C[t - start:len(rows)]).reshape(-1))
 
     W = iterate.finish()
-    if Z is not None:
-        W = W - _centered_product(view, Z) / (K - burn)
+    if Z_flat is not None:
+        W = W - view.rmatmul(Z_flat.reshape((n, g), order="F")) / (K - burn)
     return SolveResult(W=W, iterations_run=K, excluded_rows=n - len(dist.active_rows))

@@ -32,7 +32,7 @@ import scipy.sparse as sp
 
 from .errors import InvalidData
 from .labels import LabelVector
-from .matrix import (CENTERING_RATIO_WARN, centered_chunks, check_dense_size, column_means,
+from .matrix import (CENTERING_RATIO_WARN, NORM_CHUNK_ELEMENTS, check_dense_size, column_means,
                      densify, validate_raw)
 
 
@@ -43,6 +43,19 @@ class ScatterSet:
     s_t: np.ndarray
     centroids: np.ndarray       # g x d class means
     grand_centroid: np.ndarray  # length d
+
+
+def centered_chunks(mat: np.ndarray, centers: np.ndarray, index=None):
+    """Yield the rows of mat centered, NORM_CHUNK_ELEMENTS // d at a time, in
+    one reused buffer: row i less ``centers``, or ``centers[index[i]]``."""
+    n, d = mat.shape
+    rows = max(1, NORM_CHUNK_ELEMENTS // d)
+    buf = np.empty((min(rows, n), d))
+    for lo in range(0, n, rows):
+        chunk = buf[: min(rows, n - lo)]
+        sub = centers if index is None else centers[index[lo : lo + rows]]
+        np.subtract(mat[lo : lo + rows], sub, out=chunk)
+        yield chunk
 
 
 def _centroids(X, labels: LabelVector) -> tuple[np.ndarray, np.ndarray]:
@@ -64,10 +77,10 @@ def scatter_matrices(X_small, labels: LabelVector) -> ScatterSet:
     X = densify(X)
     cents, grand = _centroids(X, labels)
 
-    s_w = sum(D.T @ D for _, D in centered_chunks(X, cents, labels.indices)) / n
+    s_w = sum(D.T @ D for D in centered_chunks(X, cents, labels.indices)) / n
     between_dev = (cents - grand) * np.sqrt(labels.counts)[:, None]
     s_b = between_dev.T @ between_dev / n
-    s_t = sum(D.T @ D for _, D in centered_chunks(X, grand)) / n
+    s_t = sum(D.T @ D for D in centered_chunks(X, grand)) / n
 
     # symmetrize away rounding asymmetry from the gram products
     s_w = 0.5 * (s_w + s_w.T)
@@ -97,7 +110,7 @@ def scatter_traces(X, labels: LabelVector) -> tuple[float, float]:
         trace_w = max(within, 0.0) / n
     else:
         devs = centered_chunks(X, cents, labels.indices)
-        trace_w = sum(float(np.einsum("ij,ij->", D, D)) for _, D in devs) / n
+        trace_w = sum(float(np.einsum("ij,ij->", D, D)) for D in devs) / n
     diff = cents - grand
     trace_b = float(np.einsum("j,jk,jk->", labels.counts.astype(np.float64), diff, diff)) / n
     return trace_w, trace_b

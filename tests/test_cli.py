@@ -187,6 +187,29 @@ def test_non_finite_data_is_data_error(tmp_path, capsys, argv):
     assert sorted(tmp_path.iterdir()) == before  # nothing written
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--method", "rk"],
+    ["solve", "--method", "lsqr"],
+    ["solve", "--method", "pinv"],
+    ["diagnose", "--trials", "1", "--iters", "10"],
+    ["experiment", "--replicates", "1"],
+], ids=["rk", "lsqr", "pinv", "diagnose", "experiment"])
+def test_overflowing_centered_norms_are_data_error(tmp_path, capsys, argv):
+    # finite entries whose squares pass the float64 range: the view refuses
+    # them, before a sampler sees NaN probabilities; ten such rows of 30
+    # leave some in any 70% training split
+    X = np.random.default_rng(2).standard_normal((30, 3))
+    X[::3, 1] = 1e193
+    write_rkm1(tmp_path / "X.rkm1", X)
+    (tmp_path / "y.txt").write_text("a\nb\nc\n" * 10)
+    before = sorted(tmp_path.iterdir())
+    code = dispatch([*argv, "--data", str(tmp_path / "X.rkm1"),
+                     "--labels", str(tmp_path / "y.txt"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "centered row norms overflow" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before  # nothing written
+
+
 @pytest.mark.parametrize("argv", [["--no-center"], ["--means", "mu.rkm1"]],
                          ids=["nan-subspace", "inf-means"])
 def test_non_finite_subspace_or_means_is_data_error(tmp_path, capsys, argv):

@@ -360,8 +360,8 @@ def test_run_experiment_well_separated():
 
 
 def test_run_experiment_counts_unconverged_lsqr_fits(monkeypatch):
-    # two rows repeated four times under a column offset of 1e8: the lazily
-    # centered products cancel, so some replicates' LSQR fits stop at the cap
+    # two rows repeated four times under a column offset of 1e8, fit with a
+    # cap of one iteration, so some replicates' LSQR fits stop at the cap
     rng = np.random.default_rng(1)
     X = np.array([[0.0, 0, 6, 6, 6], [6.0] * 5])[[0, 1] * 4]
     X += rng.choice([-1.0, 1.0], size=5) * 1e8 * rng.random(5)
@@ -369,7 +369,7 @@ def test_run_experiment_counts_unconverged_lsqr_fits(monkeypatch):
     statuses = []
 
     def spy(*args, **kwargs):
-        sub = solve_lsqr(*args, **kwargs)
+        sub = solve_lsqr(*args, **{**kwargs, "max_iters": 1})
         statuses.append(sub.converged)
         return sub
 
@@ -379,6 +379,7 @@ def test_run_experiment_counts_unconverged_lsqr_fits(monkeypatch):
     assert report.methods["lsqr"]["unconverged"] == statuses.count(False)
     assert report.methods["lsqr"]["failures"] == 0
     assert "unconverged" not in report.methods["full"]
+    monkeypatch.undo()  # the default cap from here on
     X, y = two_gaussians(n=40, d=5, rng=np.random.default_rng(1))
     well = run_experiment(X, index_labels([str(t) for t in y]),
                           _tiny_config(methods=("rk", "lsqr"), knn_ks=(1,)))

@@ -3,11 +3,15 @@ import io
 import os
 import stat
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import rklda
 from helpers import traced_peak
 from rklda.errors import InvalidData
 from rklda.io import (
@@ -149,6 +153,40 @@ def test_matrix_market(tmp_path):
     dense = M.toarray()
     assert dense[0, 0] == 2.5 and dense[2, 3] == -1.0
     assert dense.sum() == pytest.approx(1.5)
+
+
+MM_COORDINATE = b"%%MatrixMarket matrix coordinate real general\n4 3 2\n"
+
+
+@pytest.mark.parametrize("body, want", [
+    (b"%%MatrixMarket matrix coordinate pattern general\n4 3 2\n1 3\n2 2 ",
+     [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    (MM_COORDINATE + b"1 3 1.5\n2 2 2.5x",
+     [[0.0, 0.0, 1.5], [0.0, 2.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    (b"%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4 ", [[1.0, 3.0], [2.0, 4.0]]),
+    (MM_COORDINATE + b"1 3 1.5\x00\n2 2 2.5\n", "InvalidData"),
+], ids=["pattern-trailing-space", "real-trailing-x", "array-trailing-space", "nul-byte"])
+def test_matrix_market_shapes_that_crashed_scipys_reader(tmp_path, body, want):
+    # read as they are, these end SciPy's mmread with a segfault: the last
+    # line has trailing characters and no final newline, or a line holds a
+    # NUL byte; a child process reads them, so that a crash fails this test
+    path = tmp_path / "m.mtx"
+    path.write_bytes(body)
+    script = ("import sys\n"
+              "from rklda.errors import InvalidData\n"
+              "from rklda.io import load_matrix\n"
+              "try:\n"
+              "    print(load_matrix(sys.argv[1])[0].toarray().tolist())\n"
+              "except InvalidData as exc:\n"
+              "    print('InvalidData', exc)\n")
+    src = str(Path(rklda.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, (proc.returncode, proc.stderr)
+    if want == "InvalidData":
+        assert proc.stdout.startswith("InvalidData") and "NUL byte" in proc.stdout
+    else:
+        assert proc.stdout.strip() == str(want)
 
 
 def test_labels_file(tmp_path):

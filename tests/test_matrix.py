@@ -215,6 +215,43 @@ def test_matmul_rmatmul_match_dense():
         assert np.allclose(v.rmatmul(U[:, 0]), dense.T @ U[:, 0])
 
 
+def test_dense_products_exact_at_a_large_centering_ratio():
+    # the view holds Xc, centered once, so its products do not cancel the
+    # way the lazy X v - mu^T v does at a column offset of 1e8
+    rng = np.random.default_rng(40)
+    X = rng.standard_normal((50, 8)) + 1e8 * rng.random(8)
+    v = build_centered_view(X)
+    assert v.centering_ratio > 1e15
+    Xc = X - v.column_means
+    V, U = rng.standard_normal((8, 3)), rng.standard_normal((50, 3))
+    for got, want in ((v.matmul(V), Xc @ V), (v.rmatmul(U), Xc.T @ U)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("assume_centered", [False, True])
+def test_dense_view_leaves_the_callers_array_and_owns_a_read_only_copy(assume_centered):
+    X = np.random.default_rng(41).standard_normal((9, 4)) + 5.0
+    before = X.tobytes()
+    v = build_centered_view(X, assume_centered=assume_centered)
+    assert X.tobytes() == before and X.flags.writeable
+    assert not np.shares_memory(v.base, X)
+    Xc = to_dense_centered(v)
+    assert Xc is v.base
+    with pytest.raises(ValueError, match="read-only"):
+        Xc[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("X", [
+    [[1e193, 0.0], [0.0, 1.0], [0.0, 2.0]],  # one row norm past the range
+    [[1.1e154, 0.0], [-1.1e154, 0.0]],       # each row finite, their sum not
+])
+def test_overflowing_centered_norms_refused(storage, X):
+    X = np.array(X)
+    with pytest.raises(InvalidData, match="centered row norms overflow"):
+        build_centered_view(sp.csr_array(X) if storage == "csr" else X)
+
+
 def operand_layouts(block):
     """``block`` (C-ordered, rows x g) as C, F, a transposed row block and a
     strided slice, and its first column as a contiguous and a strided vector."""

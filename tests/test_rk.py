@@ -13,7 +13,8 @@ from scipy.linalg.blas import dger
 from helpers import planted_consistent
 from rklda.errors import InvalidData, NumericalDivergence, ZeroRowError
 from rklda.labels import as_matrix
-from rklda.matrix import CENTERING_RATIO_MAX, build_centered_view, to_dense_centered
+from rklda.matrix import (CENTERING_RATIO_MAX, CenteredMatrixView, build_centered_view,
+                          to_dense_centered)
 from rklda.rk import SAMPLE_BLOCK, SolverConfig, gram_chunk, gram_group, make_rng, solve_rk
 from rklda.sampling import build_sampler, sample_row, sample_rows
 
@@ -503,6 +504,24 @@ def test_tail_average_matches_manual_replay():
     for view in both_storages(X):
         res = solve_rk(view, Y, cfg)
         assert np.allclose(res.W, reference_solve(view, Y, cfg), atol=1e-12)
+
+
+def test_tail_sum_reaches_rmatmul_in_its_layout(monkeypatch):
+    # the tail sum Z is built F-ordered, the layout rmatmul takes, so the
+    # one product Xc^T Z at the end copies no operand
+    rng = np.random.default_rng(15)
+    X, Y = rng.standard_normal((30, 8)) + 2.0, rng.standard_normal((30, 3))
+    rmatmul = CenteredMatrixView.rmatmul
+    operands = []
+
+    def spy(self, u):
+        operands.append((u.flags.f_contiguous, u.dtype, u.shape))
+        return rmatmul(self, u)
+
+    monkeypatch.setattr(CenteredMatrixView, "rmatmul", spy)
+    for view in both_storages(X):
+        solve_rk(view, Y, SolverConfig(max_iters=200, seed=3, tail_average=0.5))
+    assert operands == [(True, np.float64, (30, 3))] * 2
 
 
 def test_zero_norm_rows_skipped_in_solve():
