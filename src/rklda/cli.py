@@ -58,7 +58,7 @@ from .io import (
     write_files,
 )
 from .labels import encode_labels, index_labels
-from .matrix import build_centered_view, column_means, validate_raw
+from .matrix import build_centered_view, validate_raw
 from .rk import SolverConfig
 from .scatter import scatter_matrices, scatter_traces
 
@@ -274,21 +274,14 @@ def _cmd_solve(args) -> _Run:
 
 def _cmd_transform(args) -> _Run:
     run = _Run(args)
-    data = validate_raw(_load_data(run, args)[0])
+    data = _load_data(run, args)[0]  # validated by the view that centers it
     run.track_input(args.subspace)
     W = validate_raw(read_rkm1(args.subspace))
-    if args.no_center:
-        mu = np.zeros(data.shape[1])
-    elif args.means:
+    means = 0.0 if args.no_center else None
+    if args.means:
         run.track_input(args.means)
-        mu = validate_raw(read_rkm1(args.means)).reshape(-1)
-        if mu.shape[0] != data.shape[1]:
-            raise InvalidData(f"means length {mu.shape[0]} vs {data.shape[1]} columns")
-    else:
-        mu = column_means(data)
-    if W.shape[0] != data.shape[1]:
-        raise InvalidData(f"subspace rows {W.shape[0]} vs {data.shape[1]} data columns")
-    run.outputs[args.out] = encode_rkm1(project(data, W, mu))
+        means = validate_raw(read_rkm1(args.means))
+    run.outputs[args.out] = encode_rkm1(project(data, W, means))
     return run
 
 

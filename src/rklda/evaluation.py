@@ -1,5 +1,7 @@
 """Downstream-classification evaluation: repeated random splits, subspace
 fits on training data, projection of held-out data, kNN accuracy, timing.
+Held-out rows are centered at the training means by a view of their own, so
+both blocks project by one expression, exact at any column offset.
 
 kNN runs in two parts.  The neighbour search finds each test row's
 max(knn_ks) nearest training rows once per (replicate, method), ordered by
@@ -33,7 +35,7 @@ import numpy as np
 from .baselines import LSQR_TOL, Subspace, check_lsqr, pinv_oracle, solve_lsqr, ulda_oracle
 from .errors import ClassCoverageError, InvalidData, RkldaError
 from .labels import LabelVector, encode_labels, index_labels
-from .matrix import build_centered_view, densify, to_dense_centered, validate_raw
+from .matrix import build_centered_view, to_dense_centered, validate_raw
 from .rk import SolverConfig, derive_seed, solve_rk
 
 KNOWN_METHODS = ("full", "rk", "lsqr", "pinv", "ulda")
@@ -118,18 +120,15 @@ def split(n: int, train_fraction: float, rng: np.random.Generator, labels=None):
     )
 
 
-def project(data, B, train_column_means: np.ndarray) -> np.ndarray:
-    """Center rows with the *training* column means, then apply the d x c
-    array B.
-
-    ``B=None`` keeps the full centered rows (no dimension reduction); sparse
-    data is then densified, which raises TooLarge past the dense guard.
-    """
-    mu = np.asarray(train_column_means, dtype=np.float64)
-    if B is None:
-        return densify(data) - mu
-    M = np.asarray(B, dtype=np.float64)
-    return np.asarray(data @ M) - mu @ M
+def project(data, B, means) -> np.ndarray:
+    """Rows of ``data`` centered at ``means`` by ``build_centered_view`` (the
+    *training* column means, a scalar, or None for their own) times the d x c
+    array B; ``B=None`` keeps the full centered rows, and sparse data is then
+    densified, which raises TooLarge past the dense guard."""
+    view = build_centered_view(data, means=means)
+    if B is not None and np.shape(B)[0] != view.d:
+        raise InvalidData(f"subspace rows {np.shape(B)[0]} vs {view.d} data columns")
+    return to_dense_centered(view) if B is None else view.matmul(B)
 
 
 def knn_search(train_Z: np.ndarray, test_Z: np.ndarray, k: int):
@@ -285,12 +284,12 @@ def _replicate(data, labels: LabelVector, config: ExperimentConfig, replicate: i
     split_rng = np.random.Generator(np.random.PCG64(children[0]))
     train, test = split(n, config.train_fraction, split_rng, labels=labels.indices)
 
-    X_test = data[test]
     labels_tr = index_labels(labels.indices[train])  # classes in training order
     Y = encode_labels(labels_tr)
     # split puts every class in training, so argsort maps a class to its training index
     truth = np.argsort(labels_tr.classes)[labels.indices[test]]
     view = build_centered_view(data[train])  # the one copy of the training rows
+    test_view = build_centered_view(data[test], means=view.column_means)
     clock = time.perf_counter if config.timing == "wall" else (lambda: 0.0)
 
     rows = []
@@ -303,12 +302,8 @@ def _replicate(data, labels: LabelVector, config: ExperimentConfig, replicate: i
             B = fit_subspace(method, view, Y, rk=replace(config.rk, seed=m_seed),
                              lsqr_tol=config.lsqr_tol)
             t1 = clock()
-            M = None if B is None else B.matrix
-            if M is not None:  # the training rows are the view's own
-                Z_train = view.matmul(M)
-            else:  # a dense view's own array; sparse rows densified behind the guard
-                Z_train = to_dense_centered(view) if view.is_sparse else view.base
-            Z_test = project(X_test, M, view.column_means)
+            Z_train, Z_test = (to_dense_centered(v) if B is None else v.matmul(B.matrix)
+                               for v in (view, test_view))
             t2 = clock()
             index, dist2 = knn_search(Z_train, Z_test, max(config.knn_ks))
             t3 = clock()

@@ -44,12 +44,14 @@ class IndicatorMatrix:
 
 def as_matrix(Y, n: int) -> np.ndarray:
     """Coerce an IndicatorMatrix or array-like right-hand side to n x g;
-    InvalidData when it does not have the data's n rows."""
+    InvalidData when it does not have the data's n rows or is not finite."""
     arr = Y.matrix if isinstance(Y, IndicatorMatrix) else np.asarray(Y, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.shape[0] != n:
         raise InvalidData(f"Y has {arr.shape[0]} rows, data has {n}")
+    if not np.isfinite(arr).all():
+        raise InvalidData("Y contains non-finite entries")
     return arr
 
 

@@ -1,10 +1,12 @@
 """Data matrix storage, centered.
 
-A dense base is centered once, when the view is built, into a read-only
-Xc = X - 1 mu^T that the view owns: its row norms and products are plain
-passes over Xc, exact at any column offset.  A sparse base is never
-densified: its products apply the -mu offset on the fly and its row norms
-use ||x_i - mu||^2 = ||x_i||^2 - 2 <x_i, mu> + ||mu||^2, one pass over the
+``build_centered_view`` is the one place that centers rows of data, at
+their own column means or at given ones.  A dense base is centered once,
+when the view is built, into a read-only Xc = X - 1 mu^T that the view
+owns: its row norms and products are plain passes over Xc, exact at any
+column offset.  A sparse base is never densified: its products apply the
+-mu offset on the fly and its row norms use
+||x_i - mu||^2 = ||x_i||^2 - 2 <x_i, mu> + ||mu||^2, one pass over the
 stored entries.  That lazy form loses about eps * n ||mu||^2 / ||Xc||_F^2
 relative (the view's ``centering_ratio``): a RuntimeWarning is raised past
 CENTERING_RATIO_WARN, and ``check_centering_ratio`` refuses the view past
@@ -159,10 +161,11 @@ class CenteredMatrixView:
     @cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thin SVD Xc = U S V^T cut to its numerical range: (U, s, Vt) with
-        s > default_rank_tol(Xc, s_max), from ``to_dense_centered`` behind
-        the dense guard; a refused build caches nothing.  The one source of
-        Xc's spectrum for ``pinv_oracle``, ``ulda_oracle``,
+        s > default_rank_tol(Xc, s_max), from ``to_dense_centered``, for an
+        Xc within the dense guard; a refused build caches nothing.  The one
+        source of Xc's spectrum for ``pinv_oracle``, ``ulda_oracle``,
         ``condition_profile`` and the convergence study."""
+        check_dense_size(self.n * self.d, "dense centered matrix")
         Xc = to_dense_centered(self)
         U, s, Vt = np.linalg.svd(Xc, full_matrices=False)
         keep = s > default_rank_tol(Xc, s[0] if len(s) else 0.0)
@@ -188,16 +191,22 @@ class CenteredMatrixView:
                     overwrite_a=1).T.reshape(out.shape)
 
 
-def build_centered_view(base, assume_centered: bool = False) -> CenteredMatrixView:
+def build_centered_view(base, means=None) -> CenteredMatrixView:
     """Validate the base matrix and precompute the centering profile.
 
-    A dense base is centered into a read-only copy; the caller's array is
-    left as it was.  With ``assume_centered`` the stored rows are taken as
-    already centered (mu = 0), as in synthetic systems built centered.
+    The rows are centered at ``means``: their own column means if None, else
+    a length-d array or a scalar (a training view's means for held-out rows,
+    0.0 for rows built centered).  A dense base is centered into a read-only
+    copy; the caller's array is left as it was.
     """
     mat = validate_raw(base)
-    sparse = sp.issparse(mat)
-    mu = np.zeros(mat.shape[1]) if assume_centered else column_means(mat)
+    sparse, d = sp.issparse(mat), mat.shape[1]
+    mu = column_means(mat) if means is None else np.array(
+        np.broadcast_to(means, d) if np.ndim(means) == 0 else means, dtype=np.float64).reshape(-1)
+    if mu.size != d:
+        raise InvalidData(f"means length {mu.size} vs {d} columns")
+    if not np.isfinite(mu).all():
+        raise InvalidData("means contain non-finite entries")
 
     cross = None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -242,9 +251,8 @@ def check_dense_size(elements: int, what: str) -> None:
 
 
 def to_dense_centered(view: CenteredMatrixView) -> np.ndarray:
-    """Xc for small-scale oracles only: a dense view's read-only base, or a sparse one densified."""
-    n, d = view.shape
-    check_dense_size(n * d, "dense centered matrix")
+    """Xc: a dense view's read-only base, held already, or a sparse base
+    densified, which raises TooLarge past the dense guard."""
     return densify(view.base) - view.column_means if view.is_sparse else view.base
 
 

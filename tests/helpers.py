@@ -1,7 +1,9 @@
 """Synthetic instances, a Monte-Carlo check of the expected RK step and a
 memory probe, shared by the test modules."""
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -100,3 +102,12 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def bench_gen():
+    """The benchmark's seeded input generators, ``bench/gen.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -21,7 +21,7 @@ from rklda.matrix import build_centered_view, to_dense_centered
 
 
 def precentered(X):
-    return build_centered_view(np.asarray(X, dtype=np.float64), assume_centered=True)
+    return build_centered_view(np.asarray(X, dtype=np.float64), means=0.0)
 
 
 FOUR_POINT_X = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])

@@ -9,7 +9,7 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
-from helpers import two_gaussians
+from helpers import bench_gen, two_gaussians
 from rklda.baselines import Subspace, principal_angles
 from rklda.cli import STATUS_FIELDS, dispatch
 from rklda.evaluation import fit_subspace
@@ -426,6 +426,28 @@ def test_transform_centers_at_the_data_means_by_default(dataset, tmp_path):
     assert dispatch(["transform", "--data", str(data), "--subspace", str(W_path),
                      "--out", str(out)]) == 0
     assert np.allclose(read_rkm1(out), (X - X.mean(axis=0)) @ W)
+
+
+def test_transform_exact_at_a_dense_column_offset(tmp_path):
+    # the dense-tall blobs shifted by 1e8, centered at the training means
+    # and at their own: each Z within 1e-12 of (X - mu) W, not the 1e-8 of
+    # X W - mu^T W
+    gen = bench_gen()
+    X, tokens, _ = gen.blobs(gen.DENSE_TALL, gen.OFFSET_SEED)
+    X += gen.OFFSET
+    data, labels = tmp_path / "X.rkm1", tmp_path / "y.txt"
+    write_rkm1(data, X)
+    labels.write_text("".join(f"{t}\n" for t in tokens))
+    W_path, mu_path = tmp_path / "W.rkm1", tmp_path / "mu.rkm1"
+    assert dispatch(["solve", "--method", "lsqr", "--data", str(data), "--labels", str(labels),
+                     "--out", str(W_path), "--means-out", str(mu_path)]) == 0
+    W, mu = read_rkm1(W_path), read_rkm1(mu_path).reshape(-1)
+    want = (X - mu) @ W
+    for argv in (["--means", str(mu_path)], []):
+        out = tmp_path / "Z.rkm1"
+        assert dispatch(["transform", *argv, "--data", str(data), "--subspace", str(W_path),
+                         "--out", str(out)]) == 0
+        assert np.linalg.norm(read_rkm1(out) - want) <= 1e-12 * np.linalg.norm(want), argv
 
 
 @pytest.mark.parametrize("case", ["means-length", "subspace-rows"])

@@ -19,7 +19,7 @@ from rklda.rk import SolverConfig, make_rng
 
 
 def test_condition_profile_diag():
-    p = condition_profile(build_centered_view(np.diag([2.0, 1.0]), assume_centered=True))
+    p = condition_profile(build_centered_view(np.diag([2.0, 1.0]), means=0.0))
     assert p.frob_norm_sq == pytest.approx(5.0)
     assert p.sigma_plus_min == pytest.approx(1.0)
     assert p.kappa == pytest.approx(5.0)
@@ -28,32 +28,32 @@ def test_condition_profile_diag():
 
 def test_condition_profile_identity():
     for n in (2, 5, 9):
-        assert condition_profile(build_centered_view(np.eye(n), assume_centered=True)).kappa == pytest.approx(n)
+        assert condition_profile(build_centered_view(np.eye(n), means=0.0)).kappa == pytest.approx(n)
 
 
 def test_condition_profile_rank_one():
     u = np.array([[1.0], [2.0], [-1.0]])
     v = np.array([[3.0, 0.5, -2.0, 1.0]])
-    p = condition_profile(build_centered_view(u @ v, assume_centered=True))
+    p = condition_profile(build_centered_view(u @ v, means=0.0))
     assert p.kappa == pytest.approx(1.0)
 
 
 def test_condition_profile_zero_matrix():
     with pytest.raises(DegenerateMatrix):
-        condition_profile(build_centered_view(np.zeros((3, 3)), assume_centered=True))
+        condition_profile(build_centered_view(np.zeros((3, 3)), means=0.0))
 
 
 def test_condition_profile_kappa_at_least_rank():
     rng = np.random.default_rng(0)
     for _ in range(10):
         X = rng.standard_normal((6, 9))
-        p = condition_profile(build_centered_view(X, assume_centered=True))
+        p = condition_profile(build_centered_view(X, means=0.0))
         rank = np.linalg.matrix_rank(X)
         assert p.kappa >= rank - 1e-9
 
 
 def test_error_bound_values():
-    p = condition_profile(build_centered_view(np.diag([1.0, 1.0]), assume_centered=True))  # kappa = 2
+    p = condition_profile(build_centered_view(np.diag([1.0, 1.0]), means=0.0))  # kappa = 2
     assert error_bound(p, eps0=1.0, resid_norm_sq=0.0, k=3) == pytest.approx(0.125)
     assert error_bound(p, eps0=4.0, resid_norm_sq=2.0, k=0) == pytest.approx(
         4.0 + p.beta * 2.0
@@ -63,7 +63,7 @@ def test_error_bound_values():
 def test_error_bound_kappa_one():
     u = np.array([[1.0], [0.0]])
     v = np.array([[2.0, 0.0]])
-    p = condition_profile(build_centered_view(u @ v, assume_centered=True))  # single nonzero singular value
+    p = condition_profile(build_centered_view(u @ v, means=0.0))  # single nonzero singular value
     assert p.kappa == pytest.approx(1.0)
     floor = p.beta * 3.0
     assert error_bound(p, eps0=9.0, resid_norm_sq=3.0, k=0) == pytest.approx(9.0 + floor)
@@ -72,7 +72,7 @@ def test_error_bound_kappa_one():
 
 
 def test_error_bound_monotone_to_floor():
-    p = condition_profile(build_centered_view(np.diag([3.0, 1.0, 0.5]), assume_centered=True))
+    p = condition_profile(build_centered_view(np.diag([3.0, 1.0, 0.5]), means=0.0))
     floor = p.beta * 0.7
     values = [error_bound(p, 2.0, 0.7, k) for k in range(0, 4000, 20)]
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
@@ -133,7 +133,7 @@ def test_residual_and_expected_step_check_y_row_count():
 
 
 def test_expected_step_single_row_deterministic():
-    view = build_centered_view(np.array([[3.0, 4.0]]), assume_centered=True)
+    view = build_centered_view(np.array([[3.0, 4.0]]), means=0.0)
     Y = np.array([[2.0, -1.0]])
     W = np.zeros((2, 2))
     emp, ana, dev = expected_step_check(view, Y, W, m=25, rng=make_rng(0))
@@ -237,7 +237,7 @@ def test_study_orthonormal_rows_coupon_collector():
     rng = np.random.default_rng(23)
     n, d = 12, 30
     rows, _ = np.linalg.qr(rng.standard_normal((d, n)))
-    view = build_centered_view(rows.T, assume_centered=True)
+    view = build_centered_view(rows.T, means=0.0)
     Y = rows.T @ rng.standard_normal((d, 2))  # consistent: full row rank
     K = int(np.ceil(6 * n * np.log(n)))
     report = run_convergence_study(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import traced_peak, two_gaussians
+from helpers import bench_gen, traced_peak, two_gaussians
 from rklda import evaluation, matrix
 from rklda.baselines import pinv_oracle, solve_lsqr
 from rklda.diagnostics import condition_profile, residual_at, run_convergence_study
@@ -95,6 +95,32 @@ def test_project_consistent_with_residual_at():
     Z = project(X, W, view.column_means)
     frob, _ = residual_at(W, view, Y)
     assert np.linalg.norm(Y.matrix - Z) == pytest.approx(frob, abs=1e-10)
+
+
+def test_project_refuses_a_subspace_of_other_rows():
+    with pytest.raises(InvalidData, match="subspace rows 3 vs 4 data columns"):
+        project(np.ones((2, 4)), np.ones((3, 2)), None)
+
+
+def test_held_out_rows_project_exactly_at_a_column_offset(monkeypatch):
+    # the knn-experiment blobs shifted by 1e8: the held-out block is centered
+    # at the training means once, not as X M - mu^T M, which cancels
+    gen = bench_gen()
+    X, tokens, _ = gen.blobs(gen.KNN_EXPERIMENT, 1)
+    X += 1e8
+    seen = {}
+    for name in ("split", "fit_subspace", "knn_search"):
+        def spy(*args, _name=name, _fn=getattr(evaluation, name), **kwargs):
+            seen[_name] = (args, _fn(*args, **kwargs))
+            return seen[_name][1]
+        monkeypatch.setattr(evaluation, name, spy)
+    run_experiment(X, index_labels(tokens), ExperimentConfig(
+        methods=("lsqr",), replicates=1, seed=3, knn_ks=(1,), timing="none"))
+    test = seen["split"][1][1]
+    view, M = seen["fit_subspace"][0][1], seen["fit_subspace"][1].matrix
+    Z_test = seen["knn_search"][0][1]
+    want = (X[test] - view.column_means) @ M
+    assert np.linalg.norm(Z_test - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_knn_nearest_neighbor():
@@ -494,8 +520,8 @@ def test_every_dense_path_reads_the_one_guard():
     def calls():
         # fresh views: a view keeps the spectrum it built under the guard in force
         out = [partial(project, Xs, None, np.zeros(8)), partial(densify, Xs)]
+        out.append(partial(to_dense_centered, build_centered_view(Xs)))
         for view in (build_centered_view(X), build_centered_view(Xs)):
-            out.append(partial(to_dense_centered, view))
             out += [partial(fit_subspace, m, view, Y) for m in ("pinv", "ulda")]
             out += [partial(condition_profile, view),
                     partial(run_convergence_study, view, Y, 1, SolverConfig(max_iters=10, seed=0))]

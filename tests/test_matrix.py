@@ -56,7 +56,7 @@ def test_identity_profile():
 
 def test_precentered_row_is_stored_row():
     X = np.array([[1.0, -2.0], [0.5, 3.0]])
-    v = build_centered_view(X, assume_centered=True)
+    v = build_centered_view(X, means=0.0)
     assert np.array_equal(to_dense_centered(v)[1], X[1])
     assert np.allclose(v.centered_row_norms_sq, [5.0, 9.25])
 
@@ -228,17 +228,58 @@ def test_dense_products_exact_at_a_large_centering_ratio():
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("assume_centered", [False, True])
-def test_dense_view_leaves_the_callers_array_and_owns_a_read_only_copy(assume_centered):
+@pytest.mark.parametrize("means", [None, 0.0])
+def test_dense_view_leaves_the_callers_array_and_owns_a_read_only_copy(means):
     X = np.random.default_rng(41).standard_normal((9, 4)) + 5.0
     before = X.tobytes()
-    v = build_centered_view(X, assume_centered=assume_centered)
+    v = build_centered_view(X, means=means)
     assert X.tobytes() == before and X.flags.writeable
     assert not np.shares_memory(v.base, X)
     Xc = to_dense_centered(v)
     assert Xc is v.base
     with pytest.raises(ValueError, match="read-only"):
         Xc[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_means_zero_keeps_the_stored_rows(storage):
+    # means=0.0 takes the rows as centered: the view holds the stored rows,
+    # zero means, no cross terms and the raw row norms, as given explicitly
+    X = np.random.default_rng(42).standard_normal((9, 4)) + 5.0
+    base = sp.csr_array(X) if storage == "csr" else X
+    v, explicit = build_centered_view(base, means=0.0), build_centered_view(base, means=np.zeros(4))
+    stored = v.base.toarray() if storage == "csr" else v.base
+    assert stored.tobytes() == X.tobytes()
+    assert v.column_means.tobytes() == np.zeros(4).tobytes()
+    raw_sq = (np.asarray(base.multiply(base).sum(axis=1)).reshape(-1) if storage == "csr"
+              else np.einsum("ij,ij->i", X, X))
+    assert v.centered_row_norms_sq.tobytes() == raw_sq.tobytes()
+    for name in ("column_means", "centered_row_norms_sq", "frob_norm_sq", "cross"):
+        assert np.asarray(getattr(v, name)).tobytes() == \
+            np.asarray(getattr(explicit, name)).tobytes(), name
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("means, refusal", [
+    (np.zeros(3), "means length 3 vs 4 columns"),
+    (np.zeros((1, 5)), "means length 5 vs 4 columns"),
+    (np.array([0.0, np.nan, 0.0, 0.0]), "means contain non-finite entries"),
+    (np.inf, "means contain non-finite entries"),
+])
+def test_means_of_another_length_or_not_finite_refused(storage, means, refusal):
+    X = np.arange(12.0).reshape(3, 4)
+    with pytest.raises(InvalidData, match=refusal):
+        build_centered_view(sp.csr_array(X) if storage == "csr" else X, means=means)
+
+
+def test_means_given_center_the_rows_at_them():
+    X = np.arange(12.0).reshape(3, 4)
+    mu = np.array([1.0, -2.0, 0.5, 4.0])
+    for base in (X, sp.csr_array(X)):
+        v = build_centered_view(base, means=mu)
+        assert np.array_equal(v.column_means, mu) and v.column_means is not mu
+        assert np.allclose(to_dense_centered(v), X - mu)
+        assert np.allclose(v.centered_row_norms_sq, ((X - mu) ** 2).sum(axis=1))
 
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])
@@ -292,7 +333,8 @@ def test_sparse_rmatmul_holds_no_second_result_sized_array(order):
 
 
 def test_to_dense_centered_guard():
-    v = build_centered_view(np.eye(4))
+    # a dense view's Xc is held already; densifying a sparse one is guarded
+    v = build_centered_view(sp.csr_array(np.eye(4)))
     assert np.allclose(to_dense_centered(v), np.eye(4) - 0.25)
     with mock.patch.object(matrix, "DENSE_GUARD_ELEMENTS", 8), \
             pytest.raises(TooLarge, match="16 elements"):

@@ -22,7 +22,7 @@ EPS = np.finfo(float).eps
 
 
 def precentered(X):
-    return build_centered_view(np.asarray(X, dtype=np.float64), assume_centered=True)
+    return build_centered_view(np.asarray(X, dtype=np.float64), means=0.0)
 
 
 def reference_solve(view, Y, config, dist=None, on_checkpoint=None):
@@ -168,13 +168,13 @@ def both_storages(X, **kwargs):
 
 def test_step_from_zero():
     Y = np.array([[1.0, -1.0], [0.0, 0.0]])
-    for view in both_storages([[2.0, 0.0], [0.0, 1.0]], assume_centered=True):
+    for view in both_storages([[2.0, 0.0], [0.0, 1.0]], means=0.0):
         W1 = steps_from_zero(view, Y, [0])
         assert np.allclose(W1, [[0.5, -0.5], [0.0, 0.0]])
 
 
 def test_step_satisfies_sampled_equation():
-    for view in both_storages([[1.0, 1.0]], assume_centered=True):
+    for view in both_storages([[1.0, 1.0]], means=0.0):
         W1 = solve_rk(view, np.array([[4.0]]), SolverConfig(max_iters=1, seed=0)).W
         assert np.allclose(W1, [[2.0], [2.0]])
         assert to_dense_centered(view)[0] @ W1 == pytest.approx(4.0)
@@ -545,7 +545,7 @@ def test_divergence_reports_iteration():
     # (y_i - W^T x_i) / ||x_i||^2 = -+1e308, which is finite, and the
     # iterate swings between +-5e307 per entry
     Y = np.array([[1e308], [-1e308]])
-    dense, sparse = both_storages([[1.0, 1.0], [1.0, 1.0]], assume_centered=True)
+    dense, sparse = both_storages([[1.0, 1.0], [1.0, 1.0]], means=0.0)
     rows = sample_rows(build_sampler(dense), make_rng(0), 10).tolist()
     with pytest.raises(NumericalDivergence) as err:
         solve_rk(dense, Y, SolverConfig(max_iters=10, seed=0))
@@ -559,12 +559,24 @@ def test_divergence_of_the_coefficient_on_both_storages():
     # at ||x_i||^2 = 1 the coefficient is the residual, so the first step on
     # the second copy overflows on either storage
     Y = np.array([[1e308], [-1e308]])
-    views = both_storages([[1.0, 0.0], [1.0, 0.0]], assume_centered=True)
+    views = both_storages([[1.0, 0.0], [1.0, 0.0]], means=0.0)
     rows = sample_rows(build_sampler(views[0]), make_rng(0), 10).tolist()
     for view in views:
         with pytest.raises(NumericalDivergence) as err:
             solve_rk(view, Y, SolverConfig(max_iters=10, seed=0))
         assert err.value.iteration == rows.index(1 - rows[0]) + 1
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_non_finite_y_refused_before_any_step(storage):
+    # a NaN target on a row that five steps never draw: refused as data,
+    # not returned in a finite W nor reported later as a divergence
+    X = np.random.default_rng(7).standard_normal((20, 5))
+    Y = np.random.default_rng(8).standard_normal((20, 2))
+    Y[3, 1] = np.nan
+    view = build_centered_view(sp.csr_array(X) if storage == "sparse" else X)
+    with pytest.raises(InvalidData, match="Y contains non-finite entries"):
+        solve_rk(view, Y, SolverConfig(max_iters=5, seed=0))
 
 
 def row_first_drawn_at(dist, seed, k):
@@ -581,16 +593,21 @@ def row_first_drawn_at(dist, seed, k):
     (2457, 0, 0.3),                  # the first step of the tail (burn-in = 2457)
     (3333, 1000, 0.3),               # after the burn-in, mid-stretch
 ])
+@pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_names_the_first_non_finite_step(storage, step, cadence, tail_average):
-    # a NaN target on one row poisons the residual the first time it is drawn
+    # the largest finite target on a row of centered norm below 1 overflows
+    # the coefficient the first time the row is drawn (a NaN target is
+    # refused up front)
     rng = np.random.default_rng(step)
     X = rng.standard_normal((4000, 3))
     dense = build_centered_view(X)
     view = dense if storage == "dense" else build_centered_view(sp.csr_array(X))
     dist = build_sampler(dense)
-    seed = next(s for s in range(1000) if row_first_drawn_at(dist, s, step) is not None)
+    row, seed = next((r, s) for s in range(1000)
+                     if (r := row_first_drawn_at(dist, s, step)) is not None
+                     and dense.centered_row_norms_sq[r] < 0.9)
     Y = rng.standard_normal((4000, 2))
-    Y[row_first_drawn_at(dist, seed, step), 1] = np.nan
+    Y[row, 1] = np.finfo(np.float64).max
     cfg = SolverConfig(max_iters=2 * SAMPLE_BLOCK, seed=seed, checkpoint_every=cadence,
                        tail_average=tail_average)
     seen = []

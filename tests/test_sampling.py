@@ -13,7 +13,7 @@ from rklda.sampling import _build_alias, build_sampler, sample_row, sample_rows
 def view_with_norms(norms_sq):
     """Diagonal pre-centered matrix whose squared row norms are as given."""
     X = np.diag(np.sqrt(np.asarray(norms_sq, dtype=np.float64)))
-    return build_centered_view(X, assume_centered=True)
+    return build_centered_view(X, means=0.0)
 
 
 def array_alias(probs):
