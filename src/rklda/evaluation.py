@@ -21,7 +21,9 @@ replicates of the three phases (``fit_seconds_median``,
 search plus every k's vote), and a method that failed on any replicate
 lists its distinct failure messages in ``failure_messages``.  The ``lsqr``
 summary counts in ``unconverged`` the replicates whose fit stopped a column
-at the iteration cap.  Under ``timing="none"`` every timing is 0.0, so
+at the iteration cap, and the ``rk`` summary in ``excluded_rows`` the
+zero-norm training rows its fits never sampled, summed over the replicates.
+Under ``timing="none"`` every timing is 0.0, so
 reports are byte-reproducible.  ``pinv`` and ``ulda`` share one dense SVD
 of a replicate's training rows, the view's ``spectrum``, which counts in
 the fit time of whichever of them runs first.
@@ -90,7 +92,8 @@ class ExperimentConfig:
 class ExperimentReport:
     methods: dict            # method -> {completed, failures, failed, per_k,
                              #            fit/project/knn_seconds_median,
-                             #            unconverged for lsqr, and
+                             #            unconverged for lsqr,
+                             #            excluded_rows for rk, and
                              #            failure_messages when failures > 0}
     rows: tuple              # (method, replicate, k, accuracy, seconds)
     config: dict = field(default_factory=dict)
@@ -276,8 +279,8 @@ def _replicate(data, labels: LabelVector, config: ExperimentConfig, replicate: i
     """One replicate: split, fit every method, classify for every k.
 
     Returns (rows, fits, failures): fits maps method -> (fit, project,
-    knn seconds, the subspace's ``converged``), failures maps method -> error
-    message.
+    knn seconds, the Subspace, None for ``full``), failures maps method ->
+    error message.
     """
     n = data.shape[0]
     children = seed_seq.spawn(1 + len(config.methods))
@@ -317,8 +320,7 @@ def _replicate(data, labels: LabelVector, config: ExperimentConfig, replicate: i
             vote = clock() - t4
             vote_total += vote
             rows.append((method, replicate, k, accuracy(preds, truth), (t3 - t0) + vote))
-        fits[method] = (t1 - t0, t2 - t1, (t3 - t2) + vote_total,
-                        None if B is None else B.converged)
+        fits[method] = (t1 - t0, t2 - t1, (t3 - t2) + vote_total, B)
     return rows, fits, failures
 
 
@@ -334,12 +336,15 @@ def run_experiment(data, labels: LabelVector, config: ExperimentConfig) -> Exper
     phases = {m: [] for m in config.methods}
     fail_messages = {m: [] for m in config.methods}
     unconverged = dict.fromkeys(config.methods, 0)
+    excluded = dict.fromkeys(config.methods, 0)
     for r in range(config.replicates):
         rep_rows, fits, failures = _replicate(data, labels, config, r, rep_seqs[r])
         rows.extend(rep_rows)
-        for m, (*times, converged) in fits.items():
+        for m, (*times, sub) in fits.items():
             phases[m].append(times)
-            unconverged[m] += converged is False
+            if sub is not None:
+                unconverged[m] += sub.converged is False
+                excluded[m] += sub.excluded_rows or 0
         for m, message in failures.items():
             fail_messages[m].append(message)
 
@@ -370,6 +375,8 @@ def run_experiment(data, labels: LabelVector, config: ExperimentConfig) -> Exper
         }
         if method == "lsqr":
             methods_summary[method]["unconverged"] = unconverged[method]
+        if method == "rk":
+            methods_summary[method]["excluded_rows"] = excluded[method]
         if messages:  # distinct, in order of first appearance
             methods_summary[method]["failure_messages"] = list(dict.fromkeys(messages))
 

@@ -57,15 +57,11 @@ def as_matrix(Y, n: int) -> np.ndarray:
 
 def index_labels(raw) -> LabelVector:
     """Map tokens to 0..g-1 in first-appearance order and count classes."""
-    tokens = tuple(raw)
-    if len(tokens) == 0:
-        raise InvalidData("empty label sequence")
     class_index: dict = {}
-    indices = np.empty(len(tokens), dtype=np.int64)
-    for i, tok in enumerate(tokens):
-        if tok not in class_index:
-            class_index[tok] = len(class_index)
-        indices[i] = class_index[tok]
+    indices = np.array([class_index.setdefault(tok, len(class_index)) for tok in raw],
+                       dtype=np.int64)
+    if len(indices) == 0:
+        raise InvalidData("empty label sequence")
     g = len(class_index)
     if g < 2:
         raise DegenerateLabels(f"need at least two classes, got {g}")

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, lsqr
 
+from helpers import bench_gen, traced_peak
 from rklda import matrix
 from rklda.baselines import (
     Subspace,
@@ -170,6 +171,21 @@ def test_lsqr_makes_one_product_pair_per_iteration(g, storage):
     sub = solve_lsqr(counting, rng.standard_normal((40, g)))
     assert sub.iterations_run > 1
     assert counting.products == 1 + 2 * sub.iterations_run
+
+
+def test_lsqr_peaks_within_its_working_set():
+    # sparse-text, 500 x 4000 with g = 10, on a view whose transpose one
+    # product has built: the working set is W and the g x d rows V, Wd and X,
+    # four d x g blocks, one product's d x g output or one update's
+    # temporary, a fifth, and under one more for the g x n rows and the
+    # copies a shrinking block takes of its live rows
+    gen = bench_gen()
+    X, tokens = gen.text_like(gen.SPARSE_TEXT, 1)
+    view = build_centered_view(X)
+    Y = encode_labels(index_labels(tokens))
+    view.rmatmul(Y.matrix)
+    block = X.shape[1] * Y.matrix.shape[1] * 8
+    assert traced_peak(lambda: solve_lsqr(view, Y)) < 6 * block
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -413,6 +413,25 @@ def test_run_experiment_counts_unconverged_lsqr_fits(monkeypatch):
     assert "unconverged" not in well.methods["rk"]
 
 
+def test_run_experiment_counts_excluded_rk_rows(monkeypatch):
+    # every split trains on the first five rows, whose mean is the last of
+    # them, so that row's centered norm is zero and each RK fit excludes it
+    X = np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1], [0, 0], [2, 0], [-2, 0]])
+    labels = index_labels(list("abbaaab"))
+    monkeypatch.setattr(evaluation, "split",
+                        lambda *args, **kwargs: (np.arange(5), np.arange(5, 7)))
+    report = run_experiment(X, labels, _tiny_config(methods=("full", "rk", "lsqr"), knn_ks=(1,)))
+    assert report.methods["rk"]["failures"] == 0
+    assert report.methods["rk"]["excluded_rows"] == 3  # one a replicate
+    assert "excluded_rows" not in report.methods["lsqr"]
+    assert "excluded_rows" not in report.methods["full"]
+    monkeypatch.undo()
+    X, y = two_gaussians(n=40, d=5, rng=np.random.default_rng(1))
+    well = run_experiment(X, index_labels([str(t) for t in y]),
+                          _tiny_config(methods=("rk",), knn_ks=(1,)))
+    assert well.methods["rk"]["excluded_rows"] == 0
+
+
 def test_run_experiment_single_replicate_full_only():
     X, y = two_gaussians(n=40, d=5, rng=np.random.default_rng(1))
     report = run_experiment(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import bench_gen
 from rklda.errors import DegenerateLabels, InvalidData
 from rklda.labels import encode_labels, index_labels
 
@@ -31,6 +32,25 @@ def test_index_first_appearance_order():
     assert lv.g == 3
     assert list(lv.counts) == [2, 1, 1]
     assert lv.classes == ("x", "y", "z")
+
+
+def test_index_matches_a_per_token_loop():
+    # knn-experiment's 1,200 labels, as strings and as the integer indices a
+    # replicate re-indexes, against a loop that assigns each new token the
+    # next index
+    gen = bench_gen()
+    tokens = gen.blobs(gen.KNN_EXPERIMENT, 1)[1]
+    for raw in (tokens, index_labels(tokens).indices[::-1]):
+        want = {}
+        for tok in raw:
+            want.setdefault(tok, len(want))
+        lv = index_labels(raw)
+        assert list(lv.class_index.items()) == list(want.items())
+        assert [type(tok) for tok in lv.class_index] == [type(tok) for tok in want]
+        assert lv.g == len(want)
+        assert lv.indices.dtype == np.int64
+        assert lv.indices.tolist() == [want[tok] for tok in raw]
+        assert lv.counts.tolist() == np.bincount(lv.indices).tolist()
 
 
 def test_index_single_class_rejected():

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg.blas import dger
 
-from helpers import planted_consistent
+from helpers import bench_gen, planted_consistent, traced_peak
 from rklda.errors import InvalidData, NumericalDivergence, ZeroRowError
-from rklda.labels import as_matrix
+from rklda.labels import as_matrix, encode_labels, index_labels
 from rklda.matrix import (CENTERING_RATIO_MAX, CenteredMatrixView, build_centered_view,
                           to_dense_centered)
 from rklda.rk import SAMPLE_BLOCK, SolverConfig, gram_chunk, gram_group, make_rng, solve_rk
@@ -206,6 +206,62 @@ def test_sampler_for_other_rows_rejected():
     other = build_sampler(build_centered_view(np.eye(4)))
     with pytest.raises(InvalidData):
         solve_rk(view, np.ones((3, 1)), SolverConfig(max_iters=1, seed=0), dist=other)
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("row", [9, -1])
+def test_sampler_rows_outside_the_data_refused(storage, row):
+    # a sampler covering the data's 6 rows whose last active row lies
+    # outside them: refused before any step, never gathered or wrapped
+    X = np.random.default_rng(0).standard_normal((6, 3))
+    view = dict(zip(["dense", "sparse"], both_storages(X)))[storage]
+    dist = build_sampler(view)
+    bad = replace(dist, active_rows=np.array([0, 1, 2, 3, 4, row]))
+    seen = []
+    with pytest.raises(InvalidData, match=rf"sampler draws row {row}, outside"):
+        solve_rk(view, np.ones((6, 1)), SolverConfig(max_iters=50, seed=0), dist=bad,
+                 on_checkpoint=lambda *args: seen.append(args))
+    assert seen == []
+
+
+def test_dense_solve_peaks_within_its_working_set():
+    # knn-experiment's shape, 1200 x 100 with g = 5, for 1,000 steps: the
+    # working set is the group buffer (624 x 100), its Gram blocks
+    # (624 x 48), the stretch buffer C (1000 x 5) and W (100 x 5), 764 KiB.
+    # The draws and the per-chunk temporaries stay under a quarter of the
+    # group buffer; a gather buffered through a hidden copy of the group
+    # (NumPy's take with out= under mode="raise") adds the whole of it
+    gen = bench_gen()
+    X, tokens, _ = gen.blobs(gen.KNN_EXPERIMENT, 1)
+    view = build_centered_view(X)
+    Y = encode_labels(index_labels(tokens))
+    dist = build_sampler(view)
+    n, d = X.shape
+    g, K = Y.matrix.shape[1], 1000
+    group = gram_group(d) * d * 8
+    working_set = group + gram_group(d) * gram_chunk(d) * 8 + K * g * 8 + d * g * 8
+    peak = traced_peak(lambda: solve_rk(view, Y, SolverConfig(max_iters=K, seed=1), dist=dist))
+    assert peak < working_set + group / 4
+
+
+def test_sparse_solve_peaks_within_its_working_set():
+    # sparse-text, 500 x 4000 with g = 10, for 1,000 steps, on a view whose
+    # augmented rows are built: the working set is the iterate V
+    # ((d + 2 + n) x g, W formed in place in it) and the stretch buffer C
+    # (1000 x g), 430 KiB.  The draws and the per-step gathers stay under
+    # half a d x g block; a second d x g array, such as a W formed outside
+    # V, would cross it
+    gen = bench_gen()
+    X, tokens = gen.text_like(gen.SPARSE_TEXT, 1)
+    view = build_centered_view(X)
+    Y = encode_labels(index_labels(tokens))
+    view.augmented_rows
+    dist = build_sampler(view)
+    n, d = X.shape
+    g, K = Y.matrix.shape[1], 1000
+    working_set = (d + 2 + n) * g * 8 + K * g * 8
+    peak = traced_peak(lambda: solve_rk(view, Y, SolverConfig(max_iters=K, seed=1), dist=dist))
+    assert peak < working_set + d * g * 8 / 2
 
 
 def test_orthogonal_rows_exact_after_coverage():
