@@ -64,14 +64,25 @@ is extended once per view (``CenteredMatrixView.augmented_rows``) by the
 columns d, d + 1 and d + 2 + i, with residual weights
 (vals, -(cross_i - ||mu||^2), -1, -1) scaled by -1/||x_i||^2 and update
 weights (vals, 1, cross_i, 0).  A step is then four calls: the gather of
-the row's rows of V, one dot of the residual weights with them, which is
-the coefficient c itself, one BLAS rank-1 update (dger) of the gathered
-rows by the update weights, which leaves the y_i row as it was, and the
-scatter back into V.  The solve's W is formed in place in V[:d] by one
-dger, W = V[:d] - mu a^T, and returned as a view of the iterate; a
-checkpoint's W is formed by the same dger into a fresh array, so it holds
-the returned W's bytes.  The lazy form's rounding grows with the view's
-``centering_ratio``, so ``check_centering_ratio`` refuses it past a bound.
+the row's rows of V into a buffer G, one dot of the residual weights with
+them, which is the coefficient c itself, one BLAS rank-1 update (dger) of
+G in place by the update weights, which leaves the y_i row as it was, and
+the scatter back into V.  G is allocated once per solve, as long as the
+longest augmented row, so a step allocates no data.  The gather and the
+scatter see V and G as one-dimensional arrays of records, one opaque item
+of g values per row, so each moves whole rows by one memcpy a row, where a
+two-dimensional fancy index walks each row's g values apart; the gather
+takes mode="clip" for the reason the dense gathers do, and the augmented
+columns lie in [0, d + 2 + n) by construction.  The dot and the dger read
+the row's m rows G[:m] as they would a freshly gathered m x g array, so
+the bytes do not depend on the buffer.  The update is dger, not
+G += w c^T: OpenBLAS's dger fuses each multiply-add, so the two round
+differently, and the dger is the faster.  The solve's W is formed in
+place in V[:d] by one dger, W = V[:d] - mu a^T, and returned as a view of
+the iterate; a checkpoint's W is formed by the same dger into a fresh
+array, so it holds the returned W's bytes.  The lazy form's rounding grows
+with the view's ``centering_ratio``, so ``check_centering_ratio`` refuses
+it past a bound.
 
 Tail averaging is one identity on either storage.  Step k (0-based) adds
 x_{i_k} c_k^T, so with b the burn-in the mean of the iterates after steps
@@ -247,29 +258,42 @@ class _DenseIterate:
 class _SparseIterate:
     """W = V[:d] - mu a^T with a = V[d] and p = mu^T V[:d] = V[d + 1]; V[d + 2:]
     holds a copy of Y.  A step touches the row's columns, those two rows
-    and the row's target only."""
+    and the row's target only, and moves them as whole g-value records
+    between V and one gather buffer G, sized by the longest augmented row
+    and reused by every step."""
 
     def __init__(self, view: CenteredMatrixView, Y: np.ndarray):
         self.mu = view.column_means
         self.cols, self.weights, self.residual_weights, indptr = view.augmented_rows
         self.indptr = indptr.tolist()
         self.d = d = view.d
-        self.V = np.zeros((d + 2 + view.n, Y.shape[1]))
-        self.V[d + 2:] = Y
+        self.V = V = np.zeros((d + 2 + view.n, Y.shape[1]))
+        V[d + 2:] = Y
+        self.G = G = np.empty((int(np.diff(indptr).max()), Y.shape[1]))
+        # one opaque record per row of V and of G: a gather or scatter of
+        # records is one memcpy a row, where a 2-D fancy index walks the g
+        # values of each row
+        record = np.dtype((np.void, V.strides[0]))
+        self.V_rows, self.G_rows = V.view(record)[:, 0], G.view(record)[:, 0]
 
     def run(self, rows: np.ndarray, C: np.ndarray) -> None:
         """One step per sampled row; step j's coefficient c_j goes to C[j]."""
-        V, indptr = self.V, self.indptr
+        indptr, G, V_rows, G_rows = self.indptr, self.G, self.V_rows, self.G_rows
         cols_all, weights, residual_weights = self.cols, self.weights, self.residual_weights
-        for i, c in zip(rows.tolist(), C):
+        # a memoryview yields the rows as Python ints without building a list
+        for i, c in zip(memoryview(rows), C):
             lo, hi = indptr[i], indptr[i + 1]
-            cols = cols_all[lo:hi]
-            G = V.take(cols, axis=0)
+            cols, m = cols_all[lo:hi], hi - lo
+            # mode="clip" gathers straight into G: under the default "raise",
+            # an out= take goes through a hidden temporary; the augmented
+            # columns lie in [0, d + 2 + n) by construction
+            V_rows.take(cols, out=G_rows[:m], mode="clip")
             # (y_i - (vals, -shift_i, -1) . (V[cols], a, p)) / ||x_i||^2
-            np.dot(residual_weights[lo:hi], G, out=c)
-            # G += w c^T as the rank-1 update G^T += c w^T, in place; CSR
-            # column indices within a row are unique, so assignment is safe
-            V[cols] = dger(1.0, c, weights[lo:hi], a=G.T, overwrite_a=1).T
+            np.dot(residual_weights[lo:hi], G[:m], out=c)
+            # G += w c^T as the rank-1 update G^T += c w^T, in place
+            dger(1.0, c, weights[lo:hi], a=G[:m].T, overwrite_a=1)
+            # CSR column indices within a row are unique, so assignment is safe
+            V_rows[cols] = G_rows[:m]
 
     def current(self) -> np.ndarray:
         """W in a fresh array, by the arithmetic of ``finish``."""

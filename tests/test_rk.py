@@ -15,7 +15,8 @@ from rklda.errors import InvalidData, NumericalDivergence, ZeroRowError
 from rklda.labels import as_matrix, encode_labels, index_labels
 from rklda.matrix import (CENTERING_RATIO_MAX, CenteredMatrixView, build_centered_view,
                           to_dense_centered)
-from rklda.rk import SAMPLE_BLOCK, SolverConfig, gram_chunk, gram_group, make_rng, solve_rk
+from rklda.rk import (SAMPLE_BLOCK, SolverConfig, _SparseIterate, gram_chunk, gram_group,
+                      make_rng, solve_rk)
 from rklda.sampling import build_sampler, sample_row, sample_rows
 
 EPS = np.finfo(float).eps
@@ -248,9 +249,9 @@ def test_sparse_solve_peaks_within_its_working_set():
     # sparse-text, 500 x 4000 with g = 10, for 1,000 steps, on a view whose
     # augmented rows are built: the working set is the iterate V
     # ((d + 2 + n) x g, W formed in place in it) and the stretch buffer C
-    # (1000 x g), 430 KiB.  The draws and the per-step gathers stay under
-    # half a d x g block; a second d x g array, such as a W formed outside
-    # V, would cross it
+    # (1000 x g), 430 KiB.  The draws and the gather buffer (one longest
+    # augmented row of g values) stay under half a d x g block; a second
+    # d x g array, such as a W formed outside V, would cross it
     gen = bench_gen()
     X, tokens = gen.text_like(gen.SPARSE_TEXT, 1)
     view = build_centered_view(X)
@@ -262,6 +263,22 @@ def test_sparse_solve_peaks_within_its_working_set():
     working_set = (d + 2 + n) * g * 8 + K * g * 8
     peak = traced_peak(lambda: solve_rk(view, Y, SolverConfig(max_iters=K, seed=1), dist=dist))
     assert peak < working_set + d * g * 8 / 2
+
+
+def test_sparse_step_allocates_nothing_per_row():
+    # sparse-text, 500 x 4000 with g = 10, one 4,096-row block on a warm
+    # iterate: each step gathers into and scatters from the iterate's one
+    # buffer and reads the rows through a memoryview, so the block's peak
+    # holds a few array headers, not a gathered block or a list per row
+    gen = bench_gen()
+    X, tokens = gen.text_like(gen.SPARSE_TEXT, 1)
+    view = build_centered_view(X)
+    Y = as_matrix(encode_labels(index_labels(tokens)), view.n)
+    iterate = _SparseIterate(view, Y)
+    rows = sample_rows(build_sampler(view), make_rng(1), SAMPLE_BLOCK)
+    C = np.empty((SAMPLE_BLOCK, Y.shape[1]))
+    iterate.run(rows, C)
+    assert traced_peak(lambda: iterate.run(rows, C)) < 8 * 1024
 
 
 def test_orthogonal_rows_exact_after_coverage():
@@ -737,6 +754,28 @@ def test_sparse_matches_lazy_step_loop(seed, tail_average, cadence):
         # solve_rk sums the tail in another order than the loop's U and A
         tol = 100.0 * cfg.max_iters * EPS * (1.0 + view.centering_ratio)
         assert np.linalg.norm(W - W_lazy) <= tol * largest_iterate(lazy_sparse_solve, view, Y, cfg)
+    assert_same_checkpoints(got, want)
+
+
+@pytest.mark.filterwarnings("ignore:sparse centering ratio")
+@pytest.mark.parametrize("g", [1, 3, 16])
+def test_sparse_matches_lazy_step_loop_at_every_record_width(g):
+    # a step moves rows of V as records of 8 g bytes (8, 24 and 128 here)
+    # through one buffer sized by the longest augmented row; the draws reach
+    # that row, every column stored, and a row of its three augmented
+    # entries alone, and a dger that updated a copy of the buffer would
+    # scatter the rows back unchanged
+    X = sparse_with_offsets(6)
+    X[2] = 0.0
+    X[7] = np.random.default_rng(6).standard_normal(X.shape[1]) + 3.0
+    view = build_centered_view(sp.csr_array(X))
+    Y = np.random.default_rng(g).standard_normal((X.shape[0], g))
+    cfg = SolverConfig(max_iters=SAMPLE_BLOCK + 37, seed=6, checkpoint_every=97)
+    drawn = set(sample_rows(build_sampler(view), make_rng(cfg.seed), cfg.max_iters).tolist())
+    assert {2, 7} <= drawn and np.diff(view.base.indptr).argmax() == 7
+    (got, record_got), (want, record_want) = recorder(), recorder()
+    W = solve_rk(view, Y, cfg, on_checkpoint=record_got).W
+    assert W.tobytes() == lazy_sparse_solve(view, Y, cfg, on_checkpoint=record_want).tobytes()
     assert_same_checkpoints(got, want)
 
 
