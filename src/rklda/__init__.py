@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .baselines import (
     Subspace,
     pinv_oracle,
-    principal_angles,
     solve_lsqr,
     ulda_oracle,
 )

@@ -1,4 +1,4 @@
-"""Reference subspace solvers and subspace comparison utilities.
+"""Reference subspace solvers and the ``Subspace`` every fit returns.
 
 ``solve_lsqr`` is the scalable comparator: LSQR (Paige and Saunders, 1982)
 on every column of Y at once, touching the data only through block products
@@ -8,7 +8,6 @@ small-scale oracles that form no d x d matrix.  Both start from the view's
 ``to_dense_centered`` (the one dense-size guard) cut to its numerical range,
 taken once per view.  The least-norm solution is V S^{-1} U^T Y, and ULDA's
 is sqrt(n) V S^{-1} P with P from the r x g matrix U^T Y.
-``principal_angles`` compares two subspaces.
 """
 
 import logging
@@ -16,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateSubspace, InvalidData
 from .labels import as_matrix
@@ -203,23 +201,3 @@ def ulda_oracle(view: CenteredMatrixView, Y) -> Subspace:
         raise DegenerateSubspace("between-class scatter is numerically zero")
     return Subspace(matrix=np.sqrt(view.n) * Vt.T @ (P[:, keep] / s[:, None]), origin="ULDA")
 
-
-def principal_angles(A: Subspace, B: Subspace) -> np.ndarray:
-    """Canonical angles (ascending, in [0, pi/2]) between the two ranges,
-    from ``scipy.linalg.subspace_angles``.
-
-    SciPy cuts each range's orthonormal basis at ``default_rank_tol`` of the
-    matrix's own largest singular value, so only an all-zero matrix has
-    rank 0 (DegenerateSubspace).  The cosines are the singular values of
-    Qa^T Qb (Bjorck and Golub, 1973); tiny angles come from the sine-based
-    companion formula, because arccos alone cannot resolve angles near
-    sqrt(machine eps).  The number of angles is the smaller of the two
-    numerical ranks; all angles below 1e-8 rad means the subspaces coincide
-    up to padding and rotation.
-    """
-    for sub in (A, B):
-        if not np.any(sub.matrix):
-            raise DegenerateSubspace(f"{sub.origin} subspace has numerical rank 0")
-    if len(A.matrix) != len(B.matrix):
-        raise InvalidData(f"ambient dimensions differ: {len(A.matrix)} vs {len(B.matrix)}")
-    return np.sort(scipy.linalg.subspace_angles(A.matrix, B.matrix))

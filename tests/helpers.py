@@ -1,12 +1,16 @@
-"""Synthetic instances, a Monte-Carlo check of the expected RK step and a
-memory probe, shared by the test modules."""
+"""Synthetic instances, a Monte-Carlo check of the expected RK step, the
+principal angles between two subspaces and a memory probe, shared by the
+test modules."""
 
 import importlib.util
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 
+from rklda.baselines import Subspace
+from rklda.errors import DegenerateSubspace, InvalidData
 from rklda.labels import as_matrix
 from rklda.matrix import CenteredMatrixView, build_centered_view, to_dense_centered
 from rklda.sampling import build_sampler, sample_rows
@@ -92,6 +96,27 @@ def expected_step_check(
     analytic = view.rmatmul(R) / view.frob_norm_sq
     deviation = float(np.linalg.norm(empirical - analytic))
     return empirical, analytic, deviation
+
+
+def principal_angles(A: Subspace, B: Subspace) -> np.ndarray:
+    """Canonical angles (ascending, in [0, pi/2]) between the two ranges,
+    from ``scipy.linalg.subspace_angles``.
+
+    SciPy cuts each range's orthonormal basis at ``default_rank_tol`` of the
+    matrix's own largest singular value, so only an all-zero matrix has
+    rank 0 (DegenerateSubspace).  The cosines are the singular values of
+    Qa^T Qb (Bjorck and Golub, 1973); tiny angles come from the sine-based
+    companion formula, because arccos alone cannot resolve angles near
+    sqrt(machine eps).  The number of angles is the smaller of the two
+    numerical ranks; all angles below 1e-8 rad means the subspaces coincide
+    up to padding and rotation.
+    """
+    for sub in (A, B):
+        if not np.any(sub.matrix):
+            raise DegenerateSubspace(f"{sub.origin} subspace has numerical rank 0")
+    if len(A.matrix) != len(B.matrix):
+        raise InvalidData(f"ambient dimensions differ: {len(A.matrix)} vs {len(B.matrix)}")
+    return np.sort(scipy.linalg.subspace_angles(A.matrix, B.matrix))
 
 
 def traced_peak(fn) -> int:

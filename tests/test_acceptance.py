@@ -15,8 +15,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import expected_step_check, planted_consistent, planted_inconsistent, two_gaussians
-from rklda.baselines import pinv_oracle, principal_angles, solve_lsqr, ulda_oracle
+from helpers import (expected_step_check, planted_consistent, planted_inconsistent,
+                     principal_angles, two_gaussians)
+from rklda.baselines import pinv_oracle, solve_lsqr, ulda_oracle
 from rklda.cli import dispatch
 from rklda.diagnostics import (
     condition_profile,

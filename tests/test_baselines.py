@@ -7,15 +7,9 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, lsqr
 
-from helpers import bench_gen, traced_peak
+from helpers import bench_gen, principal_angles, traced_peak
 from rklda import matrix
-from rklda.baselines import (
-    Subspace,
-    pinv_oracle,
-    principal_angles,
-    solve_lsqr,
-    ulda_oracle,
-)
+from rklda.baselines import Subspace, pinv_oracle, solve_lsqr, ulda_oracle
 from rklda.errors import DegenerateSubspace, InvalidData, TooLarge
 from rklda.labels import encode_labels, index_labels
 from rklda.matrix import build_centered_view, to_dense_centered

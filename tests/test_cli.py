@@ -1,19 +1,25 @@
+import contextlib
 import gzip
 import hashlib
 import json
+import os
 import subprocess
 import sys
+import tempfile
+from io import StringIO
 
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import bench_gen, two_gaussians
-from rklda.baselines import Subspace, principal_angles
+from helpers import bench_gen, principal_angles, two_gaussians
+from rklda.baselines import Subspace
 from rklda.cli import STATUS_FIELDS, dispatch
 from rklda.evaluation import fit_subspace
-from rklda.io import read_rkm1, write_rkm1
+from rklda.io import encode_rkm1, read_rkm1, write_rkm1
 from rklda.labels import encode_labels, index_labels
 from rklda.matrix import build_centered_view
 from rklda.rk import SolverConfig
@@ -920,3 +926,75 @@ def test_dispatch_keeps_no_state_across_calls(dataset, tmp_path, capsys):
     for argv, seen in zip(commands, in_one_process):
         build_parser.cache_clear()  # the command on its own, with a parser of its own
         assert run(argv) == seen
+
+
+FUZZ_BASES = {
+    "X.csv": b"1.5,2,0.25\n3,-4,5\n0,6.5,7\n8,9,-10\n",
+    "X.rkm1": encode_rkm1(np.arange(12.0).reshape(4, 3) * 0.5 - 1.0),
+    "y.txt": b"a\nb\na\nb\n",
+}
+FUZZ_SPLICES = [b"1e308", b"nan", b"inf", b"1e-320", b"\n\n", b"1" * 30]
+FUZZ_COMMANDS = [
+    *(["solve", "--method", m, "--out", "W.rkm1"] for m in ("rk", "lsqr", "pinv", "ulda")),
+    ["experiment", "--replicates", "1", "--knn", "1", "--out", "r.json"],
+    ["scatter", "--out", "s.json"],
+    ["scatter", "--traces-only", "--out", "s.json"],
+    ["diagnose", "--trials", "1", "--iters", "5", "--out", "d.json"],
+]
+fuzz_mutation = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(0, 7)),
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.integers(0, 255)),
+    st.tuples(st.just("delete"), st.integers(0, 10**6), st.integers(1, 4)),
+    st.tuples(st.just("splice"), st.integers(0, 10**6), st.sampled_from(FUZZ_SPLICES),
+              st.integers(0, 3)),
+)
+
+
+def mutate(data: bytes, mutation) -> bytes:
+    kind, pos, *args = mutation
+    buf = bytearray(data)
+    pos %= len(buf) + 1
+    if kind == "flip" and buf:
+        buf[pos % len(buf)] ^= 1 << args[0]
+    elif kind == "insert":
+        buf[pos:pos] = bytes([args[0]])
+    elif kind == "delete":
+        del buf[pos:pos + args[0]]
+    elif kind == "splice":
+        token, cut = args
+        buf[pos:pos + cut] = token
+    return bytes(buf)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.sampled_from(["X.csv", "X.rkm1"]),
+       target=st.sampled_from(sorted(FUZZ_BASES)),
+       mutations=st.lists(fuzz_mutation, min_size=1, max_size=3))
+def test_mutated_inputs_exit_with_a_data_code_and_leave_no_output(data, target, mutations):
+    # byte-level mutations of a small CSV, RKM1 or label file, through every
+    # subcommand that fits a subspace or reads labelled data: each run exits
+    # 0, 2 (invalid input) or 3 (numerical failure), never crashes, and a
+    # failing run says why on stderr and writes nothing.  SciPy's Matrix
+    # Market reader is reached in a subprocess only (it can kill the
+    # process), so an input that takes that path is not run here
+    files, data = dict(FUZZ_BASES), target if target.startswith("X.") else data
+    for mutation in mutations:
+        files[target] = mutate(files[target], mutation)
+    assume(not files[target].startswith(b"%%MatrixMarket"))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, content in files.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(content)
+        io_flags = ["--data", os.path.join(tmp, data), "--labels", os.path.join(tmp, "y.txt")]
+        for j, command in enumerate(FUZZ_COMMANDS):
+            out_dir = os.path.join(tmp, f"out{j}")
+            os.mkdir(out_dir)
+            argv = [*command[:-1], os.path.join(out_dir, command[-1]), *io_flags]
+            err = StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
+                code = dispatch(argv)
+            assert code in (0, 2, 3), (argv, code, err.getvalue())
+            if code:
+                assert err.getvalue().strip(), argv
+                assert os.listdir(out_dir) == [], (argv, code)

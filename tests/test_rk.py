@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dger, dtrsm
 
 from helpers import bench_gen, planted_consistent, traced_peak
 from rklda.errors import InvalidData, NumericalDivergence, ZeroRowError
@@ -279,6 +279,81 @@ def test_sparse_step_allocates_nothing_per_row():
     C = np.empty((SAMPLE_BLOCK, Y.shape[1]))
     iterate.run(rows, C)
     assert traced_peak(lambda: iterate.run(rows, C)) < 8 * 1024
+
+
+def test_sparse_step_views_built_once_per_row_length():
+    # a step takes its three views of the gather buffer from a table indexed
+    # by the augmented row length, built by the first step on each length:
+    # after one block the table holds the drawn lengths, each entry views the
+    # buffer's first m rows, and a second block over the same rows builds none
+    gen = bench_gen()
+    X, tokens = gen.text_like(gen.SPARSE_TEXT, 1)
+    view = build_centered_view(X)
+    Y = as_matrix(encode_labels(index_labels(tokens)), view.n)
+    iterate = _SparseIterate(view, Y)
+    rows = sample_rows(build_sampler(view), make_rng(1), SAMPLE_BLOCK)
+    C = np.empty((SAMPLE_BLOCK, Y.shape[1]))
+    iterate.run(rows, C)
+    lengths = set(np.diff(view.augmented_rows[3])[rows].tolist())
+    built = [m for m, views in enumerate(iterate.views) if views is not None]
+    assert set(built) == lengths
+    for m in built:
+        G_rows, G, G_T = iterate.views[m]
+        assert G_rows.shape == (m,) and G.shape == (m, Y.shape[1]) and G_T.shape == G.shape[::-1]
+        assert all(np.shares_memory(v, iterate.G) for v in (G_rows, G, G_T))
+        assert G.flags.c_contiguous and G_T.flags.f_contiguous
+    table = list(iterate.views)
+    iterate.run(rows, C)
+    assert all(a is b for a, b in zip(table, iterate.views, strict=True))
+
+
+DGER_FLAGS = ("incx", "incy", "a", "overwrite_x", "overwrite_y", "overwrite_a")
+DTRSM_FLAGS = ("side", "lower", "trans_a", "diag", "overwrite_b")
+
+
+def test_dger_positional_arguments_bind_as_their_keywords():
+    # the sparse step passes dger's arguments after y by position; with each
+    # name bound as DGER_FLAGS says, the positional call gives the keyword
+    # call's bytes and updates the F-ordered array passed in, in place
+    # (f2py takes increments of +-1 only; -1 reads the vector backwards)
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal(3), rng.standard_normal(5)
+    a0 = np.asfortranarray(rng.standard_normal((3, 5)))
+    outcomes = set()
+    for incx, incy in [(1, 1), (1, -1), (-1, 1)]:
+        a_pos, a_kw = a0.copy(order="F"), a0.copy(order="F")
+        got = dger(1.0, x, y, incx, incy, a_pos, 1, 1, 1)
+        want = dger(1.0, x, y, **dict(zip(DGER_FLAGS, (incx, incy, a_kw, 1, 1, 1))))
+        assert got.tobytes() == want.tobytes() == a_pos.tobytes() == a_kw.tobytes()
+        assert np.shares_memory(got, a_pos)
+        np.testing.assert_allclose(a_pos, a0 + np.outer(x[::incx], y[::incy]), rtol=1e-14)
+        outcomes.add(got.tobytes())
+    assert len(outcomes) == 3
+
+
+def test_dtrsm_positional_arguments_bind_as_their_keywords():
+    # the dense chunk passes dtrsm's flags by position; on a non-symmetric
+    # lower-triangular A, every flag read another way solves another system,
+    # so each positional call must give its keyword call's bytes and solve
+    # in place in the F-ordered B passed in
+    rng = np.random.default_rng(1)
+    A = np.tril(rng.standard_normal((4, 4))) + 4.0 * np.eye(4)
+    B0 = np.asfortranarray(rng.standard_normal((4, 4)))
+    outcomes = set()
+    for flags in [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0), (1, 1, 1, 0),
+                  (0, 1, 0, 1)]:
+        B_pos, B_kw = B0.copy(order="F"), B0.copy(order="F")
+        got = dtrsm(1.0, A, B_pos, *flags, 1)
+        want = dtrsm(1.0, A, B_kw, **dict(zip(DTRSM_FLAGS, flags + (1,))))
+        assert got.tobytes() == want.tobytes() == B_pos.tobytes() == B_kw.tobytes()
+        assert np.shares_memory(got, B_pos)
+        outcomes.add(got.tobytes())
+    assert len(outcomes) == 6
+    # the call _DenseIterate._solve makes: tril(G) C = B through G.T, C.T
+    G, C = A + np.triu(rng.standard_normal((4, 4)), 1), rng.standard_normal((4, 2))
+    want = np.linalg.solve(A, C)
+    dtrsm(1.0, G.T, C.T, 1, 0, 0, 0, 1)
+    np.testing.assert_allclose(C, want, rtol=1e-12)
 
 
 def test_orthogonal_rows_exact_after_coverage():
